@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -66,8 +65,6 @@ from .triangulation import (
     unimodularity_check,
 )
 
-MAX_THREADS = 64
-
 SUITES = (
     "combinatorics",
     "invariants",
@@ -92,30 +89,9 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _threads(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_THREADS}")
-    return value
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("BIPERMUTAHEDRON_THREADS", "1")
-    try:
-        return max(1, min(MAX_THREADS, int(raw)))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv", "text")):
     parser.add_argument("--n", type=_positive_int, required=True)
     parser.add_argument("--format", choices=formats, default="json")
-    parser.add_argument(
-        "--threads",
-        type=_threads,
-        default=_default_threads(),
-        help="worker cap for library calls (current routines are sequential)",
-    )
 
 
 def _header_lines(seed: int | None) -> list[str]:

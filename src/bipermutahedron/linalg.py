@@ -4,8 +4,16 @@ Everything in this package that needs linear algebra needs *exact* answers:
 determinants of lattice simplices, barycentric coordinates of rational
 points, unique expansions of a ray in terms of other rays.  The matrices
 involved are tiny (at most ``2n`` rows for the ground set sizes we care
-about), so plain fraction-free or Fraction-based elimination is both simple
-and fast enough.
+about).
+
+One kernel does all the elimination: fraction-free Gauss-Jordan elimination
+(Bareiss 1968) on integer rows.  Rational input is first made integral row
+by row, scaling each row by the lcm of its denominators, which changes
+neither the solutions of a system nor its null space.  Every entry the
+kernel produces is an integer minor of its input, so no ``Fraction`` is
+built during elimination; the reduced row echelon form is the result
+divided by one common pivot value ``d``, and ``det_int``, ``solve_unique``
+and ``nullspace_normal`` read their answers off it.
 
 Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
 """
@@ -13,7 +21,55 @@ Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+
+def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """``row`` scaled by the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``a`` in
+    place, choosing pivots among the first ``ncols`` columns.
+
+    Returns ``(pivot_cols, d, sign)``.  Afterwards row ``r`` of the first
+    ``len(pivot_cols)`` rows holds ``d`` in column ``pivot_cols[r]`` and 0
+    in every other pivot column, the remaining rows are zero in the first
+    ``ncols`` columns, and dividing every entry by ``d`` gives the reduced
+    row echelon form.  ``d`` is the minor on the pivot rows and columns (1
+    when there is no pivot) and ``sign`` is -1 to the number of row swaps.
+    Later columns (a right-hand side) are carried along.
+    """
+    rows = len(a)
+    pivot_cols: list[int] = []
+    prev = 1
+    sign = 1
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        pivot = next((i for i in range(rank, rows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        pv = top[col]
+        for i in range(rows):
+            if i == rank:
+                continue
+            row = a[i]
+            f = row[col]
+            # Bareiss: every new entry is a minor, so the division is exact.
+            if f:
+                a[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
+            elif pv != prev:
+                a[i] = [x * pv // prev for x in row]
+        prev = pv
+        pivot_cols.append(col)
+    return pivot_cols, prev, sign
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -27,24 +83,10 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     """
     a = [list(row) for row in matrix]
     m = len(a)
-    assert all(len(row) == m for row in a), "matrix must be square"
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    if any(len(row) != m for row in a):
+        raise ValueError("matrix must be square")
+    pivot_cols, d, sign = _bareiss(a, m)
+    return sign * d if len(pivot_cols) == m else 0
 
 
 def solve_unique(
@@ -57,52 +99,13 @@ def solve_unique(
     [Fraction(1, 2), Fraction(1, 4)]
     """
     m = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    assert all(len(row) == m + 1 for row in a)
-    for col in range(m):
-        pivot = next((i for i in range(col, m) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(m):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return [a[i][m] for i in range(m)]
-
-
-def solve_consistent(
-    matrix: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
-) -> list[Fraction] | None:
-    """Solve a possibly overdetermined system with full column rank.
-
-    Returns the unique solution if the system is consistent, ``None`` if it
-    is inconsistent.  The columns must be linearly independent (true for all
-    callers here: coordinates of affinely independent point sets).
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("columns are linearly dependent")
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][col]
-        a[rank] = [x / inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    for i in range(rank, rows):
-        if a[i][cols] != 0:
-            return None
-    return [a[i][cols] for i in range(cols)]
+    if len(rhs) != m or any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square with one rhs entry per row")
+    a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    pivot_cols, d, _ = _bareiss(a, m)
+    if len(pivot_cols) != m:
+        raise ValueError("singular matrix")
+    return [Fraction(row[m], d) for row in a]
 
 
 def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
@@ -112,30 +115,15 @@ def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
 
     The sign is normalized so that the first nonzero entry is positive.
     """
-    rows = len(matrix)
     cols = len(matrix[0])
-    a = [[Fraction(x) for x in row] for row in matrix]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][col]
-        a[rank] = [x / inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
+    a = [_integer_row(row) for row in matrix]
+    pivot_cols, d, _ = _bareiss(a, cols)
     free = [c for c in range(cols) if c not in pivot_cols]
     if len(free) != 1:
         raise ValueError(f"null space has dimension {len(free)}, expected 1")
     f = free[0]
-    vec = [Fraction(0)] * cols
-    vec[f] = Fraction(1)
+    vec = [0] * cols
+    vec[f] = d
     for r, c in enumerate(pivot_cols):
         vec[c] = -a[r][f]
     return primitive_integer_vector(vec)
@@ -148,8 +136,6 @@ def primitive_integer_vector(vec: Sequence[int | Fraction]) -> list[int]:
     >>> primitive_integer_vector([Fraction(1, 2), Fraction(-3, 2)])
     [1, -3]
     """
-    from math import gcd, lcm
-
     fracs = [Fraction(x) for x in vec]
     if not any(fracs):
         raise ValueError("zero vector")

@@ -118,7 +118,7 @@ def count_distinct_real_roots(p: Coeffs) -> int:
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-Verdict = Literal["real-rooted", "not-real-rooted", "undetermined"]
+Verdict = Literal["real-rooted", "not-real-rooted"]
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ def real_root_check(p: IntPolynomial) -> Verdict:
 
     The polynomial is divided by gcd(p, p') to make it squarefree, and a
     Sturm-sequence count of distinct real roots is compared against the
-    squarefree degree.  Sturm sequences decide every nonzero input, so the
-    ``undetermined`` verdict is never produced; it exists for interface
-    stability.
+    squarefree degree.  Sturm sequences decide every nonzero input.
 
     >>> real_root_check(IntPolynomial((1, 4, 1)))
     'real-rooted'

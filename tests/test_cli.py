@@ -162,8 +162,6 @@ class TestExitCodes:
         "argv",
         [
             ["fvector", "--n", "0"],
-            ["fvector", "--n", "2", "--threads", "0"],
-            ["fvector", "--n", "2", "--threads", "65"],
             ["fvector", "--n", "2", "--format", "yaml"],
             ["no-such-command", "--n", "2"],
         ],
@@ -172,10 +170,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-
-    def test_thread_cap_boundary_is_accepted(self, capsys):
-        code, _, _ = run_cli(capsys, "fvector", "--n", "2", "--threads", "64")
-        assert code == 0
 
 
 class TestSupportFiles:

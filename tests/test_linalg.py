@@ -1,6 +1,9 @@
 """Exact linear algebra over the integers and rationals."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
 
@@ -8,9 +11,11 @@ from bipermutahedron.linalg import (
     det_int,
     nullspace_normal,
     primitive_integer_vector,
-    solve_consistent,
     solve_unique,
 )
+
+BIG_PRIME = 2**61 - 1
+DENOMINATORS = (1, 2, 3, 97, BIG_PRIME)
 
 
 def test_det_small_cases():
@@ -44,20 +49,6 @@ def test_solve_unique_rejects_singular():
         solve_unique([[1, 2], [2, 4]], [1, 1])
 
 
-def test_solve_consistent_overdetermined():
-    # three equations, one unknown, consistent
-    assert solve_consistent([[1], [2], [3]], [5, 10, 15]) == [Fraction(5)]
-
-
-def test_solve_consistent_detects_inconsistency():
-    assert solve_consistent([[1], [2]], [3, 7]) is None
-
-
-def test_solve_consistent_rejects_dependent_columns():
-    with pytest.raises(ValueError):
-        solve_consistent([[1, 2], [2, 4]], [1, 2])
-
-
 def test_nullspace_normal_primitive_and_oriented():
     # row space of rank 2 in dimension 3: normal is the cross product
     normal = nullspace_normal([[1, 0, 1], [0, 1, 1]])
@@ -67,8 +58,10 @@ def test_nullspace_normal_primitive_and_oriented():
 
 
 def test_nullspace_normal_requires_corank_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="null space has dimension 2, expected 1"):
         nullspace_normal([[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="null space has dimension 0, expected 1"):
+        nullspace_normal([[1, 0], [0, Fraction(1, BIG_PRIME)]])
 
 
 def test_primitive_integer_vector():
@@ -78,3 +71,181 @@ def test_primitive_integer_vector():
     ) == [3, 2]
     with pytest.raises(ValueError):
         primitive_integer_vector([0, 0])
+
+
+def test_shape_errors_are_value_errors():
+    with pytest.raises(ValueError, match="square"):
+        det_int([[1, 2]])
+    with pytest.raises(ValueError, match="square"):
+        solve_unique([[1, 2]], [1])
+    with pytest.raises(ValueError, match="square"):
+        solve_unique([[1, 0], [0, 1]], [1])
+
+
+# Seeded random systems with known answers.  Nonsingular matrices are built
+# as P * U * L: P a permutation (so leading entries are often zero and rows
+# must be swapped), U upper triangular with a nonzero diagonal, L unit lower
+# triangular.  Their determinant is sign(P) * prod(diag U) and does not
+# depend on how a solver eliminates.
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _perm_sign(perm):
+    inversions = sum(
+        perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _leibniz_det(a):
+    m = len(a)
+    return sum(
+        _perm_sign(perm) * prod(a[i][perm[i]] for i in range(m))
+        for perm in permutations(range(m))
+    )
+
+
+def _small(rng):
+    return rng.choice((0, 0, 1, -1, 2, -3, rng.randint(-9, 9)))
+
+
+def _nonsingular(rng, m, dense):
+    """An integer matrix with its determinant known by construction."""
+    perm = list(range(m))
+    rng.shuffle(perm)
+    diag = [rng.choice((1, -1, 2, -3, 5)) for _ in range(m)]
+    upper = [
+        [diag[i] if i == j else (_small(rng) if j > i else 0) for j in range(m)]
+        for i in range(m)
+    ]
+    lower = [
+        [1 if i == j else (_small(rng) if dense and j < i else 0) for j in range(m)]
+        for i in range(m)
+    ]
+    matrix = [_mat_mul(upper, lower)[perm[i]] for i in range(m)]
+    return matrix, _perm_sign(perm) * prod(diag)
+
+
+def _scale_rows(rng, matrix):
+    """Each row times a random nonzero rational, some with huge denominators."""
+    scales = [
+        Fraction(rng.choice((1, -1, 3, 7)), rng.choice(DENOMINATORS)) for _ in matrix
+    ]
+    return [[x * s for x in row] for row, s in zip(matrix, scales)]
+
+
+def _make_singular(rng, matrix):
+    """Replace one row by a rational combination of the others."""
+    m = len(matrix)
+    k = rng.randrange(m)
+    coeffs = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in range(m)]
+    coeffs[k] = 0
+    matrix = [list(row) for row in matrix]
+    matrix[k] = [sum(c * row[j] for c, row in zip(coeffs, matrix)) for j in range(m)]
+    return matrix
+
+
+def test_det_int_matches_leibniz_expansion():
+    rng = random.Random(2024)
+    for m in range(1, 6):
+        for _ in range(40):
+            a = [[_small(rng) for _ in range(m)] for _ in range(m)]
+            if rng.random() < 0.5:
+                a[0][0] = 0
+            if m > 1 and rng.random() < 0.3:
+                a[rng.randrange(m)] = list(a[rng.randrange(m)])
+            assert det_int(a) == _leibniz_det(a)
+    assert det_int([[0, 0], [0, 0]]) == 0
+    assert det_int([[0, 3], [2, 0]]) == -6
+
+
+def test_det_int_of_constructed_matrices():
+    rng = random.Random(7)
+    for m in range(1, 9):
+        for dense in (False, True):
+            for _ in range(10):
+                a, det = _nonsingular(rng, m, dense)
+                assert det_int(a) == det
+                big = [[x * BIG_PRIME for x in row] for row in a]
+                assert det_int(big) == det * BIG_PRIME**m
+                if m > 1:
+                    a[rng.randrange(m)] = [0] * m
+                    assert det_int(a) == 0
+
+
+def test_solve_unique_by_substitution():
+    rng = random.Random(11)
+    for m in range(1, 9):
+        for trial in range(12):
+            a, _ = _nonsingular(rng, m, dense=trial % 2 == 1)
+            if trial % 3:
+                a = _scale_rows(rng, a)
+            b = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in range(m)]
+            x = solve_unique(a, b)
+            assert all(isinstance(v, Fraction) for v in x)
+            assert _mat_vec(a, x) == b
+            if m > 1:
+                with pytest.raises(ValueError, match="singular matrix"):
+                    solve_unique(_make_singular(rng, a), b)
+    with pytest.raises(ValueError, match="singular matrix"):
+        solve_unique([[0]], [1])
+
+
+def _with_null_vector(rng, v):
+    """Rows spanning the orthogonal complement of the nonzero integer vector
+    ``v``, mixed, rescaled and padded with redundant rows."""
+    c = len(v)
+    j = next(i for i, x in enumerate(v) if x)
+    basis = []
+    for k in range(c):
+        if k != j:
+            row = [0] * c
+            row[k] = v[j]
+            row[j] = -v[k]
+            basis.append(row)
+    if basis:
+        mix, _ = _nonsingular(rng, len(basis), dense=True)
+        basis = _scale_rows(rng, _mat_mul(mix, basis))
+    rows = basis + [[0] * c]
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in rows]
+        rows.append([sum(f * row[i] for f, row in zip(coeffs, rows)) for i in range(c)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _check_normal(matrix, normal, v):
+    assert _mat_vec(matrix, normal) == [0] * len(matrix)
+    assert gcd(*normal) == 1
+    assert next(x for x in normal if x) > 0
+    # normal and v span the same line: every 2x2 minor vanishes
+    c = len(v)
+    assert all(normal[i] * v[k] == normal[k] * v[i] for i in range(c) for k in range(c))
+
+
+def test_nullspace_normal_of_constructed_matrices():
+    rng = random.Random(13)
+    for c in range(1, 9):
+        for _ in range(12):
+            v = [_small(rng) for _ in range(c)]
+            if not any(v):
+                v[rng.randrange(c)] = rng.choice((1, -1, 4))
+            matrix = _with_null_vector(rng, v)
+            _check_normal(matrix, nullspace_normal(matrix), v)
+
+
+def test_nullspace_normal_free_column_not_last():
+    # the last column is forced to be a pivot column
+    v = [2, -3, 1, 0]
+    matrix = _with_null_vector(random.Random(17), v)
+    normal = nullspace_normal(matrix)
+    assert normal == [2, -3, 1, 0]
+    _check_normal(matrix, normal, v)
+    assert nullspace_normal([[1, 1, 0], [0, 0, 5]]) == [1, -1, 0]
