@@ -162,6 +162,8 @@ class TestExitCodes:
         "argv",
         [
             ["fvector", "--n", "0"],
+            ["fvector", "--n", "two"],
+            ["fvector", "--n", "2", "--object", "cube"],
             ["fvector", "--n", "2", "--format", "yaml"],
             ["no-such-command", "--n", "2"],
         ],
