@@ -646,15 +646,13 @@ def bisequence_of_configuration(
     >>> str(bisequence_of_configuration((0, 1), (0, 0)))
     '2|12'
     """
-    assert len(z) == len(w) and z, "need one (z, w) pair per element"
-    n = len(z)
-    zf = [Fraction(v) for v in z]
-    wf = [Fraction(v) for v in w]
-    c = min(a + b for a, b in zip(zf, wf))
-    keys: dict[Fraction, set[int]] = {}
-    for i in range(n):
-        keys.setdefault(zf[i], set()).add(i + 1)
-        if zf[i] + wf[i] != c:
-            keys.setdefault(c - wf[i], set()).add(i + 1)
+    if len(z) != len(w) or not z:
+        raise ValueError("need one (z, w) pair per element")
+    c = min(a + b for a, b in zip(z, w))
+    keys: dict[int | Fraction, set[int]] = {}
+    for i, (zi, wi) in enumerate(zip(z, w), start=1):
+        keys.setdefault(zi, set()).add(i)
+        if zi + wi != c:
+            keys.setdefault(c - wi, set()).add(i)
     parts = [keys[key] for key in sorted(keys, reverse=True)]
-    return validate_bisequence(parts, n)
+    return validate_bisequence(parts, len(z))

@@ -50,6 +50,7 @@ from .geometry import (
     SupportFunction,
     biperm_support_function,
     harmonic_support_function,
+    ray_vector,
 )
 from .linalg import solve_unique
 
@@ -423,13 +424,6 @@ def updown_value_by_segments(wall: Wall) -> int:
     return total
 
 
-def _ray_column(bs: Bisubset) -> list[int]:
-    n = bs.n
-    return [int(i in bs.left) for i in range(1, n + 1)] + [
-        int(i in bs.right) for i in range(1, n + 1)
-    ]
-
-
 def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     """The wall inequality derived from scratch by linear algebra.
 
@@ -450,12 +444,13 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
             f"chambers of {wall} do not add exactly one ray each"
         )
     r, rp = extra1[0], extra2[0]
-    columns = [_ray_column(rp)]
-    columns += [[-x for x in _ray_column(w)] for w in wall_rays]
+    rays = [ray_vector(rp)] + [-ray_vector(w) for w in wall_rays]
+    columns = [[*v.top, *v.bottom] for v in rays]
     columns.append([1] * n + [0] * n)
     columns.append([0] * n + [1] * n)
     matrix = [[col[row] for col in columns] for row in range(2 * n)]
-    rhs = [-x for x in _ray_column(r)]
+    target = -ray_vector(r)
+    rhs = [*target.top, *target.bottom]
     try:
         solution = solve_unique(matrix, rhs)
     except ValueError as exc:

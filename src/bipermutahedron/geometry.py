@@ -180,9 +180,11 @@ class SupportFunction:
         terms: Sequence[tuple[int | Fraction, "SupportFunction"]]
     ) -> "SupportFunction":
         """An exact linear combination sum(coeff * h)."""
-        assert terms, "need at least one term"
+        if not terms:
+            raise ValueError("need at least one term")
         n = terms[0][1].n
-        assert all(h.n == n for _, h in terms)
+        if any(h.n != n for _, h in terms):
+            raise ValueError("support functions of different n")
         return SupportFunction(
             n,
             {

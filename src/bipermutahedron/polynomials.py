@@ -62,7 +62,8 @@ def poly_derivative(p: Sequence[Fraction]) -> Coeffs:
 
 def poly_divmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
     """Quotient and remainder of exact polynomial division."""
-    assert q, "division by the zero polynomial"
+    if not q:
+        raise ZeroDivisionError("division by the zero polynomial")
     rem = list(p)
     quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     while len(rem) >= len(q) and any(c != 0 for c in rem):
@@ -109,7 +110,8 @@ def count_distinct_real_roots(p: Coeffs) -> int:
     polynomial, via sign variations of its Sturm chain at -oo and +oo.
     """
     q = poly_trim(p)
-    assert q, "zero polynomial"
+    if not q:
+        raise ValueError("zero polynomial")
     if len(q) == 1:
         return 0
     chain = sturm_chain(q)
@@ -128,7 +130,8 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert all(isinstance(c, int) for c in self.coefficients)
+        if not all(isinstance(c, int) for c in self.coefficients):
+            raise TypeError(f"coefficients must be ints: {self.coefficients}")
         if self.coefficients and self.coefficients[-1] == 0:
             raise ValueError("coefficients must be trimmed")
 

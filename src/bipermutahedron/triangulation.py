@@ -11,13 +11,14 @@ points v_(empty,E), v_(E,empty), v_(E,E) and the 2n - 2 vertices v_(S,T)
 for the prefix/suffix bisubsets S|T of B.  These simplices form a
 unimodular triangulation; the checks in this module certify unimodularity,
 the covering property (by exact location of random rational points), the
-face-to-face property (by exact barycentric solves), and the resulting
-h-polynomial identity with the biEulerian polynomial.
+face-to-face property (by locating points of one simplex in another), and
+the resulting h-polynomial identity with the biEulerian polynomial.
 
 The affine projection pi1 sends a table (u, v, w) to (1 - u, 1 - v),
 mapping v_(S,T) to e_S + f_T and the three cone points into the span of
-e_E and f_E; all membership solves happen in these 2n coordinates, where
-pi1 restricts to a bijection on the affine hull of Delta^n.
+e_E and f_E; pi1 restricts to a bijection on the affine hull of Delta^n.
+Points are located in these 2n coordinates, where barycentric coordinates
+in T_B have an integer closed form (see ``_barycentric``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .combinatorics import (
@@ -36,7 +38,7 @@ from .combinatorics import (
     enumerate_bipermutations,
 )
 from .invariants import bieulerian_by_ehrhart, f_vector_formula, h_from_f
-from .linalg import det_int, solve_unique
+from .linalg import det_int
 
 Table = tuple[tuple[Fraction, ...], ...]
 
@@ -199,11 +201,11 @@ class LocatedPoint:
 def cover_locate(p: Table) -> LocatedPoint:
     """Locate a rational point of Delta^n in the triangulation.
 
-    Reads the candidate bipermutation off the configuration pi1(p), solves
-    pi1(p) = sum lambda_(S|T) (e_S + f_T) + lambda e_E + mu f_E
-    for the unique scalars, and converts to barycentric coefficients by
-    a = 1 - sum(lambda_(S|T)) - lambda, b = 1 - sum(lambda_(S|T)) - mu,
-    c = lambda + mu + sum(lambda_(S|T)) - 1.
+    Reads the candidate bipermutation off the configuration pi1(p) and
+    writes pi1(p) in the barycentric basis of its simplex in closed form
+    (see ``_barycentric``), on integer numerators over the lcm of the
+    point's denominators.  The answer is certified by rebuilding pi1(p)
+    from the coefficients in integers.
 
     Raises TieOnBoundary when the configuration reading is coarser than a
     bipermutation (the caller re-samples), and NegativeCoefficient if any
@@ -216,24 +218,22 @@ def cover_locate(p: Table) -> LocatedPoint:
         if any(x < 0 for x in column):
             raise ValueError("points of Delta^n have nonnegative entries")
     point = projection_pi1(p)
-    reading = bisequence_of_configuration(point[:n], point[n:])
+    den = lcm(*(x.denominator for x in point))
+    numerators = [x.numerator * (den // x.denominator) for x in point]
+    reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:
         raise TieOnBoundary(
             f"configuration reads as {reading}, not a bipermutation"
         )
     bp = Bipermutation(tuple(next(iter(part)) for part in reading.parts))
-    splits = bisubsets_of(bp)
-    columns = [bs_vector(bs) for bs in splits]
-    columns.append([1] * n + [0] * n)
-    columns.append([0] * n + [1] * n)
-    matrix = [[col[i] for col in columns] for i in range(2 * n)]
-    solution = solve_unique(matrix, list(point))
-    lams, lam, mu = solution[:-2], solution[-2], solution[-1]
-    total = sum(lams)
-    a = 1 - total - lam
-    b = 1 - total - mu
-    c = lam + mu + total - 1
-    located = LocatedPoint(bp, a, b, c, tuple(zip(splits, lams)))
+    coeffs = _barycentric(bp, numerators, den)
+    if _rebuild(simplex_of_bipermutation(bp), coeffs) != numerators:
+        raise ArithmeticError(
+            f"barycentric coefficients in the simplex of {bp} do not "
+            f"rebuild pi1 of the point, {numerators} over {den}"
+        )
+    a, b, c, *lams = (Fraction(x, den) for x in coeffs)
+    located = LocatedPoint(bp, a, b, c, tuple(zip(bisubsets_of(bp), lams)))
     for value in located.coefficients():
         if value < 0:
             raise NegativeCoefficient(
@@ -243,11 +243,46 @@ def cover_locate(p: Table) -> LocatedPoint:
     return located
 
 
-def bs_vector(bs: Bisubset) -> list[int]:
-    """e_S + f_T as a 2n-entry 0/1 list."""
-    return [int(i in bs.left) for i in range(1, bs.n + 1)] + [
-        int(i in bs.right) for i in range(1, bs.n + 1)
+def _barycentric(bp: Bipermutation, point: Sequence[int], weight: int) -> list[int]:
+    """Coefficient numerators over ``weight`` of the point (z, w) / weight
+    in T_B, in BipermSimplex vertex order [a, b, c, lambda_1, ...].
+
+    With 0-based word positions, z_i = b + c + sum(lambda_j, j > first(i))
+    and w_i = a + c + sum(lambda_j, j <= last(i)).  The first, the last
+    and the single letter k give Lambda = sum(lambda_j), b + c and a + c;
+    each position t gives the tail sum sigma_t = sum(lambda_j, j > t), and
+    lambda_j = sigma_(j-1) - sigma_j.
+    """
+    n = bp.n
+    letters = bp.letters
+    z, w = point[:n], point[n:]
+    k = bp.k
+    z_head, w_tail = z[letters[0] - 1], w[letters[-1] - 1]
+    total = z_head + w_tail - z[k - 1] - w[k - 1]
+    b_plus_c = z_head - total
+    a_plus_c = w_tail - total
+    c = a_plus_c + b_plus_c + total - weight
+    tails = []
+    seen: set[int] = set()
+    for e in letters:
+        if e in seen:
+            tails.append(total + a_plus_c - w[e - 1])
+        else:
+            seen.add(e)
+            tails.append(z[e - 1] - b_plus_c)
+    return [a_plus_c - c, b_plus_c - c, c] + [
+        tails[j - 1] - tails[j] for j in range(1, len(letters))
     ]
+
+
+def _rebuild(simplex: BipermSimplex, coeffs: Sequence[int]) -> list[int]:
+    """pi1 of sum(coeff * vertex), skipping zero coefficients."""
+    point = [0] * (2 * simplex.n)
+    for coeff, vertex in zip(coeffs, simplex.vertices):
+        if coeff:
+            for i, x in enumerate(vertex.pi1()):
+                point[i] += coeff * x
+    return point
 
 
 def random_delta_point(
@@ -256,7 +291,8 @@ def random_delta_point(
     """A random rational point of Delta^n with bounded denominators.
 
     Each column picks two cut points of {0..denominator}, giving entries
-    with the fixed prime denominator; exact solves stay fast.
+    with the fixed prime denominator, so points of one sample share a
+    small common denominator.
     """
     rows: list[list[Fraction]] = [[], [], []]
     for _ in range(n):
@@ -303,39 +339,6 @@ def cover_check(n: int, samples: int, seed: int) -> CoverReport:
     )
 
 
-class _SimplexSolver:
-    """Exact barycentric solver for one simplex, via its unimodular inverse.
-
-    Vertices are ordered as in BipermSimplex; the apex v_(E,E) (index 2)
-    anchors the affine frame.  Since the difference matrix has determinant
-    +-1, its inverse is an integer matrix and each solve is a matrix-vector
-    product.
-    """
-
-    def __init__(self, simplex: BipermSimplex) -> None:
-        self.simplex = simplex
-        n = simplex.n
-        self.apex = simplex.vertices[2].pi1()
-        others = simplex.vertices[:2] + simplex.vertices[3:]
-        matrix = [
-            [v.pi1()[i] - self.apex[i] for v in others] for i in range(2 * n)
-        ]
-        identity = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
-        inverse_cols = [solve_unique(matrix, col) for col in zip(*identity)]
-        self.inverse_rows = [
-            [int(inverse_cols[j][i]) for j in range(2 * n)] for i in range(2 * n)
-        ]
-
-    def barycentric(self, point: Sequence[Fraction]) -> list[Fraction]:
-        """Coefficients in vertex order (apex coefficient at index 2)."""
-        rhs = [x - a for x, a in zip(point, self.apex)]
-        mu = [
-            sum(r * x for r, x in zip(row, rhs)) for row in self.inverse_rows
-        ]
-        apex_mu = 1 - sum(mu)
-        return [mu[0], mu[1], apex_mu] + mu[2:]
-
-
 @dataclass(frozen=True)
 class FaceToFaceReport:
     n: int
@@ -349,7 +352,8 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
     """Sampled certification that simplices intersect along common faces.
 
     For each unordered pair of simplices and each direction, two kinds of
-    random rational points are drawn from the source simplex:
+    random rational points (integer weights over their sum) are drawn from
+    the source simplex:
 
     * supported on the shared vertices: the point must lie in the target
       simplex with the identical coefficients (barycentric coordinates in
@@ -365,27 +369,17 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
     simplices = [
         simplex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
     ]
-    solvers = [_SimplexSolver(s) for s in simplices]
     vertex_sets = [set(s.vertices) for s in simplices]
     per_mode = max(1, samples // 4)
     failures: list[str] = []
     points = 0
 
-    def weights(indices: list[int], size: int) -> list[Fraction]:
+    def weights(indices: list[int], size: int) -> tuple[list[int], int]:
         raw = [rng.randint(1, 97) for _ in indices]
-        total = sum(raw)
-        out = [Fraction(0)] * size
+        out = [0] * size
         for idx, value in zip(indices, raw):
-            out[idx] = Fraction(value, total)
-        return out
-
-    def combine(simplex: BipermSimplex, coeffs: list[Fraction]) -> list[Fraction]:
-        point = [Fraction(0)] * (2 * simplex.n)
-        for coeff, vertex in zip(coeffs, simplex.vertices):
-            if coeff:
-                for i, x in enumerate(vertex.pi1()):
-                    point[i] += coeff * x
-        return point
+            out[idx] = value
+        return out, sum(raw)
 
     for i1, i2 in itertools.combinations(range(len(simplices)), 2):
         for src, dst in ((i1, i2), (i2, i1)):
@@ -397,27 +391,28 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
             ]
             for _ in range(per_mode):
                 # Shared-support sample: must live in both simplices.
-                coeffs = weights(shared_idx, len(source.vertices))
-                point = combine(source, coeffs)
-                mus = solvers[dst].barycentric(point)
+                coeffs, total = weights(shared_idx, len(source.vertices))
+                point = _rebuild(source, coeffs)
+                mus = _barycentric(target.bipermutation, point, total)
                 expected = {
                     v: c for v, c in zip(source.vertices, coeffs) if c
                 }
                 for vertex, mu in zip(target.vertices, mus):
-                    want = expected.get(vertex, Fraction(0))
+                    want = expected.get(vertex, 0)
                     if mu != want:
                         failures.append(
                             f"{source.bipermutation} cap {target.bipermutation}: "
-                            f"shared-support point got {mu} != {want} at {vertex}"
+                            f"shared-support point got {Fraction(mu, total)} "
+                            f"!= {Fraction(want, total)} at {vertex}"
                         )
                         break
                 points += 1
                 # Interior sample: must stay out of every other simplex.
-                coeffs = weights(
+                coeffs, total = weights(
                     list(range(len(source.vertices))), len(source.vertices)
                 )
-                point = combine(source, coeffs)
-                mus = solvers[dst].barycentric(point)
+                point = _rebuild(source, coeffs)
+                mus = _barycentric(target.bipermutation, point, total)
                 if all(mu >= 0 for mu in mus):
                     failures.append(
                         f"interior point of {source.bipermutation} also lies "

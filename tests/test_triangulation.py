@@ -12,11 +12,15 @@ from bipermutahedron.combinatorics import (
     enumerate_bipermutations,
     parse_bipermutation,
 )
+from bipermutahedron import triangulation
 from bipermutahedron.invariants import bieulerian_by_ehrhart, h_from_f
+from bipermutahedron.linalg import solve_unique
 from bipermutahedron.triangulation import (
     BipermSimplex,
     ProductVertex,
     TieOnBoundary,
+    _barycentric,
+    _rebuild,
     cone_points,
     cover_check,
     cover_locate,
@@ -193,3 +197,76 @@ def test_hstar_equals_bieulerian_explicitly():
     n = 3
     h = h_from_f(triangulation_f_vector(n), 2 * n + 1)
     assert h == bieulerian_by_ehrhart(n)
+
+
+def _reference_barycentric(simplex, point, weight):
+    """Coefficient numerators over ``weight`` by a linear solve of the
+    affine frame at the apex v_(E,E), in BipermSimplex vertex order."""
+    apex = simplex.vertices[2].pi1()
+    others = simplex.vertices[:2] + simplex.vertices[3:]
+    matrix = [
+        [v.pi1()[i] - apex[i] for v in others] for i in range(2 * simplex.n)
+    ]
+    rhs = [F(x, weight) - a for x, a in zip(point, apex)]
+    mu = solve_unique(matrix, rhs)
+    coeffs = [mu[0], mu[1], 1 - sum(mu)] + mu[2:]
+    assert all((x * weight).denominator == 1 for x in coeffs)
+    return [int(x * weight) for x in coeffs]
+
+
+def _closed_form_cases():
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        yield from enumerate_bipermutations(n)
+    yield from rng.sample(list(enumerate_bipermutations(4)), 200)
+
+
+def test_closed_form_barycentric_matches_linear_solve():
+    rng = random.Random(29)
+    for bp in _closed_form_cases():
+        simplex = simplex_of_bipermutation(bp)
+        size = len(simplex.vertices)
+        for weight in (1, rng.randint(2, 500), rng.randint(2, 2**61)):
+            # inside: nonnegative coefficients summing to the weight
+            cuts = sorted(rng.randint(0, weight) for _ in range(size - 1))
+            inside = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
+            point = [0] * (2 * bp.n)
+            for coeff, vertex in zip(inside, simplex.vertices):
+                point = [p + coeff * x for p, x in zip(point, vertex.pi1())]
+            bound = 3 * weight + 5
+            outside = [rng.randint(-bound, bound) for _ in range(2 * bp.n)]
+            for target in (point, outside):
+                coeffs = _barycentric(bp, target, weight)
+                assert coeffs == _reference_barycentric(simplex, target, weight)
+                assert _rebuild(simplex, coeffs) == target
+            assert _barycentric(bp, point, weight) == inside
+
+
+def _shift_one_lambda(original):
+    def shifted(bp, point, weight):
+        coeffs = original(bp, point, weight)
+        coeffs[3] += 1
+        return coeffs
+
+    return shifted
+
+
+def test_face_to_face_reports_a_wrong_coefficient(monkeypatch):
+    monkeypatch.setattr(
+        triangulation, "_barycentric", _shift_one_lambda(_barycentric)
+    )
+    report = face_to_face_check(2, 8, seed=3)
+    assert report.passed is False
+    assert any("shared-support point got" in f for f in report.failures)
+
+
+def test_cover_locate_certifies_by_reconstruction(monkeypatch):
+    u, v = (F(1, 5), F(1, 2)), (F(1, 3), F(1, 7))
+    p = (u, v, tuple(1 - x - y for x, y in zip(u, v)))
+    cover_locate(p)  # a generic point: no tie, no negative coefficient
+    monkeypatch.setattr(
+        triangulation, "_barycentric", _shift_one_lambda(_barycentric)
+    )
+    with pytest.raises(ArithmeticError, match="do not rebuild") as excinfo:
+        cover_locate(p)
+    assert excinfo.type is ArithmeticError
