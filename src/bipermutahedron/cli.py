@@ -52,6 +52,7 @@ from .invariants import (
     f_vector_formula,
     h_from_f,
     logconcavity_check,
+    multigraph_count,
     polytope_f_vector,
     sweep_orientation_check,
     unimodality_check,
@@ -64,6 +65,10 @@ from .triangulation import (
     pi1_lattice_check,
     unimodularity_check,
 )
+
+# The wall count at n = 5.  Walls are enumerated one by one, and the next
+# count, 37,422,000 at n = 6, does not finish in reasonable time.
+_MAX_WALLS = 453_600
 
 SUITES = (
     "combinatorics",
@@ -206,7 +211,22 @@ def _cmd_facets(args) -> int:
     return 0
 
 
+def _refuse_infeasible_walls(n: int) -> None:
+    """Refuse, before enumerating anything, an n with more walls than n = 5.
+
+    The wall count is entry 2n - 3 of :func:`f_vector_formula`, the count
+    of bisequences with 2n - 2 parts.
+    """
+    walls = multigraph_count(2 * n - 1, n)
+    if walls > _MAX_WALLS:
+        raise ValueError(
+            f"n = {n} has {walls} walls, more than the {_MAX_WALLS} at n = 5 "
+            f"that can be enumerated"
+        )
+
+
 def _cmd_walls(args) -> int:
+    _refuse_infeasible_walls(args.n)
     walls = [
         w
         for w in enumerate_walls(args.n)
@@ -232,6 +252,7 @@ def _load_support(spec_text: str, n: int) -> SupportFunction:
 
 
 def _cmd_nef_check(args) -> int:
+    _refuse_infeasible_walls(args.n)
     h = _load_support(args.support, args.n)
     verdict = is_ample(h, args.n) if args.ample else is_nef(h, args.n)
     payload = {
@@ -263,6 +284,7 @@ def _cmd_nef_check(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    _refuse_infeasible_walls(args.n)
     p = _load_support(args.p, args.n)
     q = _load_support(args.q, args.n)
     result = minkowski_quotient(p, q, args.n)

@@ -426,9 +426,11 @@ def signed_word(bp: Bipermutation) -> SignedWord:
         else:
             unbarred[e] = value
     s = sum(unbarred)
-    assert s == -sum(barred), "row sums of the signed word must agree"
+    if s != -sum(barred):
+        raise AssertionError("row sums of the signed word must agree")
     for e in range(1, n + 1):
-        assert unbarred[e] < barred[e], "unbarred copy must come first"
+        if unbarred[e] >= barred[e]:
+            raise AssertionError("unbarred copy must come first")
     return SignedWord(tuple(unbarred), tuple(barred), s, bp.k)
 
 
@@ -461,7 +463,8 @@ def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
     for j in range(1, len(seq.parts)):
         left = frozenset().union(*seq.parts[:j])
         right = frozenset().union(*seq.parts[j:])
-        assert left != right, "a split of a bisequence cannot repeat a part set"
+        if left == right:
+            raise AssertionError("a split of a bisequence cannot repeat a part set")
         out.append(Bisubset(left, right, seq.n))
     return tuple(out)
 
@@ -607,7 +610,8 @@ def bisequence_to_multigraph(seq: Bisequence) -> Multigraph:
     edges = []
     for e in range(1, seq.n + 1):
         where = tuple(i + 1 for i, part in enumerate(parts) if e in part)
-        assert len(where) == 2
+        if len(where) != 2:
+            raise AssertionError(f"element {e} must appear in exactly two parts")
         edges.append(where)
     return Multigraph(d, tuple(edges))
 

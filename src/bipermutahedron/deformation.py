@@ -25,6 +25,16 @@ second occurrences, and split the resulting word of length 2n at every
 switch between unbarred and barred letters; splits switching unbarred to
 barred count negatively (they include r and r'), the others positively.
 Both forms are validated against the generic dependence oracle.
+
+Many walls share one inequality (614 distinct ones among the 7,560 walls
+at n = 4), and every closed-form coefficient is 1.  The queries (is_nef,
+is_ample, minkowski_quotient, wall_value_table) therefore read a per-n
+table of the distinct inequalities, kept for the process and collected by
+one walk over the walls that advances only as far as the queries read,
+and evaluate each as an integer sum over the support scaled by the lcm of
+its denominators.  The table keeps the order of first walls, so
+witnesses are the first walls that violate or attain, exactly as in a
+wall-by-wall scan.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Iterator, Literal
 
 from .combinatorics import (
@@ -300,10 +312,12 @@ def updown_inequality(wall: Wall) -> WallInequality:
     one = Fraction(1)
     plus = tuple((bs, one) for bs, up in splits if not up)
     minus = tuple((bs, one) for bs, up in splits if up)
-    assert len(minus) == len(plus) + 1, "switches must alternate, ends up"
-    assert tree.spine == tuple(bs for bs, _ in splits), (
-        "the tree spine must consist of the switch splits in order"
-    )
+    if len(minus) != len(plus) + 1:
+        raise AssertionError("switches must alternate, ends up")
+    if tree.spine != tuple(bs for bs, _ in splits):
+        raise AssertionError(
+            "the tree spine must consist of the switch splits in order"
+        )
     return WallInequality(plus, minus)
 
 
@@ -469,6 +483,101 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     return WallInequality(plus, minus)
 
 
+@dataclass
+class _TableEntry:
+    """One distinct wall inequality I(h) = sum h[plus] - sum h[minus].
+
+    ``plus`` and ``minus`` index into ``all_bisubsets(n)``; ``wall`` is the
+    first wall, in :func:`enumerate_walls` order, with this inequality and
+    kind-A case, and ``walls`` counts the walls walked so far that share
+    both.
+    """
+
+    wall: Wall
+    case: str | None
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
+    walls: int = 1
+
+    def value(self, v: list[int]) -> int:
+        """L * I(h), for v, L = _scaled_support(h, n)."""
+        return sum([v[k] for k in self.plus]) - sum([v[k] for k in self.minus])
+
+
+class _InequalityTable:
+    """The distinct wall inequalities at n, in order of their first wall.
+
+    They are collected by one walk over :func:`enumerate_walls` through
+    :func:`wall_inequality`, so each closed-form and wall-tree check runs on
+    every wall once per process.  The walk advances only as far as a query
+    reads: a query that stops at a witness walks no further than a
+    wall-by-wall scan would, and the next query resumes it.  Since entries
+    keep the order of their first walls, the first entry meeting a condition
+    carries the first wall meeting it.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._index = {bs: k for k, bs in enumerate(all_bisubsets(n))}
+        self._walk = enumerate_walls(n)
+        self._position: dict[tuple, int] = {}
+        self.entries: list[_TableEntry] = []
+
+    def __iter__(self) -> Iterator[_TableEntry]:
+        k = 0
+        while k < len(self.entries) or self._advance():
+            yield self.entries[k]
+            k += 1
+
+    def complete(self) -> list[_TableEntry]:
+        """All entries, with their final wall counts."""
+        for _ in self:
+            pass
+        return self.entries
+
+    def _advance(self) -> bool:
+        """Walk to the next wall with a new inequality; False at the end."""
+        try:
+            for wall in self._walk:
+                ineq = wall_inequality(wall)
+                if any(c != 1 for _, c in ineq.plus + ineq.minus):
+                    raise AssertionError(
+                        f"closed-form coefficients at {wall} must be 1"
+                    )
+                key = (
+                    wall.kind,
+                    kind_a_case(wall) if wall.kind == "A" else None,
+                    tuple(self._index[bs] for bs, _ in ineq.plus),
+                    tuple(self._index[bs] for bs, _ in ineq.minus),
+                )
+                k = self._position.get(key)
+                if k is None:
+                    self._position[key] = len(self.entries)
+                    self.entries.append(_TableEntry(wall, *key[1:]))
+                    return True
+                self.entries[k].walls += 1
+        except BaseException:
+            # The wall in hand was taken from the walk but not recorded; a
+            # table missing it must not answer later queries.
+            _inequality_table.cache_clear()
+            raise
+        return False
+
+
+@cache
+def _inequality_table(n: int) -> _InequalityTable:
+    return _InequalityTable(n)
+
+
+def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
+    """h's values in all_bisubsets(n) order as integers over L, and L, the
+    lcm of their denominators."""
+    if h.n != n:
+        raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
+    support = [h[bs] for bs in all_bisubsets(n)]
+    scale = lcm(*(value.denominator for value in support))
+    return [value.numerator * (scale // value.denominator) for value in support], scale
+
+
 @dataclass(frozen=True)
 class NefVerdict:
     passed: bool
@@ -480,10 +589,11 @@ class NefVerdict:
 
 
 def _cone_check(h: SupportFunction, n: int, strict: bool) -> NefVerdict:
-    for wall in enumerate_walls(n):
-        value = wall_inequality(wall).evaluate(h)
+    v, scale = _scaled_support(h, n)
+    for entry in _inequality_table(n):
+        value = entry.value(v)
         if value < 0 or (strict and value == 0):
-            return NefVerdict(False, wall, value)
+            return NefVerdict(False, entry.wall, Fraction(value, scale))
     return NefVerdict(True, None, None)
 
 
@@ -537,12 +647,10 @@ def wall_value_table(h: SupportFunction, n: int) -> WallValueTable:
     """Evaluate I(h) on every wall, grouped by kind and case."""
     kind_a: dict[str, Counter] = {"i": Counter(), "ii": Counter(), "iii": Counter()}
     kind_b: Counter = Counter()
-    for wall in enumerate_walls(n):
-        value = wall_inequality(wall).evaluate(h)
-        if wall.kind == "A":
-            kind_a[kind_a_case(wall)][value] += 1
-        else:
-            kind_b[value] += 1
+    v, scale = _scaled_support(h, n)
+    for entry in _inequality_table(n).complete():
+        counter = kind_b if entry.case is None else kind_a[entry.case]
+        counter[Fraction(entry.value(v), scale)] += entry.walls
     return WallValueTable(n=n, kind_a=kind_a, kind_b=kind_b)
 
 
@@ -569,25 +677,28 @@ def minkowski_quotient(
     with I(Q) > 0, so the quotient is the minimum of those ratios.  P must
     be nef.
     """
-    best: Fraction | None = None
+    pv, p_scale = _scaled_support(p, n)
+    qv, q_scale = _scaled_support(q, n)
+    # The ratio at an entry is (ip / p_scale) / (iq / q_scale); the scales are
+    # common to all entries, so ip / iq is compared by cross-multiplication.
+    best: tuple[int, int] | None = None
     witness: Wall | None = None
-    for wall in enumerate_walls(n):
-        ineq = wall_inequality(wall)
-        ip = ineq.evaluate(p)
+    for entry in _inequality_table(n):
+        ip, iq = entry.value(pv), entry.value(qv)
         if ip < 0:
             raise ValueError(
-                f"P is not nef: wall inequality at {wall} evaluates to {ip}"
+                f"P is not nef: wall inequality at {entry.wall} evaluates to "
+                f"{Fraction(ip, p_scale)}"
             )
-        iq = ineq.evaluate(q)
-        if iq > 0:
-            ratio = ip / iq
-            if best is None or ratio < best:
-                best, witness = ratio, wall
+        if iq > 0 and (best is None or ip * best[1] < best[0] * iq):
+            best, witness = (ip, iq), entry.wall
     if best is None:
         return QuotientResult("unbounded", None, None)
-    if best == 0:
+    if best[0] == 0:
         return QuotientResult("not-summand", Fraction(0), str(witness))
-    return QuotientResult("ok", best, str(witness))
+    return QuotientResult(
+        "ok", Fraction(best[0] * q_scale, best[1] * p_scale), str(witness)
+    )
 
 
 def named_support(name: str, n: int) -> SupportFunction:

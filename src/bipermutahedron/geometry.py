@@ -113,7 +113,8 @@ def vertex_of_bipermutation(bp: Bipermutation) -> LatticePoint:
     top[word.k - 1] -= word.s
     bottom[word.k - 1] -= word.s
     point = LatticePoint(tuple(top), tuple(bottom))
-    assert point.row_sums() == (0, 0)
+    if point.row_sums() != (0, 0):
+        raise AssertionError("vertex coordinates must sum to zero in each row")
     return point
 
 
@@ -486,7 +487,8 @@ def structural_wall_type(seq: Bisequence) -> tuple[int, tuple[int, ...]]:
     pair = next((part for part in seq.parts if len(part) == 2), None)
     singles = sorted(seq.single_elements())
     if pair is None:
-        assert len(singles) == 2, "kind B wall needs exactly two once-elements"
+        if len(singles) != 2:
+            raise AssertionError("kind B wall needs exactly two once-elements")
         return 1, tuple(singles)
     (k,) = singles
     seen: set[int] = set()

@@ -191,6 +191,7 @@ def real_root_check(p: IntPolynomial) -> Verdict:
         return "real-rooted"
     g = poly_gcd(coeffs, poly_derivative(coeffs))
     squarefree, rem = poly_divmod(coeffs, g)
-    assert not rem
+    if rem:
+        raise AssertionError("the gcd with the derivative must divide the polynomial")
     count = count_distinct_real_roots(squarefree)
     return "real-rooted" if count == len(squarefree) - 1 else "not-real-rooted"

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -8,8 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from bipermutahedron import cli, combinatorics, deformation
 from bipermutahedron.cli import main
-from bipermutahedron.deformation import format_support_csv, named_support
+from bipermutahedron.deformation import (
+    format_support_csv,
+    named_support,
+    parse_support_csv,
+)
+from bipermutahedron.geometry import SupportFunction
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +219,136 @@ class TestCheckSuites:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+class TestInfeasibleN:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        # A missing guard then fails at once instead of hanging on 37.4M walls.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("walls were enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_walls", refuse)
+        monkeypatch.setattr(deformation, "enumerate_walls", refuse)
+        monkeypatch.setattr(deformation, "enumerate_wall_bisequences", refuse)
+        monkeypatch.setattr(combinatorics, "enumerate_wall_bisequences", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walls", "--n", "6"],
+            ["nef-check", "--n", "6", "--support", "biperm"],
+            ["quotient", "--n", "6"],
+            ["walls", "--n", "6", "--kind", "B", "--format", "text"],
+        ],
+    )
+    def test_refused_before_any_enumeration(self, capsys, no_enumeration, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n = 6 has 37422000 walls")
+
+    def test_n5_is_not_refused(self, no_enumeration):
+        with pytest.raises(RuntimeError, match="enumerated"):
+            main(["walls", "--n", "5"])
+
+
+# Lines a corrupted support file may contain: wrong field counts, non-integer
+# elements, empty or equal sides, out-of-range elements, bad and zero-
+# denominator values.
+MALFORMED_LINES = [
+    "",
+    "# comment",
+    "1;2",
+    "1;2;3;4",
+    "a;1,2;1",
+    "1;1,2;x",
+    "1;1,2;1/0",
+    ";1,2;0",
+    "1;;0",
+    "1,2;1,2;0",
+    "1,9;1;0",
+    "1;1,2;1.5.2",
+    "1;1,2;--1",
+    "1;1,2;3/-4",
+    ";;",
+]
+
+
+def corrupt_support_csv(rng, text):
+    """One seeded corruption: a dropped, duplicated, malformed or edited line,
+    or a value with a zero denominator."""
+    lines = text.splitlines()
+    k = rng.randrange(len(lines))
+    op = rng.randrange(5)
+    if op == 0:
+        del lines[k]
+    elif op == 1:
+        lines.insert(rng.randrange(len(lines) + 1), lines[k])
+    elif op == 2:
+        lines[k] = rng.choice(MALFORMED_LINES)
+    elif op == 3:
+        head, _, _ = lines[k].rpartition(";")
+        lines[k] = f"{head};{rng.randint(-9, 9)}/0"
+    else:
+        line = lines[k]
+        at = rng.randrange(len(line) + 1)
+        lines[k] = line[:at] + rng.choice(";,/-0123456789x ") + line[at + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_cases(seed, count):
+    """(n asked, CSV text): a corrupted support file, usually asked for
+    the n it was written for and sometimes for a neighbouring n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        h = SupportFunction.combine(
+            [(rng.randint(-2, 3), named_support("biperm", n)),
+             (rng.randint(0, 3), named_support("harmonic", n))]
+        )
+        text = format_support_csv(h)
+        for _ in range(rng.randint(0, 2)):
+            text = corrupt_support_csv(rng, text)
+        yield rng.choice((n, n, n, n - 1, n + 1)), text
+
+
+class TestSupportFileFuzz:
+    def test_parse_support_csv_raises_only_value_error(self):
+        outcomes = set()
+        for asked, text in fuzz_cases(seed=5, count=400):
+            try:
+                h = parse_support_csv(text, asked)
+            except ValueError:
+                outcomes.add("rejected")
+                continue
+            assert h.n == asked
+            outcomes.add("parsed")
+        assert outcomes == {"parsed", "rejected"}
+
+    def test_cli_keeps_its_exit_codes(self, capsys, tmp_path):
+        path = tmp_path / "support.csv"
+        rng = random.Random(6)
+        codes = set()
+        for asked, text in fuzz_cases(seed=7, count=120):
+            path.write_text(text)
+            argv = rng.choice(
+                (
+                    ["nef-check", "--support", str(path)],
+                    ["nef-check", "--support", str(path), "--ample"],
+                    ["quotient", "--p", str(path)],
+                    ["quotient", "--q", str(path)],
+                )
+            )
+            code, out, err = run_cli(capsys, *argv, "--n", str(asked))
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error: ") and out == ""
+            else:
+                json.loads(out)
+            codes.add(code)
+        assert codes == {0, 1, 2}
 
 
 SCRIPT_ARGV = ["fvector", "--n", "2", "--format", "text"]

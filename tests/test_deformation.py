@@ -1,12 +1,17 @@
 """Tests for wall enumeration, wall-crossing inequalities, and cone membership."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from bipermutahedron.combinatorics import bisubset, parse_bisequence
+from bipermutahedron import deformation
+from bipermutahedron.combinatorics import all_bisubsets, bisubset, parse_bisequence
 from bipermutahedron.geometry import SupportFunction
 from bipermutahedron.deformation import (
+    _inequality_table,
     KindMismatch,
     Wall,
     WallInequality,
@@ -27,6 +32,7 @@ from bipermutahedron.deformation import (
     wall_inequality,
     wall_refinements,
     wall_tree,
+    wall_value_table,
 )
 
 WALL_COUNTS = {2: 6, 3: 180, 4: 7560}
@@ -369,3 +375,200 @@ class TestSupportCsv:
     def test_out_of_range_element_rejected(self):
         with pytest.raises(ValueError):
             parse_support_csv("1,5;2;0", 3)
+
+
+# ------------------------------------------------------------ compiled table
+#
+# The queries read a per-n table of distinct inequalities.  The reference
+# below is the plain wall walk: every wall's closed-form inequality,
+# evaluated in Fractions, in enumerate_walls order.
+
+P61 = 2**61 - 1
+TABLE_SIZES = {2: 6, 3: 78, 4: 614}
+
+
+@cache
+def reference_walk(n):
+    """[(wall, kind-A case or None, inequality)] for every wall at n."""
+    return [
+        (wall, kind_a_case(wall) if wall.kind == "A" else None, wall_inequality(wall))
+        for wall in enumerate_walls(n)
+    ]
+
+
+def reference_cone_check(values, strict):
+    for wall, value in values:
+        if value < 0 or (strict and value == 0):
+            return False, wall, value
+    return True, None, None
+
+
+def reference_quotient(p_values, q_values):
+    best = witness = None
+    for (wall, ip), (_, iq) in zip(p_values, q_values):
+        if ip < 0:
+            raise ValueError(f"P is not nef: wall inequality at {wall} evaluates to {ip}")
+        if iq > 0 and (best is None or ip / iq < best):
+            best, witness = ip / iq, wall
+    if best is None:
+        return "unbounded", None, None
+    return ("not-summand" if best == 0 else "ok"), best, str(witness)
+
+
+def reference_value_table(n, values):
+    kind_a = {"i": Counter(), "ii": Counter(), "iii": Counter()}
+    kind_b = Counter()
+    for (_, case, _), (_, value) in zip(reference_walk(n), values):
+        (kind_b if case is None else kind_a[case])[value] += 1
+    return kind_a, kind_b
+
+
+def seeded_supports(n, seed):
+    """aB + bH with small and 61-bit denominators, plus non-nef supports:
+    negated B, and random perturbations of some of the others."""
+    rng = random.Random(seed)
+    biperm, harmonic = named_support("biperm", n), named_support("harmonic", n)
+    out = [
+        biperm,
+        harmonic,
+        SupportFunction.combine([(-1, biperm)]),
+        SupportFunction.combine([(0, biperm)]),
+    ]
+    for k in range(6 if n < 4 else 3):
+        den = P61 if k % 2 else rng.randint(1, 12)
+        a = Fraction(rng.randint(0, 40), den)
+        b = Fraction(rng.randint(0, 40), den)
+        h = SupportFunction.combine([(a, biperm), (b, harmonic)])
+        out.append(h)
+        values = dict(h.values)
+        for bs in rng.sample(all_bisubsets(n), 3):
+            values[bs] += Fraction(rng.randint(-40, 40), den)
+        out.append(SupportFunction(n, values))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_table_holds_the_distinct_inequalities_of_the_walk(n):
+    walk = reference_walk(n)
+    index = {bs: k for k, bs in enumerate(all_bisubsets(n))}
+    keys = [
+        (wall.kind, case, tuple(index[b] for b, _ in ineq.plus),
+         tuple(index[b] for b, _ in ineq.minus))
+        for wall, case, ineq in walk
+    ]
+    first = {}
+    for key, (wall, _, _) in zip(keys, walk):
+        first.setdefault(key, wall)
+    multiplicity = Counter(keys)
+    table = _inequality_table(n).complete()
+    assert len(table) == TABLE_SIZES[n] == len(first)
+    assert [(e.wall.kind, e.case, e.plus, e.minus) for e in table] == list(first)
+    assert [e.wall for e in table] == list(first.values())
+    assert [e.walls for e in table] == [multiplicity[key] for key in first]
+    assert sum(e.walls for e in table) == WALL_COUNTS[n]
+
+
+def test_an_early_witness_walks_no_further_than_a_scan(monkeypatch):
+    walked = []
+    walls = deformation.enumerate_walls
+
+    def recorded(n):
+        for wall in walls(n):
+            walked.append(wall)
+            yield wall
+
+    monkeypatch.setattr(deformation, "enumerate_walls", recorded)
+    _inequality_table.cache_clear()
+    try:
+        harmonic = named_support("harmonic", 4)
+        verdict = is_ample(harmonic, 4)
+        assert str(verdict.witness_wall) == "A:1|1|2|23|3|4"
+        assert walked[-1] == verdict.witness_wall
+        assert len(walked) < WALL_COUNTS[4]
+        # The next query resumes the same walk: every wall is walked once.
+        assert is_nef(harmonic, 4)
+        assert walked == list(walls(4))
+        assert is_nef(harmonic, 4)
+        assert len(walked) == WALL_COUNTS[4]
+    finally:
+        _inequality_table.cache_clear()
+
+
+def test_a_walk_that_fails_midway_is_not_kept(monkeypatch):
+    calls = 0
+    closed_form = deformation.wall_inequality
+
+    def fails_once(wall):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise RuntimeError("interrupted")
+        return closed_form(wall)
+
+    monkeypatch.setattr(deformation, "wall_inequality", fails_once)
+    _inequality_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="interrupted"):
+            is_nef(named_support("biperm", 3), 3)
+        table = _inequality_table(3).complete()
+        assert len(table) == TABLE_SIZES[3]
+        assert sum(e.walls for e in table) == WALL_COUNTS[3]
+    finally:
+        _inequality_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_table_queries_match_the_wall_walk(n):
+    walk = reference_walk(n)
+    supports = seeded_supports(n, seed=n)
+    values = [[(wall, ineq.evaluate(h)) for wall, _, ineq in walk] for h in supports]
+    harmonic = named_support("harmonic", n)
+    harmonic_values = values[1]
+    rng = random.Random(100 + n)
+    verdicts = Counter()
+    for h, h_values in zip(supports, values):
+        for strict, query in ((False, is_nef), (True, is_ample)):
+            verdict = query(h, n)
+            expected = reference_cone_check(h_values, strict)
+            assert (verdict.passed, verdict.witness_wall, verdict.witness_value) == expected
+            verdicts[strict, verdict.passed] += 1
+        kind_a, kind_b = reference_value_table(n, h_values)
+        table = wall_value_table(h, n)
+        assert table.kind_a == kind_a and table.kind_b == kind_b
+        assert [list(c.items()) for c in table.kind_a.values()] == [
+            list(c.items()) for c in kind_a.values()
+        ]
+        assert list(table.kind_b.items()) == list(kind_b.items())
+        other = rng.randrange(len(supports))
+        for q, q_values in ((harmonic, harmonic_values), (supports[other], values[other])):
+            try:
+                expected = reference_quotient(h_values, q_values)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as excinfo:
+                    minkowski_quotient(h, q, n)
+                assert str(excinfo.value) == str(exc)
+                verdicts["not nef"] += 1
+                continue
+            result = minkowski_quotient(h, q, n)
+            assert (result.status, result.value, result.witness) == expected
+            verdicts[result.status] += 1
+    # Both verdicts, both kinds of witness and every quotient status occur.
+    assert verdicts[False, False] and verdicts[False, True]
+    assert verdicts[True, False] and verdicts[True, True]
+    assert verdicts["not nef"] and verdicts["ok"] and verdicts["unbounded"]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda h, n: is_nef(h, n),
+        lambda h, n: is_ample(h, n),
+        lambda h, n: wall_value_table(h, n),
+        lambda h, n: minkowski_quotient(h, named_support("harmonic", n), n),
+        lambda h, n: minkowski_quotient(named_support("biperm", n), h, n),
+    ],
+    ids=["is_nef", "is_ample", "wall_value_table", "quotient-p", "quotient-q"],
+)
+def test_support_for_another_n_is_a_value_error(query):
+    with pytest.raises(ValueError, match="n = 3, expected n = 4"):
+        query(named_support("biperm", 3), 4)
