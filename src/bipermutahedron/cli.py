@@ -26,6 +26,7 @@ from .deformation import (
     enumerate_walls,
     format_support_csv,
     generic_wallcross_oracle,
+    inequality_table_check,
     is_ample,
     is_nef,
     minkowski_quotient,
@@ -52,7 +53,6 @@ from .invariants import (
     f_vector_formula,
     h_from_f,
     logconcavity_check,
-    multigraph_count,
     polytope_f_vector,
     sweep_orientation_check,
     unimodality_check,
@@ -66,9 +66,12 @@ from .triangulation import (
     unimodularity_check,
 )
 
-# The wall count at n = 5.  Walls are enumerated one by one, and the next
-# count, 37,422,000 at n = 6, does not finish in reasonable time.
-_MAX_WALLS = 453_600
+# Wall counts at n = 5 and n = 6 (entry 2n - 3 of f_vector_formula).  The
+# count grows with n, so a bound on n itself decides what a command can
+# afford: walls are enumerated one by one up to n = 5, and the distinct wall
+# inequalities are generated, without enumerating walls, up to n = 6.
+_WALLS_N5 = 453_600
+_WALLS_N6 = 37_422_000
 
 SUITES = (
     "combinatorics",
@@ -212,16 +215,25 @@ def _cmd_facets(args) -> int:
 
 
 def _refuse_infeasible_walls(n: int) -> None:
-    """Refuse, before enumerating anything, an n with more walls than n = 5.
-
-    The wall count is entry 2n - 3 of :func:`f_vector_formula`, the count
-    of bisequences with 2n - 2 parts.
-    """
-    walls = multigraph_count(2 * n - 1, n)
-    if walls > _MAX_WALLS:
+    """Refuse, before enumerating anything, an n with more walls than n = 5."""
+    if n == 6:
         raise ValueError(
-            f"n = {n} has {walls} walls, more than the {_MAX_WALLS} at n = 5 "
+            f"n = 6 has {_WALLS_N6} walls, more than the {_WALLS_N5} at n = 5 "
             f"that can be enumerated"
+        )
+    if n > 6:
+        raise ValueError(
+            f"n = {n} has more walls than the {_WALLS_N6} at n = 6, and only "
+            f"the {_WALLS_N5} at n = 5 can be enumerated"
+        )
+
+
+def _refuse_infeasible_inequalities(n: int) -> None:
+    """Refuse, before generating anything, an n with more walls than n = 6."""
+    if n > 6:
+        raise ValueError(
+            f"n = {n} has more walls than the {_WALLS_N6} at n = 6, the largest "
+            f"n whose wall inequalities can be generated"
         )
 
 
@@ -252,7 +264,7 @@ def _load_support(spec_text: str, n: int) -> SupportFunction:
 
 
 def _cmd_nef_check(args) -> int:
-    _refuse_infeasible_walls(args.n)
+    _refuse_infeasible_inequalities(args.n)
     h = _load_support(args.support, args.n)
     verdict = is_ample(h, args.n) if args.ample else is_nef(h, args.n)
     payload = {
@@ -284,7 +296,7 @@ def _cmd_nef_check(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    _refuse_infeasible_walls(args.n)
+    _refuse_infeasible_inequalities(args.n)
     p = _load_support(args.p, args.n)
     q = _load_support(args.q, args.n)
     result = minkowski_quotient(p, q, args.n)
@@ -392,6 +404,8 @@ def _suite_deformation(n: int, samples: int, seed: int | None) -> tuple[list[str
         if not same_inequality(wall_inequality(wall), generic_wallcross_oracle(wall)):
             failures.append(f"closed-form inequality differs from the oracle at {wall}")
             break
+    if not inequality_table_check(n):
+        failures.append("the generated wall inequalities differ from the wall walk")
     biperm = named_support("biperm", n)
     harmonic = named_support("harmonic", n)
     table_p = wall_value_table(biperm, n)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -152,13 +153,25 @@ def all_bisubsets(n: int) -> list[Bisubset]:
     >>> len(all_bisubsets(2)), len(all_bisubsets(3))
     (6, 24)
     """
+    return list(_bisubset_order(n))
+
+
+@cache
+def _bisubset_order(n: int) -> tuple[Bisubset, ...]:
+    """The tuple behind :func:`all_bisubsets`, built once per n."""
     out = []
     for codes in itertools.product((0, 1, 2), repeat=n):
         left = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 1))
         right = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 2))
         if left and right and left != right:
             out.append(Bisubset(left, right, n))
-    return out
+    return tuple(out)
+
+
+@cache
+def _bisubset_index(n: int) -> dict[Bisubset, int]:
+    """Each bisubset's position in :func:`all_bisubsets` order (do not mutate)."""
+    return {bs: k for k, bs in enumerate(_bisubset_order(n))}
 
 
 def format_bisequence(seq: Bisequence) -> str:
@@ -296,8 +309,6 @@ def count_bipermutations_recursively(n: int) -> int:
     """
     if n <= 0:
         return 0
-
-    from functools import cache
 
     @cache
     def g(c1: int, c2: int) -> int:

@@ -27,14 +27,30 @@ barred count negatively (they include r and r'), the others positively.
 Both forms are validated against the generic dependence oracle.
 
 Many walls share one inequality (614 distinct ones among the 7,560 walls
-at n = 4), and every closed-form coefficient is 1.  The queries (is_nef,
-is_ample, minkowski_quotient, wall_value_table) therefore read a per-n
-table of the distinct inequalities, kept for the process and collected by
-one walk over the walls that advances only as far as the queries read,
-and evaluate each as an integer sum over the support scaled by the lcm of
-its denominators.  The table keeps the order of first walls, so
-witnesses are the first walls that violate or attain, exactly as in a
-wall-by-wall scan.
+at n = 4, 5,570 among the 453,600 at n = 5), and every closed-form
+coefficient is 1.  The queries (is_nef, is_ample, minkowski_quotient,
+wall_value_table) therefore read a per-n table of the distinct
+inequalities, each with its first wall in enumerate_walls order and its
+wall count, and evaluate each as an integer sum over the support scaled by
+the lcm of its denominators.  The table is generated from the
+combinatorics, never by visiting walls:
+
+* kind A from region maps: for a pair i < j, every other element lies in S
+  only, T only or both, and i, j each lie in the pair only, also in S or
+  also in T, at most one in the pair only;
+* kind B from chains of runs U_1 B_1 ... U_r B_r of first and second
+  occurrences in the doubled word, with the once-elements pinned to two
+  runs.
+
+Both rules also give each entry's first wall and wall count in closed form
+(see _kind_a_entries and _kind_b_entries).  Kind A entries come first, and
+the kind-B ones are generated only when a query reads past them.  Entries
+keep the order of their first walls, so witnesses are the first walls that
+violate or attain, exactly as in a wall-by-wall scan.  The walk over every
+wall through wall_inequality and wall_tree stays as the checked route:
+inequality_table_check compares the generated table with the walked one,
+and the oracle checks each walked inequality in the tests and in
+``check --suite deformation``.
 """
 
 from __future__ import annotations
@@ -43,14 +59,16 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
-from typing import Iterator, Literal
+from itertools import combinations, product
+from math import factorial, lcm
+from typing import Iterable, Iterator, Literal
 
 from .combinatorics import (
     Bipermutation,
     Bisequence,
     Bisubset,
-    all_bisubsets,
+    _bisubset_index,
+    _bisubset_order,
     bisubset,
     doubled_word,
     enumerate_wall_bisequences,
@@ -82,6 +100,7 @@ __all__ = [
     "updown_value_by_segments",
     "generic_wallcross_oracle",
     "same_inequality",
+    "inequality_table_check",
     "NefVerdict",
     "is_nef",
     "is_ample",
@@ -483,89 +502,264 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     return WallInequality(plus, minus)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _TableEntry:
     """One distinct wall inequality I(h) = sum h[plus] - sum h[minus].
 
-    ``plus`` and ``minus`` index into ``all_bisubsets(n)``; ``wall`` is the
-    first wall, in :func:`enumerate_walls` order, with this inequality and
-    kind-A case, and ``walls`` counts the walls walked so far that share
-    both.
+    ``plus`` and ``minus`` index into ``all_bisubsets(n)``; ``parts`` holds
+    the sorted parts of the first wall, in :func:`enumerate_walls` order,
+    with this inequality and kind-A case, and ``walls`` counts the walls
+    that share both.
     """
 
-    wall: Wall
+    parts: tuple[tuple[int, ...], ...]
+    kind: Literal["A", "B"]
     case: str | None
     plus: tuple[int, ...]
     minus: tuple[int, ...]
-    walls: int = 1
+    walls: int
+
+    @property
+    def wall(self) -> Wall:
+        n = len(self.parts) // 2 + 1
+        return Wall(Bisequence(tuple(map(frozenset, self.parts)), n), self.kind)
 
     def value(self, v: list[int]) -> int:
         """L * I(h), for v, L = _scaled_support(h, n)."""
         return sum([v[k] for k in self.plus]) - sum([v[k] for k in self.minus])
 
 
-class _InequalityTable:
-    """The distinct wall inequalities at n, in order of their first wall.
+def _mask(elements: Iterable[int]) -> int:
+    """The bitmask of a set of elements; element e is bit e - 1."""
+    return sum(1 << (e - 1) for e in elements)
 
-    They are collected by one walk over :func:`enumerate_walls` through
-    :func:`wall_inequality`, so each closed-form and wall-tree check runs on
-    every wall once per process.  The walk advances only as far as a query
-    reads: a query that stops at a witness walks no further than a
-    wall-by-wall scan would, and the next query resumes it.  Since entries
-    keep the order of their first walls, the first entry meeting a condition
-    carries the first wall meeting it.
-    """
 
-    def __init__(self, n: int) -> None:
-        self._index = {bs: k for k, bs in enumerate(all_bisubsets(n))}
-        self._walk = enumerate_walls(n)
-        self._position: dict[tuple, int] = {}
-        self.entries: list[_TableEntry] = []
+def _elements(mask: int) -> tuple[int, ...]:
+    """The ascending elements of a bitmask."""
+    return tuple(e + 1 for e in range(mask.bit_length()) if mask >> e & 1)
 
-    def __iter__(self) -> Iterator[_TableEntry]:
-        k = 0
-        while k < len(self.entries) or self._advance():
-            yield self.entries[k]
-            k += 1
 
-    def complete(self) -> list[_TableEntry]:
-        """All entries, with their final wall counts."""
-        for _ in self:
-            pass
-        return self.entries
-
-    def _advance(self) -> bool:
-        """Walk to the next wall with a new inequality; False at the end."""
-        try:
-            for wall in self._walk:
-                ineq = wall_inequality(wall)
-                if any(c != 1 for _, c in ineq.plus + ineq.minus):
-                    raise AssertionError(
-                        f"closed-form coefficients at {wall} must be 1"
-                    )
-                key = (
-                    wall.kind,
-                    kind_a_case(wall) if wall.kind == "A" else None,
-                    tuple(self._index[bs] for bs, _ in ineq.plus),
-                    tuple(self._index[bs] for bs, _ in ineq.minus),
-                )
-                k = self._position.get(key)
-                if k is None:
-                    self._position[key] = len(self.entries)
-                    self.entries.append(_TableEntry(wall, *key[1:]))
-                    return True
-                self.entries[k].walls += 1
-        except BaseException:
-            # The wall in hand was taken from the walk but not recorded; a
-            # table missing it must not answer later queries.
-            _inequality_table.cache_clear()
-            raise
-        return False
+def _split_index(n: int) -> dict[tuple[int, int], int]:
+    """all_bisubsets(n) positions, keyed by the masks of the two sides."""
+    return {
+        (_mask(bs.left), _mask(bs.right)): k
+        for k, bs in enumerate(_bisubset_order(n))
+    }
 
 
 @cache
-def _inequality_table(n: int) -> _InequalityTable:
-    return _InequalityTable(n)
+def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
+    """The distinct kind-A inequalities, generated from region maps.
+
+    For a pair i < j, every other element lies in S only, T only or both,
+    and i and j each lie in the pair only, also in S or also in T, at most
+    one in the pair only.  The once-element o is that one (case iii), or
+    else any S-only or T-only element (case i when i and j are on the same
+    side, ii otherwise).  For each o the prefix holds the S-only elements
+    twice (o once) and the "both" elements and the members of i, j in S
+    once, in any order, and the suffix likewise from T: the first wall is
+    the sorted prefix, ij, the sorted suffix, and the walls number
+    |pre|!/2^d * |suf|!/2^d', d and d' counting the doubled elements.
+    Region maps whose inequalities agree, degenerate terms dropped, are
+    merged.
+    """
+    index = _split_index(n)
+
+    def term(left: int, right: int) -> tuple[int, ...]:
+        return (index[left, right],) if left and right and left != right else ()
+
+    found: dict[tuple, list] = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
+        others = [e for e in range(1, n + 1) if e != i and e != j]
+        for regions in product("STB", repeat=n - 2):
+            s_only = [e for e, r in zip(others, regions) if r == "S"]
+            t_only = [e for e, r in zip(others, regions) if r == "T"]
+            both = [e for e, r in zip(others, regions) if r == "B"]
+            for side_i, side_j in product("PST", repeat=2):
+                if side_i == side_j == "P":
+                    continue
+                # The elements occurring once in the prefix and the suffix.
+                pre = both + [e for e, r in ((i, side_i), (j, side_j)) if r == "S"]
+                suf = both + [e for e, r in ((i, side_i), (j, side_j)) if r == "T"]
+                if "P" in (side_i, side_j):
+                    # o is i or j, so every S-only and T-only element is doubled.
+                    case, once = "iii", [None]
+                else:
+                    case = "i" if side_i == side_j else "ii"
+                    once = s_only + t_only
+                s, t, ij = _mask(pre + s_only), _mask(suf + t_only), bit_i | bit_j
+                key = (
+                    case,
+                    term(s, ij | t) + term(s | ij, t),
+                    term(s | bit_i, t | bit_j) + term(s | bit_j, t | bit_i),
+                )
+                for o in once:
+                    head = sorted(pre + s_only + [e for e in s_only if e != o])
+                    tail = sorted(suf + t_only + [e for e in t_only if e != o])
+                    parts = tuple((e,) for e in head) + ((i, j),)
+                    parts += tuple((e,) for e in tail)
+                    doubled_s = len(s_only) - (o in s_only)
+                    doubled_t = len(t_only) - (o in t_only)
+                    walls = (factorial(len(head)) >> doubled_s) * (
+                        factorial(len(tail)) >> doubled_t
+                    )
+                    seen = found.get(key)
+                    if seen is None:
+                        found[key] = [parts, walls]
+                    else:
+                        seen[0] = min(seen[0], parts)
+                        seen[1] += walls
+    ordered = sorted(found.items(), key=lambda item: item[1][0])
+    return tuple(
+        _TableEntry(parts, "A", *key, walls) for key, (parts, walls) in ordered
+    )
+
+
+@cache
+def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
+    """The distinct kind-B inequalities, generated from chains of runs.
+
+    The doubled word of a kind-B wall is a sequence of runs U_1 B_1 ...
+    U_r B_r of first and second occurrences.  The U_k partition E, each
+    B_k lies in C_k - D_{k-1} (C_k = U_1 + ... + U_k, D_k = B_1 + ... +
+    B_k), and C_r = D_r = E.  The minus splits are (C_k | E - D_{k-1}) for
+    k = 1..r and the plus splits (C_k | E - D_k) for k < r, so the chain
+    is the inequality.  The once-elements i, j are pinned to two runs k,
+    each last in U_k and first in B_k, so in U_k & B_k; a run's other
+    letters take any order.  So a wall needs r >= 2, that is U_1 != E, and
+    every such chain has one: B_1 lies in U_1 and U_r in B_r, so the first
+    and last runs take a pin.  The first wall is the least over the pin
+    choices of the runs read U_k - p ascending, p, B_k - p ascending, and
+    the walls number, summed over pin choices, the product over runs of
+    (|U_k| - pinned)! (|B_k| - pinned)!.
+    """
+    index = _split_index(n)
+    full = (1 << n) - 1
+    entries: list[_TableEntry] = []
+    runs: list[tuple[int, int]] = []
+    plus: list[int] = []
+    minus: list[int] = []
+
+    @cache
+    def run(u: int, b: int) -> tuple:
+        """(letters unpinned, least letters pinned or None, walls unpinned,
+        walls pinned summed over the pins) of one run."""
+        ulist, blist = _elements(u), _elements(b)
+        pins = [p for p in ulist if b >> (p - 1) & 1]
+        pinned = min(
+            (
+                tuple(e for e in ulist if e != p) + (p,)
+                + tuple(e for e in blist if e != p)
+                for p in pins
+            ),
+            default=None,
+        )
+        return (
+            ulist + blist,
+            pinned,
+            factorial(len(ulist)) * factorial(len(blist)),
+            len(pins) * factorial(len(ulist) - 1) * factorial(len(blist) - 1),
+        )
+
+    def emit() -> None:
+        data = [run(u, b) for u, b in runs]
+        pinnable = [k for k, (_, pinned, _, _) in enumerate(data) if pinned is not None]
+        first = None
+        walls = 0
+        for k1, k2 in combinations(pinnable, 2):
+            letters: tuple[int, ...] = ()
+            count = 1
+            for k, (free, pinned, free_walls, pinned_walls) in enumerate(data):
+                if k == k1 or k == k2:
+                    letters += pinned
+                    count *= pinned_walls
+                else:
+                    letters += free
+                    count *= free_walls
+            walls += count
+            if first is None or letters < first:
+                first = letters
+        entries.append(
+            _TableEntry(
+                tuple((e,) for e in first), "B", None, tuple(plus), tuple(minus), walls
+            )
+        )
+
+    def extend(seen: int, done: int) -> None:
+        """Append every run (U, B) to a chain with C = seen, D = done."""
+        fresh = full & ~seen
+        u = fresh
+        while u:
+            c = seen | u
+            # A first run holding all of E would be the only run.
+            if c != full or done:
+                minus.append(index[c, full & ~done])
+                pending = c & ~done
+                b = pending
+                while b:
+                    d = done | b
+                    runs.append((u, b))
+                    if d == full:
+                        emit()
+                    elif c != full:
+                        plus.append(index[c, full & ~d])
+                        extend(c, d)
+                        plus.pop()
+                    runs.pop()
+                    b = (b - 1) & pending
+                minus.pop()
+            u = (u - 1) & fresh
+
+    extend(0, 0)
+    entries.sort(key=lambda entry: entry.parts)
+    return tuple(entries)
+
+
+def _inequality_table(n: int) -> Iterator[_TableEntry]:
+    """The distinct wall inequalities at n, in order of their first wall.
+
+    Kind A comes first, as in :func:`enumerate_walls`; the kind-B entries
+    are generated only when a query reads past the kind-A ones.
+    """
+    yield from _kind_a_entries(n)
+    yield from _kind_b_entries(n)
+
+
+def inequality_table_check(n: int) -> bool:
+    """Whether the generated table equals the one a walk over every wall
+    collects: the checked route.
+
+    Each wall of :func:`enumerate_walls` goes through
+    :func:`wall_inequality` (for kind B also :func:`wall_tree`), every
+    coefficient must be 1, and the distinct (kind, case, plus, minus) are
+    kept in order of first wall with their wall counts; the two tables must
+    agree entry by entry, first walls and wall counts included.
+    """
+    index = _bisubset_index(n)
+    first: dict[tuple, Wall] = {}
+    walls: Counter = Counter()
+    for wall in enumerate_walls(n):
+        ineq = wall_inequality(wall)
+        if any(c != 1 for _, c in ineq.plus + ineq.minus):
+            raise AssertionError(f"closed-form coefficients at {wall} must be 1")
+        key = (
+            wall.kind,
+            kind_a_case(wall) if wall.kind == "A" else None,
+            tuple(index[bs] for bs, _ in ineq.plus),
+            tuple(index[bs] for bs, _ in ineq.minus),
+        )
+        first.setdefault(key, wall)
+        walls[key] += 1
+    walked = [
+        _TableEntry(
+            tuple(tuple(sorted(part)) for part in wall.bisequence.parts),
+            *key,
+            walls[key],
+        )
+        for key, wall in first.items()
+    ]
+    return list(_inequality_table(n)) == walked
 
 
 def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
@@ -573,7 +767,7 @@ def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
     lcm of their denominators."""
     if h.n != n:
         raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
-    support = [h[bs] for bs in all_bisubsets(n)]
+    support = [h[bs] for bs in _bisubset_order(n)]
     scale = lcm(*(value.denominator for value in support))
     return [value.numerator * (scale // value.denominator) for value in support], scale
 
@@ -648,7 +842,7 @@ def wall_value_table(h: SupportFunction, n: int) -> WallValueTable:
     kind_a: dict[str, Counter] = {"i": Counter(), "ii": Counter(), "iii": Counter()}
     kind_b: Counter = Counter()
     v, scale = _scaled_support(h, n)
-    for entry in _inequality_table(n).complete():
+    for entry in _inequality_table(n):
         counter = kind_b if entry.case is None else kind_a[entry.case]
         counter[Fraction(entry.value(v), scale)] += entry.walls
     return WallValueTable(n=n, kind_a=kind_a, kind_b=kind_b)
@@ -682,7 +876,7 @@ def minkowski_quotient(
     # The ratio at an entry is (ip / p_scale) / (iq / q_scale); the scales are
     # common to all entries, so ip / iq is compared by cross-multiplication.
     best: tuple[int, int] | None = None
-    witness: Wall | None = None
+    witness: _TableEntry | None = None
     for entry in _inequality_table(n):
         ip, iq = entry.value(pv), entry.value(qv)
         if ip < 0:
@@ -691,13 +885,13 @@ def minkowski_quotient(
                 f"{Fraction(ip, p_scale)}"
             )
         if iq > 0 and (best is None or ip * best[1] < best[0] * iq):
-            best, witness = (ip, iq), entry.wall
+            best, witness = (ip, iq), entry
     if best is None:
         return QuotientResult("unbounded", None, None)
     if best[0] == 0:
-        return QuotientResult("not-summand", Fraction(0), str(witness))
+        return QuotientResult("not-summand", Fraction(0), str(witness.wall))
     return QuotientResult(
-        "ok", Fraction(best[0] * q_scale, best[1] * p_scale), str(witness)
+        "ok", Fraction(best[0] * q_scale, best[1] * p_scale), str(witness.wall)
     )
 
 
@@ -713,7 +907,7 @@ def named_support(name: str, n: int) -> SupportFunction:
 def format_support_csv(h: SupportFunction) -> str:
     """Serialize as lines "S;T;value" with comma-joined sets."""
     lines = []
-    for bs in all_bisubsets(h.n):
+    for bs in _bisubset_order(h.n):
         left = ",".join(str(e) for e in sorted(bs.left))
         right = ",".join(str(e) for e in sorted(bs.right))
         lines.append(f"{left};{right};{h[bs]}")

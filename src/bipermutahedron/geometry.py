@@ -31,6 +31,8 @@ from .combinatorics import (
     Bipermutation,
     Bisequence,
     Bisubset,
+    _bisubset_index,
+    _bisubset_order,
     all_bisubsets,
     bisubsets_of,
     enumerate_bipermutations,
@@ -157,11 +159,10 @@ class SupportFunction:
     values: Mapping[Bisubset, Fraction]
 
     def __post_init__(self) -> None:
-        expected = set(all_bisubsets(self.n))
-        given = set(self.values)
-        if given != expected:
-            missing = len(expected - given)
-            extra = len(given - expected)
+        expected = _bisubset_index(self.n).keys()
+        if self.values.keys() != expected:
+            missing = len(expected - self.values.keys())
+            extra = len(self.values.keys() - expected)
             raise ValueError(
                 f"support table must cover all bisubsets exactly once "
                 f"({missing} missing, {extra} unknown)"
@@ -174,7 +175,7 @@ class SupportFunction:
     def from_callable(
         n: int, fn: Callable[[Bisubset], int | Fraction]
     ) -> "SupportFunction":
-        return SupportFunction(n, {bs: Fraction(fn(bs)) for bs in all_bisubsets(n)})
+        return SupportFunction(n, {bs: Fraction(fn(bs)) for bs in _bisubset_order(n)})
 
     @staticmethod
     def combine(
@@ -190,7 +191,7 @@ class SupportFunction:
             n,
             {
                 bs: sum((Fraction(c) * h[bs] for c, h in terms), Fraction(0))
-                for bs in all_bisubsets(n)
+                for bs in _bisubset_order(n)
             },
         )
 

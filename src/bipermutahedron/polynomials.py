@@ -24,15 +24,6 @@ def poly_trim(p: Sequence[int | Fraction]) -> Coeffs:
     return tuple(coeffs)
 
 
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_scale(p: Sequence[Fraction], a: int | Fraction) -> Coeffs:
     return poly_trim([Fraction(a) * c for c in p])
 

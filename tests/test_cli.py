@@ -220,11 +220,27 @@ class TestCheckSuites:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_deformation_suite_compares_the_generated_table_with_the_walk(
+        self, capsys, monkeypatch
+    ):
+        generated = deformation._inequality_table
+
+        def one_short(n):
+            yield from list(generated(n))[:-1]
+
+        monkeypatch.setattr(deformation, "_inequality_table", one_short)
+        code, out, _ = run_cli(
+            capsys, "check", "--n", "2", "--suite", "deformation", "--format", "text"
+        )
+        assert code == 1
+        assert "the generated wall inequalities differ from the wall walk" in out
+
 
 class TestInfeasibleN:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
-        # A missing guard then fails at once instead of hanging on 37.4M walls.
+        # A missing guard then fails at once instead of hanging on 37.4M walls
+        # or generating the inequalities at n = 7.
         def refuse(*args, **kwargs):
             raise RuntimeError("walls were enumerated")
 
@@ -232,25 +248,36 @@ class TestInfeasibleN:
         monkeypatch.setattr(deformation, "enumerate_walls", refuse)
         monkeypatch.setattr(deformation, "enumerate_wall_bisequences", refuse)
         monkeypatch.setattr(combinatorics, "enumerate_wall_bisequences", refuse)
+        monkeypatch.setattr(deformation, "_inequality_table", refuse)
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["walls", "--n", "6"],
-            ["nef-check", "--n", "6", "--support", "biperm"],
-            ["quotient", "--n", "6"],
+            ["nef-check", "--n", "7", "--support", "biperm"],
+            ["quotient", "--n", "7"],
             ["walls", "--n", "6", "--kind", "B", "--format", "text"],
+            ["walls", "--n", "100000"],
         ],
     )
     def test_refused_before_any_enumeration(self, capsys, no_enumeration, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: n = 6 has 37422000 walls")
+        if argv[2] == "6":
+            assert err.startswith("error: n = 6 has 37422000 walls")
+        else:
+            assert err.startswith(f"error: n = {argv[2]} has more walls than")
 
     def test_n5_is_not_refused(self, no_enumeration):
         with pytest.raises(RuntimeError, match="enumerated"):
             main(["walls", "--n", "5"])
+
+    @pytest.mark.parametrize("command", ["nef-check", "quotient"])
+    def test_n6_inequalities_are_not_refused(self, no_enumeration, command):
+        argv = [command, "--n", "6"] + (["--support", "biperm"] if command == "nef-check" else [])
+        with pytest.raises(RuntimeError, match="enumerated"):
+            main(argv)
 
 
 # Lines a corrupted support file may contain: wrong field counts, non-integer

@@ -10,6 +10,7 @@ import pytest
 from bipermutahedron import deformation
 from bipermutahedron.combinatorics import all_bisubsets, bisubset, parse_bisequence
 from bipermutahedron.geometry import SupportFunction
+from bipermutahedron.invariants import multigraph_count
 from bipermutahedron.deformation import (
     _inequality_table,
     KindMismatch,
@@ -460,7 +461,7 @@ def test_table_holds_the_distinct_inequalities_of_the_walk(n):
     for key, (wall, _, _) in zip(keys, walk):
         first.setdefault(key, wall)
     multiplicity = Counter(keys)
-    table = _inequality_table(n).complete()
+    table = list(_inequality_table(n))
     assert len(table) == TABLE_SIZES[n] == len(first)
     assert [(e.wall.kind, e.case, e.plus, e.minus) for e in table] == list(first)
     assert [e.wall for e in table] == list(first.values())
@@ -468,53 +469,49 @@ def test_table_holds_the_distinct_inequalities_of_the_walk(n):
     assert sum(e.walls for e in table) == WALL_COUNTS[n]
 
 
-def test_an_early_witness_walks_no_further_than_a_scan(monkeypatch):
-    walked = []
-    walls = deformation.enumerate_walls
+def clear_tables():
+    deformation._kind_a_entries.cache_clear()
+    deformation._kind_b_entries.cache_clear()
 
-    def recorded(n):
-        for wall in walls(n):
-            walked.append(wall)
-            yield wall
 
-    monkeypatch.setattr(deformation, "enumerate_walls", recorded)
-    _inequality_table.cache_clear()
+def test_queries_never_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise RuntimeError("walls were walked")
+
+    walkers = ("enumerate_walls", "enumerate_wall_bisequences", "wall_inequality", "wall_tree")
+    for name in walkers:
+        monkeypatch.setattr(deformation, name, walk)
+    clear_tables()
     try:
-        harmonic = named_support("harmonic", 4)
-        verdict = is_ample(harmonic, 4)
+        verdict = is_ample(named_support("harmonic", 4), 4)
         assert str(verdict.witness_wall) == "A:1|1|2|23|3|4"
-        assert walked[-1] == verdict.witness_wall
-        assert len(walked) < WALL_COUNTS[4]
-        # The next query resumes the same walk: every wall is walked once.
-        assert is_nef(harmonic, 4)
-        assert walked == list(walls(4))
-        assert is_nef(harmonic, 4)
-        assert len(walked) == WALL_COUNTS[4]
+        assert verdict.witness_value == 0
+        for n in (2, 3, 4):
+            biperm, harmonic = named_support("biperm", n), named_support("harmonic", n)
+            assert is_nef(biperm, n) and is_ample(biperm, n) and is_nef(harmonic, n)
+            assert sum(wall_value_table(harmonic, n).kind_b.values()) > 0
+            assert minkowski_quotient(biperm, harmonic, n).value == 2
     finally:
-        _inequality_table.cache_clear()
+        clear_tables()
 
 
-def test_a_walk_that_fails_midway_is_not_kept(monkeypatch):
-    calls = 0
-    closed_form = deformation.wall_inequality
+def test_n5_table_is_generated_without_walking(monkeypatch):
+    def walk(*args, **kwargs):
+        raise RuntimeError("walls were walked")
 
-    def fails_once(wall):
-        nonlocal calls
-        calls += 1
-        if calls == 100:
-            raise RuntimeError("interrupted")
-        return closed_form(wall)
-
-    monkeypatch.setattr(deformation, "wall_inequality", fails_once)
-    _inequality_table.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="interrupted"):
-            is_nef(named_support("biperm", 3), 3)
-        table = _inequality_table(3).complete()
-        assert len(table) == TABLE_SIZES[3]
-        assert sum(e.walls for e in table) == WALL_COUNTS[3]
-    finally:
-        _inequality_table.cache_clear()
+    monkeypatch.setattr(deformation, "enumerate_walls", walk)
+    monkeypatch.setattr(deformation, "enumerate_wall_bisequences", walk)
+    table = list(_inequality_table(5))
+    kinds = Counter(e.kind for e in table)
+    assert kinds == {"A": 2120, "B": 3450}
+    assert sum(e.walls for e in table) == multigraph_count(9, 5) == 453_600
+    index = {bs: k for k, bs in enumerate(all_bisubsets(5))}
+    for e in table:
+        ineq = wall_inequality(e.wall)
+        case = kind_a_case(e.wall) if e.kind == "A" else None
+        assert (e.kind, case) == (e.wall.kind, e.case)
+        assert tuple(index[b] for b, _ in ineq.plus) == e.plus
+        assert tuple(index[b] for b, _ in ineq.minus) == e.minus
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
