@@ -24,7 +24,6 @@ from .combinatorics import (
 )
 from .deformation import (
     enumerate_walls,
-    format_support_csv,
     generic_wallcross_oracle,
     inequality_table_check,
     is_ample,
@@ -33,7 +32,6 @@ from .deformation import (
     named_support,
     parse_support_csv,
     same_inequality,
-    wall_count,
     wall_inequality,
     wall_value_table,
 )
@@ -53,7 +51,6 @@ from .invariants import (
     f_vector_formula,
     h_from_f,
     logconcavity_check,
-    polytope_f_vector,
     sweep_orientation_check,
     unimodality_check,
 )
@@ -97,14 +94,9 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv", "text")):
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=_positive_int, required=True)
-    parser.add_argument("--format", choices=formats, default="json")
-
-
-def _header_lines(seed: int | None) -> list[str]:
-    seed_text = "none" if seed is None else str(seed)
-    return [f"# bipermutahedron {__version__} seed={seed_text}"]
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
 
 def _emit(payload: dict, fmt: str, seed: int | None, text_body: Iterable[str]) -> None:
@@ -113,44 +105,33 @@ def _emit(payload: dict, fmt: str, seed: int | None, text_body: Iterable[str]) -
         report.update(payload)
         print(json.dumps(report, indent=2))
     else:
-        for line in _header_lines(seed):
-            print(line)
+        seed_text = "none" if seed is None else str(seed)
+        print(f"# bipermutahedron {__version__} seed={seed_text}")
         for line in text_body:
             print(line)
 
 
-def _coeff_strings(values: Iterable) -> list[str]:
-    return [str(v) for v in values]
+def _emit_coeffs(args, keys: Sequence[str], coeffs: Iterable) -> int:
+    """Report a coefficient list: JSON keys ``keys`` (read off ``args``)
+    then ``coeffs``, or one comma-joined text line."""
+    strings = [str(c) for c in coeffs]
+    payload = {key: getattr(args, key) for key in keys}
+    payload["coeffs"] = strings
+    _emit(payload, args.format, None, [",".join(strings)])
+    return 0
 
 
 def _cmd_fvector(args) -> int:
     route = f_vector_formula if args.method == "formula" else f_vector_bruteforce
     fan = route(args.n)
     coeffs = fan if args.object == "fan" else [1] + fan[::-1]
-    _emit(
-        {
-            "n": args.n,
-            "object": args.object,
-            "method": args.method,
-            "coeffs": _coeff_strings(coeffs),
-        },
-        args.format,
-        None,
-        [",".join(_coeff_strings(coeffs))],
-    )
-    return 0
+    return _emit_coeffs(args, ("n", "object", "method"), coeffs)
 
 
 def _cmd_hvector(args) -> int:
     route = f_vector_formula if args.method == "formula" else f_vector_bruteforce
     poly = h_from_f(route(args.n), 2 * args.n - 2)
-    _emit(
-        {"n": args.n, "method": args.method, "coeffs": _coeff_strings(poly.coefficients)},
-        args.format,
-        None,
-        [",".join(_coeff_strings(poly.coefficients))],
-    )
-    return 0
+    return _emit_coeffs(args, ("n", "method"), poly.coefficients)
 
 
 def _bieulerian_routes(n: int):
@@ -177,13 +158,7 @@ def _cmd_bieulerian(args) -> int:
         poly = values.pop()
     else:
         poly = routes[args.method]()
-    _emit(
-        {"n": args.n, "method": args.method, "coeffs": _coeff_strings(poly.coefficients)},
-        args.format,
-        None,
-        [",".join(_coeff_strings(poly.coefficients))],
-    )
-    return 0
+    return _emit_coeffs(args, ("n", "method"), poly.coefficients)
 
 
 def _cmd_vertices(args) -> int:

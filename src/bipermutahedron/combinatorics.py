@@ -156,16 +156,23 @@ def all_bisubsets(n: int) -> list[Bisubset]:
     return list(_bisubset_order(n))
 
 
-@cache
-def _bisubset_order(n: int) -> tuple[Bisubset, ...]:
-    """The tuple behind :func:`all_bisubsets`, built once per n."""
-    out = []
+def _covering_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """All 3**n pairs (S, T) with S union T = {1..n}, in lexicographic order
+    of the codes 0 (in both), 1 (S only), 2 (T only) of the elements 1..n."""
     for codes in itertools.product((0, 1, 2), repeat=n):
         left = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 1))
         right = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 2))
-        if left and right and left != right:
-            out.append(Bisubset(left, right, n))
-    return tuple(out)
+        yield left, right
+
+
+@cache
+def _bisubset_order(n: int) -> tuple[Bisubset, ...]:
+    """The tuple behind :func:`all_bisubsets`, built once per n."""
+    return tuple(
+        Bisubset(left, right, n)
+        for left, right in _covering_pairs(n)
+        if left and right and left != right
+    )
 
 
 @cache
@@ -204,9 +211,14 @@ def parse_bisequence(text: str, n: int) -> Bisequence:
 
 @dataclass(frozen=True)
 class Bipermutation:
-    """A word of length 2n-1 over {1..n} with one single and n-1 double letters."""
+    """A word of length 2n-1 over {1..n} with one single and n-1 double letters.
+
+    ``k``, the unique letter occurring once, is set at validation; the
+    constructor, repr, equality and hash go by ``letters`` alone.
+    """
 
     letters: tuple[int, ...]
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         letters = self.letters
@@ -222,20 +234,11 @@ class Bipermutation:
                 raise ElementTriple(f"letter {e} occurs more than twice")
         # Length 2n-1 with all multiplicities <= 2 forces exactly one single
         # letter, so no further checks are needed.
+        object.__setattr__(self, "k", counts.index(1))
 
     @property
     def n(self) -> int:
         return (len(self.letters) + 1) // 2
-
-    @property
-    def k(self) -> int:
-        """The unique letter occurring once."""
-        seen: set[int] = set()
-        doubled: set[int] = set()
-        for e in self.letters:
-            (doubled if e in seen else seen).add(e)
-        (single,) = seen - doubled
-        return single
 
     def __str__(self) -> str:
         return "|".join(str(e) for e in self.letters)
@@ -363,15 +366,9 @@ def descents(bp: Bipermutation) -> int:
     0
     """
     k = bp.k
-    seen: set[int] = set()
-    barred = []
-    for e in bp.letters:
-        barred.append(e in seen)
-        seen.add(e)
+    word = doubled_word(bp.letters, ())
     count = 0
-    for (a, abar), (b, bbar) in zip(
-        zip(bp.letters, barred), zip(bp.letters[1:], barred[1:])
-    ):
+    for (a, abar), (b, bbar) in zip(word, word[1:]):
         if a == k:
             abar = bbar
         elif b == k:
@@ -542,8 +539,8 @@ def _wall_search(n: int, want_pair: bool) -> Iterator[Bisequence]:
     yield from search(False, n)
 
 
-def enumerate_bisequences(n: int, num_parts: int | None = None) -> Iterator[Bisequence]:
-    """All bisequences of {1..n}, optionally restricted to a part count.
+def enumerate_bisequences(n: int) -> Iterator[Bisequence]:
+    """All bisequences of {1..n}.
 
     Exhaustive depth-first search over part tuples; intended for small n
     (the total count grows like the face count of the bipermutahedron).
@@ -558,8 +555,6 @@ def enumerate_bisequences(n: int, num_parts: int | None = None) -> Iterator[Bise
     counts = {e: 0 for e in ground}
 
     def emit_ok() -> bool:
-        if num_parts is not None and len(parts) != num_parts:
-            return False
         return all(counts[e] >= 1 for e in ground) and any(
             counts[e] == 1 for e in ground
         )
@@ -567,8 +562,6 @@ def enumerate_bisequences(n: int, num_parts: int | None = None) -> Iterator[Bise
     def search() -> Iterator[Bisequence]:
         if parts and emit_ok():
             yield Bisequence(tuple(parts), n)
-        if num_parts is not None and len(parts) >= num_parts:
-            return
         if len(parts) >= 2 * n - 1:
             return
         for part in nonempty_subsets:

@@ -60,12 +60,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable, Iterator, Literal
 
 from .combinatorics import (
     Bipermutation,
     Bisequence,
+    BisequenceError,
     Bisubset,
     _bisubset_index,
     _bisubset_order,
@@ -82,7 +83,7 @@ from .geometry import (
     harmonic_support_function,
     ray_vector,
 )
-from .linalg import solve_unique
+from .linalg import _scaled_integers, solve_unique
 
 __all__ = [
     "KindMismatch",
@@ -172,11 +173,25 @@ def wall_count(n: int) -> int:
     return sum(1 for _ in enumerate_wall_bisequences(n))
 
 
-def _pair_position(seq: Bisequence) -> int:
-    for idx, part in enumerate(seq.parts):
+def _kind_a_parts(
+    seq: Bisequence,
+) -> tuple[int, int, int, frozenset[int], frozenset[int]]:
+    """A kind-A wall's pair position, its pair i < j, and the prefix set S
+    and the suffix set T around the pair."""
+    for pos, part in enumerate(seq.parts):
         if len(part) == 2:
-            return idx
+            i, j = sorted(part)
+            s = frozenset().union(*seq.parts[:pos])
+            t = frozenset().union(*seq.parts[pos + 1 :])
+            return pos, i, j, s, t
     raise KindMismatch("no pair part found")
+
+
+def _kind_b_word(seq: Bisequence) -> tuple[tuple[int, bool], ...]:
+    """A kind-B wall's doubled word: both once-elements doubled in place,
+    second occurrences barred."""
+    letters = tuple(next(iter(p)) for p in seq.parts)
+    return doubled_word(letters, seq.single_elements())
 
 
 def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
@@ -190,25 +205,18 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
     """
     seq = wall.bisequence
     if wall.kind == "A":
-        pos = _pair_position(seq)
-        i, j = sorted(seq.parts[pos])
+        pos, i, j, _, _ = _kind_a_parts(seq)
         head = tuple(next(iter(p)) for p in seq.parts[:pos])
         tail = tuple(next(iter(p)) for p in seq.parts[pos + 1 :])
         return (
             Bipermutation(head + (i, j) + tail),
             Bipermutation(head + (j, i) + tail),
         )
-    i, j = sorted(seq.single_elements())
     letters = tuple(next(iter(p)) for p in seq.parts)
-    out = []
-    for double in (i, j):
-        word: list[int] = []
-        for e in letters:
-            word.append(e)
-            if e == double:
-                word.append(e)
-        out.append(Bipermutation(tuple(word)))
-    return out[0], out[1]
+    return tuple(
+        Bipermutation(tuple(e for e, _ in doubled_word(letters, (once,))))
+        for once in sorted(seq.single_elements())
+    )
 
 
 @dataclass(frozen=True)
@@ -269,16 +277,8 @@ def supermodular_inequality(wall: Wall) -> WallInequality:
     """
     if wall.kind != "A":
         raise KindMismatch("supermodular inequalities belong to kind A walls")
-    seq = wall.bisequence
-    n = seq.n
-    pos = _pair_position(seq)
-    i, j = sorted(seq.parts[pos])
-    s: frozenset[int] = frozenset().union(*seq.parts[:pos]) if pos else frozenset()
-    t: frozenset[int] = (
-        frozenset().union(*seq.parts[pos + 1 :])
-        if pos + 1 < len(seq.parts)
-        else frozenset()
-    )
+    n = wall.n
+    _, i, j, s, t = _kind_a_parts(wall.bisequence)
     ij = frozenset((i, j))
     plus = [_term(s, ij | t, n), _term(s | ij, t, n)]
     minus = [_term(s | {i}, t | {j}, n), _term(s | {j}, t | {i}, n)]
@@ -295,11 +295,8 @@ def _barred_splits(wall: Wall) -> tuple[list[tuple[Bisubset, bool]], list[int]]:
     Returns (switch splits, switch positions); each split is tagged True
     when the switch goes unbarred to barred (the negative side).
     """
-    seq = wall.bisequence
-    n = seq.n
-    i, j = sorted(seq.single_elements())
-    letters = tuple(next(iter(p)) for p in seq.parts)
-    word = doubled_word(letters, {i, j})
+    n = wall.n
+    word = _kind_b_word(wall.bisequence)
     statuses = [barred for _, barred in word]
     splits: list[tuple[Bisubset, bool]] = []
     positions: list[int] = []
@@ -369,11 +366,8 @@ def wall_tree(wall: Wall) -> WallTree:
     """Build the tree of a kind-B wall and verify its invariants."""
     if wall.kind != "B":
         raise KindMismatch("wall trees belong to kind B walls")
-    seq = wall.bisequence
-    n = seq.n
-    i, j = sorted(seq.single_elements())
-    letters = tuple(next(iter(p)) for p in seq.parts)
-    word = doubled_word(letters, {i, j})
+    n = wall.n
+    word = _kind_b_word(wall.bisequence)
     ground = frozenset(range(1, n + 1))
     edges = []
     for m in range(1, 2 * n):
@@ -767,9 +761,7 @@ def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
     lcm of their denominators."""
     if h.n != n:
         raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
-    support = [h[bs] for bs in _bisubset_order(n)]
-    scale = lcm(*(value.denominator for value in support))
-    return [value.numerator * (scale // value.denominator) for value in support], scale
+    return _scaled_integers([h[bs] for bs in _bisubset_order(n)])
 
 
 @dataclass(frozen=True)
@@ -811,15 +803,10 @@ def kind_a_case(wall: Wall) -> str:
     if wall.kind != "A":
         raise KindMismatch("cases classify kind A walls")
     seq = wall.bisequence
-    pos = _pair_position(seq)
-    pair = seq.parts[pos]
-    if seq.single_elements() & pair:
+    _, i, j, s, _ = _kind_a_parts(seq)
+    if seq.single_elements() & {i, j}:
         return "iii"
-    before: frozenset[int] = (
-        frozenset().union(*seq.parts[:pos]) if pos else frozenset()
-    )
-    sides = [e in before for e in pair]
-    return "i" if sides[0] == sides[1] else "ii"
+    return "i" if (i in s) == (j in s) else "ii"
 
 
 @dataclass(frozen=True)
@@ -930,7 +917,10 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
             value = Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        bs = bisubset(left, right, n)
+        try:
+            bs = bisubset(left, right, n)
+        except BisequenceError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         if bs in values:
             raise ValueError(f"line {lineno}: duplicate bisubset {bs}")
         values[bs] = value

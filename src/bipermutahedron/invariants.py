@@ -22,12 +22,12 @@ from typing import Sequence
 from .combinatorics import (
     Bipermutation,
     descents,
+    doubled_word,
     enumerate_bipermutations,
 )
 from .geometry import LatticePoint, vertex_of_bipermutation
 from .polynomials import (
     IntPolynomial,
-    Verdict,
     poly_mul,
     real_root_check,
 )
@@ -327,19 +327,14 @@ def sweep_neighbors(bp: Bipermutation) -> list[Bipermutation]:
     exchange walking the edge between those two vertices.
     """
     letters = bp.letters
-    k = bp.k
     out = []
     for p in range(len(letters) - 1):
         a, b = letters[p], letters[p + 1]
         if a != b:
             word = letters[:p] + (b, a) + letters[p + 2 :]
         else:
-            word = tuple(
-                part
-                for q, e in enumerate(letters)
-                if q != p + 1
-                for part in ((e, e) if e == k else (e,))
-            )
+            rest = letters[: p + 1] + letters[p + 2 :]
+            word = tuple(e for e, _ in doubled_word(rest, (bp.k,)))
         out.append(Bipermutation(word))
     return out
 

@@ -16,6 +16,10 @@ divided by one common pivot value ``d``, and ``det_int``, ``solve_unique``
 and ``nullspace_normal`` read their answers off it.
 
 Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
+
+``_scaled_integers`` is the one rational-to-integer scaling of the package:
+``solve_unique``, ``nullspace_normal``, ``primitive_integer_vector``,
+``deformation._scaled_support`` and ``triangulation.cover_locate`` call it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,15 @@ from math import gcd, lcm
 from typing import Sequence
 
 
-def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
-    """``row`` scaled by the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+def _scaled_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over the lcm of their denominators,
+    and that lcm.
+
+    >>> _scaled_integers([Fraction(1, 2), Fraction(2, 3), 1])
+    ([3, 4, 6], 6)
+    """
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -101,7 +110,7 @@ def solve_unique(
     m = len(matrix)
     if len(rhs) != m or any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square with one rhs entry per row")
-    a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    a = [_scaled_integers([*row, b])[0] for row, b in zip(matrix, rhs)]
     pivot_cols, d, _ = _bareiss(a, m)
     if len(pivot_cols) != m:
         raise ValueError("singular matrix")
@@ -116,7 +125,7 @@ def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
     The sign is normalized so that the first nonzero entry is positive.
     """
     cols = len(matrix[0])
-    a = [_integer_row(row) for row in matrix]
+    a = [_scaled_integers(row)[0] for row in matrix]
     pivot_cols, d, _ = _bareiss(a, cols)
     free = [c for c in range(cols) if c not in pivot_cols]
     if len(free) != 1:
@@ -139,8 +148,7 @@ def primitive_integer_vector(vec: Sequence[int | Fraction]) -> list[int]:
     fracs = [Fraction(x) for x in vec]
     if not any(fracs):
         raise ValueError("zero vector")
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
+    ints, _ = _scaled_integers(fracs)
     g = gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)

@@ -27,20 +27,25 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .combinatorics import (
     Bipermutation,
     Bisubset,
+    _covering_pairs,
     bisequence_of_configuration,
     bisubsets_of,
+    doubled_word,
     enumerate_bipermutations,
 )
 from .invariants import bieulerian_by_ehrhart, f_vector_formula, h_from_f
-from .linalg import det_int
+from .linalg import _scaled_integers, det_int
+from .polynomials import poly_mul
 
 Table = tuple[tuple[Fraction, ...], ...]
+
+# The prime denominator of the entries of random_delta_point.
+_SAMPLE_DENOMINATOR = 97
 
 
 class TieOnBoundary(ArithmeticError):
@@ -92,12 +97,7 @@ def delta_vertices(n: int) -> list[ProductVertex]:
     >>> len(delta_vertices(1)), len(delta_vertices(2))
     (3, 9)
     """
-    out = []
-    for codes in itertools.product((0, 1, 2), repeat=n):
-        left = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 1))
-        right = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 2))
-        out.append(ProductVertex(left, right, n))
-    return out
+    return [ProductVertex(left, right, n) for left, right in _covering_pairs(n)]
 
 
 def cone_points(n: int) -> tuple[ProductVertex, ProductVertex, ProductVertex]:
@@ -217,9 +217,7 @@ def cover_locate(p: Table) -> LocatedPoint:
             raise ValueError("columns of a point of Delta^n must sum to 1")
         if any(x < 0 for x in column):
             raise ValueError("points of Delta^n have nonnegative entries")
-    point = projection_pi1(p)
-    den = lcm(*(x.denominator for x in point))
-    numerators = [x.numerator * (den // x.denominator) for x in point]
+    numerators, den = _scaled_integers(projection_pi1(p))
     reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:
         raise TieOnBoundary(
@@ -262,14 +260,10 @@ def _barycentric(bp: Bipermutation, point: Sequence[int], weight: int) -> list[i
     b_plus_c = z_head - total
     a_plus_c = w_tail - total
     c = a_plus_c + b_plus_c + total - weight
-    tails = []
-    seen: set[int] = set()
-    for e in letters:
-        if e in seen:
-            tails.append(total + a_plus_c - w[e - 1])
-        else:
-            seen.add(e)
-            tails.append(z[e - 1] - b_plus_c)
+    tails = [
+        total + a_plus_c - w[e - 1] if barred else z[e - 1] - b_plus_c
+        for e, barred in doubled_word(letters, ())
+    ]
     return [a_plus_c - c, b_plus_c - c, c] + [
         tails[j - 1] - tails[j] for j in range(1, len(letters))
     ]
@@ -285,15 +279,14 @@ def _rebuild(simplex: BipermSimplex, coeffs: Sequence[int]) -> list[int]:
     return point
 
 
-def random_delta_point(
-    n: int, rng: random.Random, denominator: int = 97
-) -> Table:
+def random_delta_point(n: int, rng: random.Random) -> Table:
     """A random rational point of Delta^n with bounded denominators.
 
-    Each column picks two cut points of {0..denominator}, giving entries
-    with the fixed prime denominator, so points of one sample share a
-    small common denominator.
+    Each column picks two cut points of {0.._SAMPLE_DENOMINATOR}, giving
+    entries with the fixed prime denominator, so points of one sample share
+    a small common denominator.
     """
+    denominator = _SAMPLE_DENOMINATOR
     rows: list[list[Fraction]] = [[], [], []]
     for _ in range(n):
         x, y = sorted((rng.randint(0, denominator), rng.randint(0, denominator)))
@@ -439,13 +432,7 @@ def triangulation_f_vector(n: int) -> list[int]:
     structure, so its f-polynomial is (x+1)^3 times the fan's; entry j
     counts faces with j vertices (entry 0 is the empty face).
     """
-    fan = f_vector_formula(n)
-    cone3 = [1, 3, 3, 1]
-    out = [0] * (len(fan) + 3)
-    for i, fi in enumerate(fan):
-        for j, cj in enumerate(cone3):
-            out[i + j] += fi * cj
-    return out
+    return [int(c) for c in poly_mul(f_vector_formula(n), (1, 3, 3, 1))]
 
 
 def triangulation_f_vector_direct(n: int) -> list[int]:

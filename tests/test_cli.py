@@ -122,6 +122,53 @@ class TestTextAndCsvOutput:
         ]
 
 
+class TestCoefficientReports:
+    """The full JSON reports, key order included, and the text line of the
+    coefficient reports."""
+
+    CASES = [
+        (
+            ["fvector", "--n", "3"],
+            {"n": 3, "object": "fan", "method": "formula"},
+            "1,24,114,180,90",
+        ),
+        (
+            ["fvector", "--n", "3", "--object", "polytope", "--method", "bruteforce"],
+            {"n": 3, "object": "polytope", "method": "bruteforce"},
+            "1,90,180,114,24,1",
+        ),
+        (["hvector", "--n", "3"], {"n": 3, "method": "formula"}, "1,20,48,20,1"),
+        (["bieulerian", "--n", "3"], {"n": 3, "method": "all"}, "1,20,48,20,1"),
+        (
+            ["bieulerian", "--n", "3", "--method", "descents"],
+            {"n": 3, "method": "descents"},
+            "1,20,48,20,1",
+        ),
+    ]
+    IDS = [
+        "fvector-fan",
+        "fvector-polytope-bruteforce",
+        "hvector",
+        "bieulerian-all",
+        "bieulerian-descents",
+    ]
+
+    @pytest.mark.parametrize(("argv", "fields", "line"), CASES, ids=IDS)
+    def test_json_report(self, capsys, argv, fields, line):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        expected = {"version": "0.1.0", "seed": None, **fields}
+        expected["coeffs"] = line.split(",")
+        assert list(json.loads(out).items()) == list(expected.items())
+
+    @pytest.mark.parametrize(("argv", "fields", "line"), CASES, ids=IDS)
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_line(self, capsys, argv, fields, line, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == f"# bipermutahedron 0.1.0 seed=none\n{line}\n"
+
+
 class TestExitCodes:
     def test_ample_failure_is_exit_one(self, capsys):
         code, out, err = run_cli(
@@ -164,6 +211,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "nef-check", "--n", "2", "--support", str(path))
         assert code == 2
         assert "line 1" in err
+
+    def test_support_file_bisubset_error_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(";1,2;0\n")
+        code, out, err = run_cli(capsys, "nef-check", "--n", "2", "--support", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: part 1 is empty\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -183,3 +183,21 @@ def test_wall_bisequences_have_2n_minus_2_parts():
         assert len(seq.parts) == 4
         sizes = sorted(len(p) for p in seq.parts)
         assert sizes in ([1, 1, 1, 1], [1, 1, 1, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stored_once_letter(n):
+    for bp in enumerate_bipermutations(n):
+        (once,) = [e for e, count in Counter(bp.letters).items() if count == 1]
+        assert bp.k == once
+
+
+def test_once_letter_stays_out_of_repr_equality_and_hash():
+    a = Bipermutation((2, 1, 3, 1, 2))
+    b = Bipermutation((2, 1, 3, 1, 2))
+    assert a.k == b.k == 3
+    assert repr(a) == "Bipermutation(letters=(2, 1, 3, 1, 2))"
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    with pytest.raises(TypeError):
+        Bipermutation((2, 1, 3, 1, 2), k=3)

@@ -8,7 +8,14 @@ from functools import cache
 import pytest
 
 from bipermutahedron import deformation
-from bipermutahedron.combinatorics import all_bisubsets, bisubset, parse_bisequence
+from bipermutahedron.combinatorics import (
+    ElementMissing,
+    EmptyPart,
+    NoSingleOccurrence,
+    all_bisubsets,
+    bisubset,
+    parse_bisequence,
+)
 from bipermutahedron.geometry import SupportFunction
 from bipermutahedron.invariants import multigraph_count
 from bipermutahedron.deformation import (
@@ -376,6 +383,24 @@ class TestSupportCsv:
     def test_out_of_range_element_rejected(self):
         with pytest.raises(ValueError):
             parse_support_csv("1,5;2;0", 3)
+
+    @pytest.mark.parametrize(
+        ("line", "n", "error", "message"),
+        [
+            (";1,2;0", 2, EmptyPart, "part 1 is empty"),
+            ("1,5;2;0", 3, EmptyPart, "part 1 is not a subset of 1..3: [1, 5]"),
+            ("1;1;0", 2, ElementMissing, "element 2 appears in no part"),
+            ("1,2;1,2;0", 2, NoSingleOccurrence, "every element appears twice"),
+        ],
+        ids=["empty-part", "out-of-range", "missing-element", "every-element-twice"],
+    )
+    def test_bisubset_errors_name_their_line(self, line, n, error, message):
+        text = format_support_csv(named_support("biperm", n)).splitlines()
+        text.insert(2, line)
+        with pytest.raises(error) as excinfo:
+            parse_support_csv("\n".join(text), n)
+        assert isinstance(excinfo.value, ValueError)
+        assert str(excinfo.value) == f"line 3: {message}"
 
 
 # ------------------------------------------------------------ compiled table
