@@ -198,7 +198,7 @@ def parse_bisequence(text: str, n: int) -> Bisequence:
         raise ValueError("text encoding is single-digit and needs n <= 9")
     parts = []
     for chunk in text.strip().split("|"):
-        if not chunk or not chunk.isdigit():
+        if not chunk or not chunk.isdecimal():
             raise BisequenceError(f"malformed part {chunk!r} in {text!r}")
         elements = [int(ch) for ch in chunk]
         if len(set(elements)) != len(elements):
@@ -467,14 +467,11 @@ def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
     >>> [str(b) for b in splits_of(parse_bisequence("2|13|1|3", 3))]
     ['2|13', '123|13', '123|3']
     """
-    out = []
-    for j in range(1, len(seq.parts)):
-        left = frozenset().union(*seq.parts[:j])
-        right = frozenset().union(*seq.parts[j:])
-        if left == right:
-            raise AssertionError("a split of a bisequence cannot repeat a part set")
-        out.append(Bisubset(left, right, seq.n))
-    return tuple(out)
+    lefts = list(itertools.accumulate(seq.parts[:-1], frozenset.union))
+    rights = list(itertools.accumulate(reversed(seq.parts[1:]), frozenset.union))[::-1]
+    if any(left == right for left, right in zip(lefts, rights)):
+        raise AssertionError("a split of a bisequence cannot repeat a part set")
+    return tuple(Bisubset(left, right, seq.n) for left, right in zip(lefts, rights))
 
 
 def wall_kind(seq: Bisequence) -> str:

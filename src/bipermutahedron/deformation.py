@@ -55,6 +55,8 @@ and the oracle checks each walked inequality in the tests and in
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -882,13 +884,18 @@ def minkowski_quotient(
     )
 
 
+# The built-in support functions by CLI-facing name, each a function of n.
+_NAMED_SUPPORTS = {
+    "biperm": biperm_support_function,
+    "harmonic": harmonic_support_function,
+}
+
+
 def named_support(name: str, n: int) -> SupportFunction:
-    """The two built-in support functions, by CLI-facing name."""
-    if name == "biperm":
-        return biperm_support_function(n)
-    if name == "harmonic":
-        return harmonic_support_function(n)
-    raise ValueError(f"unknown support function {name!r}")
+    """The built-in support functions, by CLI-facing name."""
+    if name not in _NAMED_SUPPORTS:
+        raise ValueError(f"unknown support function {name!r}")
+    return _NAMED_SUPPORTS[name](n)
 
 
 def format_support_csv(h: SupportFunction) -> str:
@@ -899,6 +906,38 @@ def format_support_csv(h: SupportFunction) -> str:
         right = ",".join(str(e) for e in sorted(bs.right))
         lines.append(f"{left};{right};{h[bs]}")
     return "\n".join(lines) + "\n"
+
+
+# A value in exponent form as ``Fraction`` reads it: signed mantissa, exponent.
+_EXPONENT_FORM = re.compile(
+    r"\s*([-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+
+
+def _support_value(text: str) -> Fraction:
+    """``Fraction(text)``, but a value in exponent form whose numerator or
+    denominator would have more digits than ``sys.get_int_max_str_digits()``
+    is refused before its power of ten is built.  Plain digits past the limit
+    already fail in ``Fraction``; before Python 3.10.7 there is no limit."""
+    match = _EXPONENT_FORM.fullmatch(text) if "e" in text.lower() else None
+    limit = match and getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return Fraction(text)
+    mantissa, exponent = Fraction(match[1]), int(match[2])
+    # The numerator (e > 0) or the denominator (e < 0) is at least 10**|e|
+    # over the mantissa's other part, which is below 2**bits.
+    bits = mantissa.numerator.bit_length() + mantissa.denominator.bit_length()
+    if abs(exponent) < limit + bits:
+        value = mantissa * Fraction(10) ** exponent
+        if max(abs(value.numerator), value.denominator) < 10**limit:
+            return value
+    elif not mantissa:
+        return mantissa
+    raise ValueError(
+        f"the value's numerator or denominator exceeds the limit "
+        f"({limit} digits) for integer string conversion"
+    )
 
 
 def parse_support_csv(text: str, n: int) -> SupportFunction:
@@ -914,7 +953,7 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
         try:
             left = {int(x) for x in fields[0].split(",") if x}
             right = {int(x) for x in fields[1].split(",") if x}
-            value = Fraction(fields[2])
+            value = _support_value(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         try:

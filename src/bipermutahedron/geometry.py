@@ -58,12 +58,6 @@ class LatticePoint:
     def n(self) -> int:
         return len(self.top)
 
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(
-            tuple(a - b for a, b in zip(self.top, other.top)),
-            tuple(a - b for a, b in zip(self.bottom, other.bottom)),
-        )
-
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(tuple(-a for a in self.top), tuple(-a for a in self.bottom))
 
@@ -378,19 +372,14 @@ def symmetry_checks(n: int) -> SymmetryReport:
     S intersect T nonempty and S, T proper gives a ray whose negative is
     not a ray.
     """
-    rays = {canonical_ray(r.top, r.bottom) for r in map(ray_vector, all_bisubsets(n))}
+    ray_of = {bs: ray_vector(bs) for bs in all_bisubsets(n)}
+    rays = {canonical_ray(r.top, r.bottom) for r in ray_of.values()}
 
     perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    rays_relabel = True
-    for perm in perms:
-        for bs in all_bisubsets(n):
-            r = ray_vector(bs)
-            image = _relabel_point(r, perm)
-            if canonical_ray(image.top, image.bottom) not in rays:
-                rays_relabel = False
+    images = (_relabel_point(r, perm) for perm in perms for r in ray_of.values())
+    rays_relabel = all(canonical_ray(i.top, i.bottom) in rays for i in images)
     rays_swap = all(
-        canonical_ray(r.bottom, r.top) in rays
-        for r in map(ray_vector, all_bisubsets(n))
+        canonical_ray(r.bottom, r.top) in rays for r in ray_of.values()
     )
 
     vertex_of = {
@@ -407,25 +396,24 @@ def symmetry_checks(n: int) -> SymmetryReport:
         for bp, v in vertex_of.items()
     ) and {LatticePoint(v.bottom, v.top) for v in vertex_set} == vertex_set
 
-    negation_auto = all(
-        canonical_ray((-ray_vector(bs)).top, (-ray_vector(bs)).bottom) in rays
-        for bs in all_bisubsets(n)
+    off_fan = [
+        bs for bs, r in ray_of.items() if canonical_ray((-r).top, (-r).bottom) not in rays
+    ]
+    witness = next(
+        (
+            str(bs)
+            for bs in off_fan
+            if bs.left & bs.right and len(bs.left) < n and len(bs.right) < n
+        ),
+        None,
     )
-    witness = None
-    if not negation_auto:
-        for bs in all_bisubsets(n):
-            if bs.left & bs.right and len(bs.left) < n and len(bs.right) < n:
-                neg = -ray_vector(bs)
-                if canonical_ray(neg.top, neg.bottom) not in rays:
-                    witness = str(bs)
-                    break
     return SymmetryReport(
         n=n,
         rays_relabel_invariant=rays_relabel,
         rays_swap_invariant=rays_swap,
         vertices_relabel_equivariant=vertices_relabel,
         vertices_swap_reverse=vertices_swap,
-        negation_is_automorphism=negation_auto,
+        negation_is_automorphism=not off_fan,
         negation_witness=witness,
     )
 

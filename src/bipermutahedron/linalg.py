@@ -145,10 +145,9 @@ def primitive_integer_vector(vec: Sequence[int | Fraction]) -> list[int]:
     >>> primitive_integer_vector([Fraction(1, 2), Fraction(-3, 2)])
     [1, -3]
     """
-    fracs = [Fraction(x) for x in vec]
-    if not any(fracs):
+    if not any(vec):
         raise ValueError("zero vector")
-    ints, _ = _scaled_integers(fracs)
+    ints, _ = _scaled_integers(vec)
     g = gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)

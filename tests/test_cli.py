@@ -1,10 +1,12 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +258,63 @@ class TestSupportFiles:
         assert json.loads(out)["passed"] is True
 
 
+    def test_a_third_named_support_needs_one_table_entry(self, capsys, monkeypatch):
+        def doubled_biperm(n):
+            return SupportFunction.combine([(2, named_support("biperm", n))])
+
+        monkeypatch.setitem(deformation._NAMED_SUPPORTS, "double", doubled_biperm)
+        code, out, _ = run_cli(capsys, "nef-check", "--n", "3", "--support", "double")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        code, out, _ = run_cli(capsys, "quotient", "--n", "3", "--p", "double")
+        assert code == 0
+        assert json.loads(out)["value"] == "4"
+
+
+def write_support_with_value(value):
+    """Write support.csv, the n = 2 bipermutahedron's support file with its
+    first value replaced, to the working directory."""
+    lines = format_support_csv(named_support("biperm", 2)).splitlines()
+    head, _, _ = lines[0].rpartition(";")
+    Path("support.csv").write_text("\n".join([f"{head};{value}", *lines[1:]]) + "\n")
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the interpreter's default 4300-digit limit on int conversion",
+)
+class TestSupportValueDigitLimit:
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("value", ["1e100000000", "1e4300", "-1e4300", "1e-4300"])
+    def test_exponent_past_the_limit_is_refused_at_once(self, capsys, value):
+        write_support_with_value(value)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "nef-check", "--n", "2", "--support", "support.csv")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 1: the value's numerator or denominator exceeds the "
+            "limit (4300 digits) for integer string conversion\n"
+        )
+
+    # Exit code and sha256 of stdout + NUL + stderr of nef-check on the file.
+    @pytest.mark.parametrize(
+        ("value", "code", "digest"),
+        [
+            ("1e100", 1, "715bcfb052bc0b6500469791973cd8ee240139a873d8290964247b5e3e258390"),
+            ("1e4299", 1, "f10797ca036a49bd5817eca22855b0cdde8203af640cde134ddb648fdffe638b"),
+        ],
+        ids=["1e100", "1e4299"],
+    )
+    def test_exponent_within_the_limit_is_read(self, capsys, value, code, digest):
+        write_support_with_value(value)
+        got, out, err = run_cli(capsys, "nef-check", "--n", "2", "--support", "support.csv")
+        assert (got, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()) == (code, digest)
+
+
 class TestCheckSuites:
     @pytest.mark.parametrize(
         "suite", ["combinatorics", "invariants", "geometry", "deformation"]
@@ -430,6 +489,48 @@ class TestSupportFileFuzz:
                 json.loads(out)
             codes.add(code)
         assert codes == {0, 1, 2}
+
+
+# Exit code and sha256 of stdout + NUL + stderr of each command: any change
+# to a report, a message or an exit code shows here.
+REPORT_DIGESTS = [
+    ("fvector --n 4 --object polytope", 0,
+     "092d1dc973770ad396506e00a23995e5f78612da6aeb1c672d628331c7ff3eb1"),
+    ("fvector --n 3 --method bruteforce --format text", 0,
+     "a77cec1a815de9da48ec577f67c9ab8392d537c334d33d6c62c917128943499b"),
+    ("hvector --n 4", 0,
+     "232a9ecca29867aa0debdd3ff92803d35feb901b5526ddcf3a17a00442715c7c"),
+    ("bieulerian --n 4", 0,
+     "8375a74d86cf34ac091d301d3e8160a88b1364d1611cd263546852756ed706f2"),
+    ("vertices --n 3", 0,
+     "fb279cdae47fbe9381b9055256237455346e419b3ecc65bb1b50766e2aa663e2"),
+    ("facets --n 3 --format csv", 0,
+     "96251fa2c4333e15983b24d0278670a3f9a1fe93ee23f00ee88825d67363f822"),
+    ("walls --n 4", 0,
+     "7fffbb7f832c30a0e5c9641eacfd4e9544b8404828d05576edbcb444c85f170d"),
+    ("nef-check --n 4 --support harmonic --ample", 1,
+     "664b19698d91857726b302290f8c0e3746cb243bbb74437b47a05ec33413b0c9"),
+    ("nef-check --n 4 --support biperm", 0,
+     "58bf6cf34d4bb62fbffb8d8419f5e547549826c46ae19eb3b5981119c37559f9"),
+    ("quotient --n 4", 0,
+     "a5bbfb44ad782e35644a08b48ecdb0eecb1159767bd41b97c19aa66032d0af2d"),
+    ("quotient --n 4 --p harmonic --q biperm", 1,
+     "7da8a5a271bca0caf59067be738c08386b52dca0d96730eaeaddfce8315dd3bd"),
+    ("check --suite all --n 2 --seed 7", 0,
+     "7786f092b513d7938e5ffbec1a55636f3e02738ee57182dedf43a01750a542f5"),
+    ("check --suite geometry --n 3", 0,
+     "dd837d59241e2950f51cbf0f89605d392bcf09c7cc1b7e43ecaa30df642786e7"),
+    ("check --suite deformation --n 3", 0,
+     "c7774a3370949ee86d131574f2779968ab4781e821a10aea896122468c5efbb1"),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "code", "digest"), REPORT_DIGESTS, ids=[c for c, _, _ in REPORT_DIGESTS]
+)
+def test_reports_match_their_digest(capsys, command, code, digest):
+    got, out, err = run_cli(capsys, *command.split())
+    assert (got, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()) == (code, digest)
 
 
 SCRIPT_ARGV = ["fvector", "--n", "2", "--format", "text"]

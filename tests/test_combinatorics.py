@@ -1,12 +1,15 @@
 """Bipermutations, bisequences, descents, and their enumeration."""
 
+import random
 from collections import Counter
 
 import pytest
 
 from bipermutahedron.combinatorics import (
     Bipermutation,
+    Bisequence,
     BisequenceError,
+    Bisubset,
     ElementMissing,
     ElementTriple,
     EmptyPart,
@@ -155,6 +158,57 @@ def test_bisubsets_of_word():
 def test_splits_of_general_bisequence():
     seq = parse_bisequence("2|13|1|3", 3)
     assert [str(b) for b in splits_of(seq)] == ["2|13", "123|13", "123|3"]
+
+
+def brute_force_splits(seq):
+    """Split j unions the first j parts into S and the rest into T, from scratch."""
+    return tuple(
+        Bisubset(
+            frozenset().union(*seq.parts[:j]), frozenset().union(*seq.parts[j:]), seq.n
+        )
+        for j in range(1, len(seq.parts))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_splits_of_matches_brute_force_unions(n):
+    walls = list(enumerate_wall_bisequences(n))
+    words = [bp.to_bisequence() for bp in enumerate_bipermutations(n)]
+    for seq in walls + words:
+        assert splits_of(seq) == brute_force_splits(seq)
+
+
+def test_splits_of_refuses_a_repeated_part_set():
+    parts = tuple(frozenset({e}) for e in (1, 2, 1, 2))
+    with pytest.raises(AssertionError, match="cannot repeat a part set"):
+        splits_of(Bisequence(parts, 2))
+
+
+# Digits, separators and look-alikes: superscripts and Arabic-Indic digits
+# (which str.isdigit accepts), underscores, signs, commas and points (which
+# int() accepts or rejects on its own terms).
+PARSER_FUZZ_ALPHABET = "0123456789||||   ²³¹٠١٢٣_+-,."
+
+
+def test_parsers_raise_only_bisequence_error():
+    rng = random.Random(8)
+    parsed = Counter()
+    for _ in range(20_000):
+        length = rng.randint(0, 12)
+        text = "".join(rng.choice(PARSER_FUZZ_ALPHABET) for _ in range(length))
+        n = rng.randint(1, 9)
+        calls = {
+            "bisequence": lambda: parse_bisequence(text, n),
+            "bipermutation": lambda: parse_bipermutation(text),
+            "bipermutation-n": lambda: parse_bipermutation(text, n),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+            except BisequenceError:
+                continue
+            parsed[name] += 1
+    assert set(parsed) == {"bisequence", "bipermutation", "bipermutation-n"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

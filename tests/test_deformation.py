@@ -1,6 +1,7 @@
 """Tests for wall enumeration, wall-crossing inequalities, and cone membership."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -401,6 +402,38 @@ class TestSupportCsv:
             parse_support_csv("\n".join(text), n)
         assert isinstance(excinfo.value, ValueError)
         assert str(excinfo.value) == f"line 3: {message}"
+
+    @staticmethod
+    def first_value_read(value):
+        """The value line 1 of the n = 2 bipermutahedron's file is read as,
+        once its value is replaced by ``value``."""
+        lines = format_support_csv(named_support("biperm", 2)).splitlines()
+        head, _, _ = lines[0].rpartition(";")
+        text = "\n".join([f"{head};{value}", *lines[1:]])
+        return parse_support_csv(text, 2)[bisubset({1, 2}, {1}, 2)]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "1e100", "-2.5E-3", " +1.e5 ", ".5e+2", "1_0e1_0", "-0e5", "1.5e-4299",
+            "2e-4300", "1_2.3_4e-5", "1e5e5", "1.5.e5", "1e", "e5", "1/2e5", "1 e5",
+            "1e 5", "1e5_", "_1e5", "1__0e5", "++1e5",
+        ],
+    )
+    def test_exponent_values_read_as_fraction_reads_them(self, value):
+        try:
+            expected = Fraction(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                self.first_value_read(value)
+            assert str(excinfo.value) == f"line 1: {exc}"
+        else:
+            assert self.first_value_read(value) == expected
+
+    def test_zero_mantissa_builds_no_power_of_ten(self):
+        start = time.perf_counter()
+        assert self.first_value_read("-0.0e100000000") == 0
+        assert time.perf_counter() - start < 1
 
 
 # ------------------------------------------------------------ compiled table

@@ -13,6 +13,7 @@ from bipermutahedron.combinatorics import (
 from bipermutahedron.geometry import (
     ChamberCone,
     SupportFunction,
+    SymmetryReport,
     biperm_support,
     biperm_support_function,
     canonical_ray,
@@ -142,6 +143,18 @@ def test_negation_symmetry_breaks_at_n3():
     report = symmetry_checks(3)
     assert not report.negation_is_automorphism
     assert report.negation_witness == "12|13"
+
+
+def test_symmetry_report_at_n4():
+    assert symmetry_checks(4) == SymmetryReport(
+        n=4,
+        rays_relabel_invariant=True,
+        rays_swap_invariant=True,
+        vertices_relabel_equivariant=True,
+        vertices_swap_reverse=True,
+        negation_is_automorphism=False,
+        negation_witness="123|124",
+    )
 
 
 HYPERPLANE_TABLES = {
