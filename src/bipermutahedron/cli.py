@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .combinatorics import (
@@ -288,45 +288,40 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _suite_combinatorics(n: int, samples: int, seed: int | None) -> tuple[list[str], dict]:
-    failures = []
+def _suite_combinatorics(n: int, samples: int, seed: int | None) -> Iterator[str]:
     for m in range(1, n + 1):
         if sum(1 for _ in enumerate_bipermutations(m)) != bipermutation_count(m):
-            failures.append(f"bipermutation count at n={m} differs from (2n)!/2^n")
+            yield f"bipermutation count at n={m} differs from (2n)!/2^n"
         if count_bipermutations_recursively(m) != bipermutation_count(m):
-            failures.append(f"recursive count at n={m} differs from (2n)!/2^n")
+            yield f"recursive count at n={m} differs from (2n)!/2^n"
         if not bieulerian_by_descents(m).is_palindromic():
-            failures.append(f"descent histogram at n={m} is not palindromic")
-    return failures, {}
+            yield f"descent histogram at n={m} is not palindromic"
 
 
-def _suite_invariants(n: int, samples: int, seed: int | None) -> tuple[list[str], dict]:
-    failures = []
+def _suite_invariants(n: int, samples: int, seed: int | None) -> Iterator[str]:
     for m in range(1, n + 1):
         if f_vector_formula(m) != f_vector_bruteforce(m):
-            failures.append(f"f-vector formula and brute force differ at n={m}")
+            yield f"f-vector formula and brute force differ at n={m}"
         values = {name: route(m) for name, route in _BIEULERIAN_ROUTES.items()}
         if len(set(values.values())) != 1:
-            failures.append(f"biEulerian routes disagree at n={m}")
+            yield f"biEulerian routes disagree at n={m}"
         poly = values["descents"]
         if poly.evaluate(1) != bipermutation_count(m):
-            failures.append(f"B_n(1) differs from (2n)!/2^n at n={m}")
+            yield f"B_n(1) differs from (2n)!/2^n at n={m}"
         if real_root_check(poly) != "real-rooted":
-            failures.append(f"B_n fails the real-rootedness certificate at n={m}")
+            yield f"B_n fails the real-rootedness certificate at n={m}"
         if not (logconcavity_check(poly) and unimodality_check(poly)):
-            failures.append(f"B_n fails log-concavity/unimodality at n={m}")
-        if not sweep_orientation_check(min(m, 3)).passed:
-            failures.append(f"sweep indegrees differ from descents at n={min(m, 3)}")
+            yield f"B_n fails log-concavity/unimodality at n={m}"
+        if m <= 3 and not sweep_orientation_check(m).passed:
+            yield f"sweep indegrees differ from descents at n={m}"
     if not f_generating_check(min(n, 4), 2 * min(n, 4)):
-        failures.append("generating-function coefficients differ from the f-vector")
-    return failures, {}
+        yield "generating-function coefficients differ from the f-vector"
 
 
-def _suite_geometry(n: int, samples: int, seed: int | None) -> tuple[list[str], dict]:
-    failures = []
+def _suite_geometry(n: int, samples: int, seed: int | None) -> Iterator[str]:
     for m in range(1, n + 1):
         if not facet_check(m).passed:
-            failures.append(f"facet pairing bound fails at n={m}")
+            yield f"facet pairing bound fails at n={m}"
         report = symmetry_checks(m)
         if not (
             report.rays_relabel_invariant
@@ -334,63 +329,64 @@ def _suite_geometry(n: int, samples: int, seed: int | None) -> tuple[list[str], 
             and report.vertices_relabel_equivariant
             and report.vertices_swap_reverse
         ):
-            failures.append(f"relabeling/swap symmetry fails at n={m}")
+            yield f"relabeling/swap symmetry fails at n={m}"
         if m >= 3 and report.negation_is_automorphism:
-            failures.append(f"negation unexpectedly preserves the fan at n={m}")
-    counts = hyperplane_face_counts(min(n, 3))
-    if not counts.passed:
-        failures.append("hyperplane face counts differ from the closed forms")
-    return failures, {}
+            yield f"negation unexpectedly preserves the fan at n={m}"
+    # n = 1 has no hyperplanes to classify.
+    if n >= 2 and not hyperplane_face_counts(min(n, 3)).passed:
+        yield "hyperplane face counts differ from the closed forms"
 
 
-def _suite_triangulation(n: int, samples: int, seed: int | None) -> tuple[list[str], dict]:
-    failures = []
+def _suite_triangulation(n: int, samples: int, seed: int | None) -> Iterator[str]:
     if not pi1_lattice_check(n):
-        failures.append("projection does not identify the two sublattices")
+        yield "projection does not identify the two sublattices"
     if not unimodularity_check(n):
-        failures.append("some simplex has determinant other than +-1")
+        yield "some simplex has determinant other than +-1"
     cover = cover_check(n, samples, seed)
     if not cover.passed:
-        failures.append(
+        yield (
             "a sampled point received a negative barycentric coefficient: "
             + "; ".join(cover.failures[:3])
         )
-    f2f = face_to_face_check(min(n, 3), max(4, samples // 1000), seed)
-    if not f2f.passed:
-        failures.append("two simplices fail to meet along a common face")
+    if not face_to_face_check(min(n, 3), max(4, samples // 1000), seed).passed:
+        yield "two simplices fail to meet along a common face"
     if not hstar_consistency(n):
-        failures.append("triangulation h-vector differs from the Ehrhart route")
-    volumes = {str(n): str(bipermutation_count(n))}
-    return failures, {"volumes": volumes}
+        yield "triangulation h-vector differs from the Ehrhart route"
 
 
-def _suite_deformation(n: int, samples: int, seed: int | None) -> tuple[list[str], dict]:
-    failures = []
+def _suite_deformation(n: int, samples: int, seed: int | None) -> Iterator[str]:
     for wall in enumerate_walls(n):
         if not same_inequality(wall_inequality(wall), generic_wallcross_oracle(wall)):
-            failures.append(f"closed-form inequality differs from the oracle at {wall}")
+            yield f"closed-form inequality differs from the oracle at {wall}"
             break
     if not inequality_table_check(n):
-        failures.append("the generated wall inequalities differ from the wall walk")
+        yield "the generated wall inequalities differ from the wall walk"
     biperm = named_support("biperm", n)
     harmonic = named_support("harmonic", n)
     table_p = wall_value_table(biperm, n)
-    expected_a = {"i": {2}, "ii": {2}, "iii": {4}} if n >= 3 else {"iii": {4}}
+    if n >= 3:
+        expected_a = {"i": {2}, "ii": {2}, "iii": {4}}
+    else:
+        # n = 2 has only case-iii walls, and n = 1 has no walls at all.
+        expected_a = {"iii": {4} if n == 2 else set()}
     for case, values in expected_a.items():
         if table_p.kind_a_values(case) != {Fraction(v) for v in values}:
-            failures.append(f"kind-A case {case} values for the bipermutahedron differ")
+            yield f"kind-A case {case} values for the bipermutahedron differ"
     if table_p.kind_b and table_p.kind_b_min() < n:
-        failures.append("a kind-B wall value for the bipermutahedron is below n")
+        yield "a kind-B wall value for the bipermutahedron is below n"
     table_h = wall_value_table(harmonic, n)
     if table_h.kind_b and set(table_h.kind_b) != {Fraction(1)}:
-        failures.append("kind-B values for the harmonic polytope differ from 1")
+        yield "kind-B values for the harmonic polytope differ from 1"
     result = minkowski_quotient(biperm, harmonic, n)
-    if result.status != "ok" or result.value != 2:
-        failures.append("the Minkowski quotient of the pair differs from 2")
-    return failures, {}
+    # No wall bounds the quotient at n = 1.
+    expected = "2" if n >= 2 else "unbounded"
+    got = "unbounded" if result.status == "unbounded" else str(result.value)
+    if got != expected:
+        yield f"the Minkowski quotient of the pair differs from {expected}"
 
 
-# The suites by --suite name; "all" runs them in this order.
+# The suites by --suite name; "all" runs them in this order.  Each yields
+# its failure messages.
 SUITES = {
     "combinatorics": _suite_combinatorics,
     "invariants": _suite_invariants,
@@ -402,16 +398,14 @@ SUITES = {
 
 def _cmd_check(args) -> int:
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    needs_seed = "triangulation" in selected
-    if needs_seed and args.seed is None:
+    if "triangulation" in selected and args.seed is None:
         print("a seed is required for randomized suites", file=sys.stderr)
         return 2
-    failures: list[str] = []
-    extras: dict = {}
-    for name in selected:
-        suite_failures, suite_extras = SUITES[name](args.n, args.samples, args.seed)
-        failures.extend(f"{name}: {msg}" for msg in suite_failures)
-        extras.update(suite_extras)
+    failures = [
+        f"{name}: {msg}"
+        for name in selected
+        for msg in SUITES[name](args.n, args.samples, args.seed)
+    ]
     payload = {
         "suite": args.suite,
         "n": args.n,
@@ -419,7 +413,9 @@ def _cmd_check(args) -> int:
         "passed": not failures,
         "failures": failures,
     }
-    payload.update(extras)
+    if "triangulation" in selected:
+        # The normalised volume of the product of n triangles, (2n)!/2^n.
+        payload["volumes"] = {str(args.n): str(bipermutation_count(args.n))}
     body = ["passed" if not failures else "failed"] + failures
     _emit(payload, args.format, args.seed, body)
     return 0 if not failures else 1

@@ -291,24 +291,12 @@ def supermodular_inequality(wall: Wall) -> WallInequality:
     )
 
 
-def _barred_splits(wall: Wall) -> tuple[list[tuple[Bisubset, bool]], list[int]]:
-    """Splits of the doubled word at the switch positions.
-
-    Returns (switch splits, switch positions); each split is tagged True
-    when the switch goes unbarred to barred (the negative side).
-    """
-    n = wall.n
-    word = _kind_b_word(wall.bisequence)
-    statuses = [barred for _, barred in word]
-    splits: list[tuple[Bisubset, bool]] = []
-    positions: list[int] = []
-    for m in range(1, 2 * n):
-        if statuses[m - 1] != statuses[m]:
-            left = frozenset(e for e, _ in word[:m])
-            right = frozenset(e for e, _ in word[m:])
-            splits.append((Bisubset(left, right, n), statuses[m]))
-            positions.append(m)
-    return splits, positions
+def _switches(wall: Wall) -> list[tuple[int, bool]]:
+    """The switch positions m of a kind-B wall's doubled word, where the bar
+    flag changes between letters m and m + 1, each tagged True when the
+    switch goes unbarred to barred (the negative side)."""
+    flags = [barred for _, barred in _kind_b_word(wall.bisequence)]
+    return [(m, flags[m]) for m in range(1, len(flags)) if flags[m - 1] != flags[m]]
 
 
 def updown_inequality(wall: Wall) -> WallInequality:
@@ -326,7 +314,7 @@ def updown_inequality(wall: Wall) -> WallInequality:
     if wall.kind != "B":
         raise KindMismatch("up-down inequalities belong to kind B walls")
     tree = wall_tree(wall)
-    splits, _ = _barred_splits(wall)
+    splits = [(Bisubset(*tree.edges[m - 1], wall.n), up) for m, up in _switches(wall)]
     one = Fraction(1)
     plus = tuple((bs, one) for bs, up in splits if not up)
     minus = tuple((bs, one) for bs, up in splits if up)
@@ -371,46 +359,41 @@ def wall_tree(wall: Wall) -> WallTree:
     n = wall.n
     word = _kind_b_word(wall.bisequence)
     ground = frozenset(range(1, n + 1))
-    edges = []
-    for m in range(1, 2 * n):
-        left = frozenset(e for e, _ in word[:m])
-        right = frozenset(e for e, _ in word[m:])
-        edges.append((left, right))
+    edges = tuple(
+        (frozenset(e for e, _ in word[:m]), frozenset(e for e, _ in word[m:]))
+        for m in range(1, 2 * n)
+    )
     top = tuple(dict.fromkeys(left for left, _ in edges))
     bottom = tuple(dict.fromkeys(right for _, right in edges))
     if len(top) != n or len(bottom) != n or len(set(edges)) != 2 * n - 1:
         raise AssertionError("wall tree must have 2n vertices and 2n-1 edges")
 
-    adjacency: dict[tuple[str, frozenset[int]], list] = {}
-    for left, right in edges:
-        adjacency.setdefault(("top", left), []).append(("bottom", right))
-        adjacency.setdefault(("bottom", right), []).append(("top", left))
-    # Connected with 2n vertices and 2n-1 distinct edges == tree.
-    start = ("top", ground)
-    seen = {start}
-    frontier = deque([start])
-    parent: dict = {start: None}
+    # Breadth-first from the top vertex E.  via[0] and via[1] map each top
+    # and each bottom vertex reached to the edge that reached it.
+    incident: tuple[dict, dict] = ({}, {})
+    for edge in edges:
+        incident[0].setdefault(edge[0], []).append(edge)
+        incident[1].setdefault(edge[1], []).append(edge)
+    via: tuple[dict, dict] = ({ground: None}, {})
+    frontier = deque([(0, ground)])
     while frontier:
-        node = frontier.popleft()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = node
-                frontier.append(nxt)
-    if len(seen) != 2 * n:
+        side, vertex = frontier.popleft()
+        for edge in incident[side][vertex]:
+            if edge[1 - side] not in via[1 - side]:
+                via[1 - side][edge[1 - side]] = edge
+                frontier.append((1 - side, edge[1 - side]))
+    # Connected with 2n vertices and 2n-1 distinct edges == tree.
+    if len(via[0]) + len(via[1]) != 2 * n:
         raise AssertionError("wall tree must be connected")
 
-    node = ("bottom", ground)
-    path_nodes = [node]
-    while parent[node] is not None:
-        node = parent[node]
-        path_nodes.append(node)
-    # path_nodes runs from bottom-E to the root top-E, matching word order.
+    # The spine, read back from the bottom vertex E to the root, runs in
+    # word order.
     spine = []
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        topside = a if a[0] == "top" else b
-        bottomside = b if b[0] == "bottom" else a
-        spine.append(Bisubset(topside[1], bottomside[1], n))
+    side, edge = 1, via[1][ground]
+    while edge is not None:
+        spine.append(Bisubset(*edge, n))
+        side = 1 - side
+        edge = via[side][edge[side]]
 
     vec = [0] * (2 * n)
     sign = -1  # the spine starts and ends with unbarred-to-barred switches
@@ -428,7 +411,7 @@ def wall_tree(wall: Wall) -> WallTree:
         n=n,
         top=top,
         bottom=bottom,
-        edges=tuple(edges),
+        edges=edges,
         spine=tuple(spine),
     )
 
@@ -444,10 +427,9 @@ def updown_value_by_segments(wall: Wall) -> int:
     if wall.kind != "B":
         raise KindMismatch("segment evaluation belongs to kind B walls")
     n = wall.n
-    _, positions = _barred_splits(wall)
     total = 0
     sign = 1
-    for m in positions:
+    for m, _ in _switches(wall):
         total += sign * m * (2 * n - m)
         sign = -sign
     return total
@@ -915,26 +897,41 @@ _EXPONENT_FORM = re.compile(
 )
 
 
+@cache
+def _digit_bound(limit: int) -> int:
+    """The least integer with more than ``limit`` digits."""
+    return 10**limit
+
+
 def _support_value(text: str) -> Fraction:
-    """``Fraction(text)``, but a value in exponent form whose numerator or
-    denominator would have more digits than ``sys.get_int_max_str_digits()``
-    is refused before its power of ten is built.  Plain digits past the limit
-    already fail in ``Fraction``; before Python 3.10.7 there is no limit."""
-    match = _EXPONENT_FORM.fullmatch(text) if "e" in text.lower() else None
-    limit = match and getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """``Fraction(text)``, but refused when its numerator or denominator has
+    more digits than ``sys.get_int_max_str_digits()``, so that every value
+    read can be printed.  A value in exponent form past the limit is refused
+    before its power of ten is built.  Before Python 3.10.7 there is no
+    limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return Fraction(text)
-    mantissa, exponent = Fraction(match[1]), int(match[2])
-    # The numerator (e > 0) or the denominator (e < 0) is at least 10**|e|
-    # over the mantissa's other part, which is below 2**bits.
-    bits = mantissa.numerator.bit_length() + mantissa.denominator.bit_length()
-    if abs(exponent) < limit + bits:
+    match = _EXPONENT_FORM.fullmatch(text) if "e" in text.lower() else None
+    if match is None:
+        value = Fraction(text)
+    else:
+        mantissa, exponent = Fraction(match[1]), int(match[2])
+        if not mantissa:
+            return mantissa
+        # The numerator (e > 0) or the denominator (e < 0) is at least
+        # 10**|e| over the mantissa's other part, which is below 2**bits.
+        bits = mantissa.numerator.bit_length() + mantissa.denominator.bit_length()
+        if abs(exponent) >= limit + bits:
+            raise _too_many_digits(limit)
         value = mantissa * Fraction(10) ** exponent
-        if max(abs(value.numerator), value.denominator) < 10**limit:
-            return value
-    elif not mantissa:
-        return mantissa
-    raise ValueError(
+    if max(abs(value.numerator), value.denominator) >= _digit_bound(limit):
+        raise _too_many_digits(limit)
+    return value
+
+
+def _too_many_digits(limit: int) -> ValueError:
+    return ValueError(
         f"the value's numerator or denominator exceeds the limit "
         f"({limit} digits) for integer string conversion"
     )

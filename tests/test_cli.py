@@ -300,6 +300,26 @@ class TestSupportValueDigitLimit:
             "limit (4300 digits) for integer string conversion\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nef-check", "--n", "2", "--support", "support.csv"],
+            ["quotient", "--n", "2", "--p", "biperm", "--q", "support.csv"],
+        ],
+        ids=["nef-check", "quotient"],
+    )
+    def test_plain_digits_past_the_limit_are_refused_with_their_line(
+        self, capsys, argv
+    ):
+        # 6,000 digits, though no run of them passes the limit on its own.
+        write_support_with_value("1" * 3000 + "." + "1" * 3000)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 1: the value's numerator or denominator exceeds the "
+            "limit (4300 digits) for integer string conversion\n"
+        )
+
     # Exit code and sha256 of stdout + NUL + stderr of nef-check on the file.
     @pytest.mark.parametrize(
         ("value", "code", "digest"),
@@ -317,18 +337,24 @@ class TestSupportValueDigitLimit:
 
 class TestCheckSuites:
     @pytest.mark.parametrize(
-        "suite", ["combinatorics", "invariants", "geometry", "deformation"]
+        ("suite", "n"),
+        [
+            pytest.param(suite, n, id=suite if n == 2 else f"{suite}-n{n}")
+            for n in (2, 1)
+            for suite in ("combinatorics", "invariants", "geometry", "deformation")
+        ],
     )
-    def test_deterministic_suites_pass(self, capsys, suite):
-        code, out, _ = run_cli(capsys, "check", "--n", "2", "--suite", suite)
+    def test_deterministic_suites_pass(self, capsys, suite, n):
+        code, out, _ = run_cli(capsys, "check", "--n", str(n), "--suite", suite)
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["failures"] == []
 
-    def test_all_suites_with_seed(self, capsys):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_all_suites_with_seed(self, capsys, n):
         code, out, _ = run_cli(
-            capsys, "check", "--n", "2", "--suite", "all", "--seed", "11", "--samples", "50"
+            capsys, "check", "--n", str(n), "--suite", "all", "--seed", "11", "--samples", "50"
         )
         assert code == 0
         assert json.loads(out)["passed"] is True

@@ -1,6 +1,8 @@
 """Tests for wall enumeration, wall-crossing inequalities, and cone membership."""
 
+import dataclasses
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -194,7 +196,7 @@ class TestWallTree:
             "1234567|67",
         ]
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tree_shape(self, n):
         for wall in enumerate_walls(n):
             if wall.kind != "B":
@@ -206,6 +208,17 @@ class TestWallTree:
             spine_labels = [str(b) for b in tree.spine]
             ineq = updown_inequality(wall)
             assert set(spine_labels) == {str(b) for b, _ in ineq.plus + ineq.minus}
+
+    def test_updown_inequality_checks_the_spine(self, monkeypatch):
+        real_tree = deformation.wall_tree
+
+        def reversed_spine(wall):
+            tree = real_tree(wall)
+            return dataclasses.replace(tree, spine=tree.spine[::-1])
+
+        monkeypatch.setattr(deformation, "wall_tree", reversed_spine)
+        with pytest.raises(AssertionError, match="spine must consist of the switch"):
+            updown_inequality(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7, "B"))
 
 
 class TestSegmentEvaluation:
@@ -429,6 +442,22 @@ class TestSupportCsv:
             assert str(excinfo.value) == f"line 1: {exc}"
         else:
             assert self.first_value_read(value) == expected
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="needs an interpreter with a limit on int conversion",
+    )
+    def test_plain_values_keep_to_the_digit_limit(self):
+        # Each run of digits stays under the limit, which Fraction checks;
+        # the numerator they join into reaches it, and then passes it.
+        half = sys.get_int_max_str_digits() // 2
+        at_limit = "9" * (sys.get_int_max_str_digits() - half) + "." + "9" * half
+        assert self.first_value_read(at_limit) == Fraction(at_limit)
+        with pytest.raises(ValueError) as excinfo:
+            self.first_value_read(at_limit + "9")
+        assert str(excinfo.value).startswith(
+            "line 1: the value's numerator or denominator exceeds the limit"
+        )
 
     def test_zero_mantissa_builds_no_power_of_ten(self):
         start = time.perf_counter()

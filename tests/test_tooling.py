@@ -1,9 +1,14 @@
-"""The benchmark's span tracer names only functions the package still has."""
+"""Tooling checks: the benchmark's span tracer names only functions the
+package still has, the package imports nothing it does not use, and the
+README's command line tour prints what it shows."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from bipermutahedron import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -74,3 +79,44 @@ def test_package_has_no_unused_imports():
         f"{path.stem}.{name}" for path in modules for name in unused_imports(path)
     ]
     assert unused == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_tour():
+    """(command, shown output lines) for each ``$ bipermutahedron ...`` line
+    in the README's ``sh`` blocks; the shown lines run to the next ``$``
+    line or the end of the block."""
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        examples = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                examples.append((line[2:], []))
+            elif examples:
+                examples[-1][1].append(line)
+        yield from (ex for ex in examples if ex[0].startswith("bipermutahedron "))
+
+
+def test_readme_tour_runs_as_shown(capsys, monkeypatch, tmp_path):
+    # The tour runs in a scratch directory, where `> FILE` writes the output
+    # to FILE for the examples that read it back.
+    monkeypatch.chdir(tmp_path)
+    examples = list(readme_tour())
+    assert len(examples) >= 10
+    for line, shown in examples:
+        command, _, comment = line.partition("#")
+        exit_comment = re.match(r"\s*exit (\d+)", comment)
+        command, _, head = command.partition("|")
+        command, _, target = command.partition(">")
+        code = cli.main(shlex.split(command)[1:])
+        out = capsys.readouterr().out
+        assert code == (int(exit_comment[1]) if exit_comment else 0), line
+        if target:
+            Path(target.strip()).write_text(out, encoding="utf-8")
+        lines = out.splitlines()
+        if head:
+            lines = lines[: int(re.fullmatch(r"\s*head -(\d+)\s*", head)[1])]
+        if shown:
+            assert lines == shown, line
