@@ -71,6 +71,11 @@ from .triangulation import (
 _WALLS_N5 = 453_600
 _WALLS_N6 = 37_422_000
 
+# The vertices are listed one per bipermutation, (2n)!/2^n of them: 113,400
+# at n = 5 and 7,484,400 at n = 6.  That count also grows with n, so the
+# largest n whose vertices can be listed is a bound on n itself.
+_VERTICES_MAX_N = 5
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -154,6 +159,12 @@ def _cmd_bieulerian(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
+    if args.n > _VERTICES_MAX_N:
+        raise ValueError(
+            f"n = {args.n} has more vertices than the "
+            f"{bipermutation_count(_VERTICES_MAX_N)} at n = {_VERTICES_MAX_N}, "
+            f"the largest n whose vertices can be listed"
+        )
     data = vertices_json(args.n)
     body = [
         "{} top={} bottom={}".format(

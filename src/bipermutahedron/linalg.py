@@ -6,14 +6,16 @@ points, unique expansions of a ray in terms of other rays.  The matrices
 involved are tiny (at most ``2n`` rows for the ground set sizes we care
 about).
 
-One kernel does all the elimination: fraction-free Gauss-Jordan elimination
-(Bareiss 1968) on integer rows.  Rational input is first made integral row
-by row, scaling each row by the lcm of its denominators, which changes
-neither the solutions of a system nor its null space.  Every entry the
-kernel produces is an integer minor of its input, so no ``Fraction`` is
-built during elimination; the reduced row echelon form is the result
-divided by one common pivot value ``d``, and ``det_int``, ``solve_unique``
-and ``nullspace_normal`` read their answers off it.
+One kernel does all the elimination: fraction-free elimination (Bareiss
+1968) on integer rows.  Rational input is first made integral row by row,
+scaling each row by the lcm of its denominators, which changes neither the
+solutions of a system nor its null space.  Every entry the kernel produces
+is an integer minor of its input, so no ``Fraction`` is built during
+elimination.  ``solve_unique`` and ``nullspace_normal`` run it as
+Gauss-Jordan elimination: the reduced row echelon form is the result divided
+by one common pivot value ``d``, and they read their answers off it.
+``det_int`` needs only ``d``, the minor on the pivot rows and columns, so it
+runs the kernel forward only, clearing below each pivot and never above.
 
 Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
 
@@ -40,7 +42,9 @@ def _scaled_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _bareiss(
+    a: list[list[int]], ncols: int, forward_only: bool = False
+) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of the integer rows ``a`` in
     place, choosing pivots among the first ``ncols`` columns.
 
@@ -51,6 +55,11 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     row echelon form.  ``d`` is the minor on the pivot rows and columns (1
     when there is no pivot) and ``sign`` is -1 to the number of row swaps.
     Later columns (a right-hand side) are carried along.
+
+    With ``forward_only`` no row above a pivot is touched: row ``r`` keeps
+    the leading minor of order ``r + 1`` in column ``pivot_cols[r]``, so
+    the rows form an echelon form instead, and the returned triple is the
+    same.
     """
     rows = len(a)
     pivot_cols: list[int] = []
@@ -66,7 +75,7 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
             sign = -sign
         top = a[rank]
         pv = top[col]
-        for i in range(rows):
+        for i in range(rank + 1 if forward_only else 0, rows):
             if i == rank:
                 continue
             row = a[i]
@@ -82,8 +91,8 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss
-    elimination.
+    """Determinant of a square integer matrix, by forward-only fraction-free
+    Bareiss elimination.
 
     >>> det_int([[2, 0], [1, 3]])
     6
@@ -94,7 +103,7 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     m = len(a)
     if any(len(row) != m for row in a):
         raise ValueError("matrix must be square")
-    pivot_cols, d, sign = _bareiss(a, m)
+    pivot_cols, d, sign = _bareiss(a, m, forward_only=True)
     return sign * d if len(pivot_cols) == m else 0
 
 

@@ -19,6 +19,13 @@ mapping v_(S,T) to e_S + f_T and the three cone points into the span of
 e_E and f_E; pi1 restricts to a bijection on the affine hull of Delta^n.
 Points are located in these 2n coordinates, where barycentric coordinates
 in T_B have an integer closed form (see ``_barycentric``).
+
+Location and unimodularity run on integers from the splits of B alone:
+``cover_locate`` checks its table as numerators over one lcm, and both it
+and ``unimodularity_check`` read the simplex off the cone points and
+``bisubsets_of(B)``, building no ``ProductVertex``.  A location is
+certified by ``_rebuild``, which sums each coefficient over its vertex's
+sets and so shares no step with the closed form it checks.
 """
 
 from __future__ import annotations
@@ -172,12 +179,13 @@ def unimodularity_check(n: int) -> bool:
     >>> unimodularity_check(2)
     True
     """
-    apex = cone_points(n)[2].pi1()
+    ground = range(1, n + 1)
+    cone_rows = [[-1] * n + [0] * n, [0] * n + [-1] * n]
     for bp in enumerate_bipermutations(n):
-        simplex = simplex_of_bipermutation(bp)
-        matrix = [
-            [a - b for a, b in zip(vertex.pi1(), apex)]
-            for vertex in simplex.vertices[:2] + simplex.vertices[3:]
+        matrix = cone_rows + [
+            [-(i not in bs.left) for i in ground]
+            + [-(i not in bs.right) for i in ground]
+            for bs in bisubsets_of(bp)
         ]
         if det_int(matrix) not in (1, -1):
             return False
@@ -201,44 +209,50 @@ class LocatedPoint:
 def cover_locate(p: Table) -> LocatedPoint:
     """Locate a rational point of Delta^n in the triangulation.
 
-    Reads the candidate bipermutation off the configuration pi1(p) and
-    writes pi1(p) in the barycentric basis of its simplex in closed form
-    (see ``_barycentric``), on integer numerators over the lcm of the
-    point's denominators.  The answer is certified by rebuilding pi1(p)
-    from the coefficients in integers.
+    The 3 x n table is checked and projected on integer numerators over
+    the lcm of its denominators.  Reads the candidate bipermutation off the
+    configuration pi1(p) and writes pi1(p) in the barycentric basis of its
+    simplex in closed form (see ``_barycentric``).  The answer is certified
+    by rebuilding pi1(p) from the coefficients and the splits of the
+    bipermutation in integers (see ``_rebuild``).
 
     Raises TieOnBoundary when the configuration reading is coarser than a
     bipermutation (the caller re-samples), and NegativeCoefficient if any
     barycentric coordinate is negative, which would disprove covering.
     """
     n = len(p[0])
-    for column in zip(*p):
-        if sum(column) != 1:
+    cells, den = _scaled_integers([x for row in p for x in row])
+    rows = [cells[r * n : (r + 1) * n] for r in range(len(p))]
+    for column in zip(*rows):
+        if sum(column) != den:
             raise ValueError("columns of a point of Delta^n must sum to 1")
-        if any(x < 0 for x in column):
+        if min(column) < 0:
             raise ValueError("points of Delta^n have nonnegative entries")
-    numerators, den = _scaled_integers(projection_pi1(p))
+    # Once every column sums to 1, the denominators of w divide the lcm of
+    # those of u and v, so den is the lcm of the denominators of pi1(p).
+    u, v, _w = rows
+    numerators = [den - x for x in u] + [den - x for x in v]
     reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:
         raise TieOnBoundary(
             f"configuration reads as {reading}, not a bipermutation"
         )
     bp = Bipermutation(tuple(next(iter(part)) for part in reading.parts))
+    splits = bisubsets_of(bp)
     coeffs = _barycentric(bp, numerators, den)
-    if _rebuild(simplex_of_bipermutation(bp), coeffs) != numerators:
+    if _rebuild(n, splits, coeffs) != numerators:
         raise ArithmeticError(
             f"barycentric coefficients in the simplex of {bp} do not "
             f"rebuild pi1 of the point, {numerators} over {den}"
         )
-    a, b, c, *lams = (Fraction(x, den) for x in coeffs)
-    located = LocatedPoint(bp, a, b, c, tuple(zip(bisubsets_of(bp), lams)))
-    for value in located.coefficients():
-        if value < 0:
+    for x in coeffs:
+        if x < 0:
             raise NegativeCoefficient(
                 f"point in the chamber of {bp} has barycentric coefficient "
-                f"{value} < 0; the simplices would not cover Delta^n"
+                f"{Fraction(x, den)} < 0; the simplices would not cover Delta^n"
             )
-    return located
+    a, b, c, *lams = (Fraction(x, den) for x in coeffs)
+    return LocatedPoint(bp, a, b, c, tuple(zip(splits, lams)))
 
 
 def _barycentric(bp: Bipermutation, point: Sequence[int], weight: int) -> list[int]:
@@ -269,13 +283,24 @@ def _barycentric(bp: Bipermutation, point: Sequence[int], weight: int) -> list[i
     ]
 
 
-def _rebuild(simplex: BipermSimplex, coeffs: Sequence[int]) -> list[int]:
-    """pi1 of sum(coeff * vertex), skipping zero coefficients."""
-    point = [0] * (2 * simplex.n)
-    for coeff, vertex in zip(coeffs, simplex.vertices):
-        if coeff:
-            for i, x in enumerate(vertex.pi1()):
-                point[i] += coeff * x
+def _rebuild(
+    n: int, splits: Sequence[Bisubset], coeffs: Sequence[int]
+) -> list[int]:
+    """pi1 of sum(coeff * vertex) over T_B, given the splits of B and the
+    coefficients [a, b, c, lambda_1, ...] in BipermSimplex vertex order.
+
+    The cone points v_(empty,E), v_(E,empty) and v_(E,E) put b + c on each
+    z coordinate and a + c on each w coordinate; lambda_j adds to z_i for
+    i in S_j and to w_i for i in T_j (pi1 v_(S,T) = e_S + f_T).
+    """
+    a, b, c, *lams = coeffs
+    point = [b + c] * n + [a + c] * n
+    for bs, lam in zip(splits, lams):
+        if lam:
+            for i in bs.left:
+                point[i - 1] += lam
+            for i in bs.right:
+                point[n + i - 1] += lam
     return point
 
 
@@ -362,6 +387,7 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
     simplices = [
         simplex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
     ]
+    splits = [bisubsets_of(s.bipermutation) for s in simplices]
     vertex_sets = [set(s.vertices) for s in simplices]
     per_mode = max(1, samples // 4)
     failures: list[str] = []
@@ -385,7 +411,7 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
             for _ in range(per_mode):
                 # Shared-support sample: must live in both simplices.
                 coeffs, total = weights(shared_idx, len(source.vertices))
-                point = _rebuild(source, coeffs)
+                point = _rebuild(n, splits[src], coeffs)
                 mus = _barycentric(target.bipermutation, point, total)
                 expected = {
                     v: c for v, c in zip(source.vertices, coeffs) if c
@@ -404,7 +430,7 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
                 coeffs, total = weights(
                     list(range(len(source.vertices))), len(source.vertices)
                 )
-                point = _rebuild(source, coeffs)
+                point = _rebuild(n, splits[src], coeffs)
                 mus = _barycentric(target.bipermutation, point, total)
                 if all(mu >= 0 for mu in mus):
                     failures.append(

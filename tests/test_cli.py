@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bipermutahedron import cli, combinatorics, deformation
+from bipermutahedron import cli, combinatorics, deformation, geometry
 from bipermutahedron.cli import main
 from bipermutahedron.deformation import (
     format_support_csv,
@@ -417,6 +417,30 @@ class TestInfeasibleN:
         argv = [command, "--n", "6"] + (["--support", "biperm"] if command == "nef-check" else [])
         with pytest.raises(RuntimeError, match="enumerated"):
             main(argv)
+
+    @pytest.fixture
+    def no_bipermutations(self, monkeypatch):
+        # A missing guard then fails at once instead of listing 7,484,400
+        # vertices at n = 6.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("bipermutations were enumerated")
+
+        monkeypatch.setattr(geometry, "enumerate_bipermutations", refuse)
+        monkeypatch.setattr(combinatorics, "enumerate_bipermutations", refuse)
+
+    @pytest.mark.parametrize("n", ["6", "10", "100000"])
+    def test_vertices_refused_before_any_enumeration(self, capsys, no_bipermutations, n):
+        code, out, err = run_cli(capsys, "vertices", "--n", n, "--format", "text")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: n = {n} has more vertices than the 113400 at n = 5, "
+            "the largest n whose vertices can be listed\n"
+        )
+
+    def test_n5_vertices_are_not_refused(self, no_bipermutations):
+        with pytest.raises(RuntimeError, match="enumerated"):
+            main(["vertices", "--n", "5"])
 
 
 # Lines a corrupted support file may contain: wrong field counts, non-integer

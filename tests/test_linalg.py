@@ -8,6 +8,8 @@ from math import gcd, prod
 import pytest
 
 from bipermutahedron.linalg import (
+    _bareiss,
+    _scaled_integers,
     det_int,
     nullspace_normal,
     primitive_integer_vector,
@@ -178,6 +180,33 @@ def test_det_int_of_constructed_matrices():
                 if m > 1:
                     a[rng.randrange(m)] = [0] * m
                     assert det_int(a) == 0
+
+
+def _det_by_mode(matrix, forward_only):
+    a = [list(row) for row in matrix]
+    pivot_cols, d, sign = _bareiss(a, len(a), forward_only=forward_only)
+    return sign * d if len(pivot_cols) == len(a) else 0
+
+
+def test_forward_only_determinant_matches_gauss_jordan():
+    rng = random.Random(31)
+    for m in range(1, 9):
+        for trial in range(16):
+            a, det = _nonsingular(rng, m, dense=trial % 2 == 1)
+            if trial % 4 == 1:
+                a = _scale_rows(rng, a)
+            elif trial % 4 == 2 and m > 1:
+                a = _make_singular(rng, _scale_rows(rng, a))
+            elif trial % 4 == 3:
+                a = [[_small(rng) for _ in range(m)] for _ in range(m)]
+            ints = [_scaled_integers(row)[0] for row in a]
+            want = _det_by_mode(ints, forward_only=False)
+            assert _det_by_mode(ints, forward_only=True) == want
+            assert det_int(ints) == want
+            if trial % 4 == 0:
+                assert want == det
+            if trial % 4 == 2 and m > 1:
+                assert want == 0
 
 
 def test_solve_unique_by_substitution():

@@ -1,5 +1,6 @@
 """The unimodular triangulation of the product of n triangles."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,9 @@ from itertools import combinations
 import pytest
 
 from bipermutahedron.combinatorics import (
+    _covering_pairs,
     bipermutation_count,
+    bisubsets_of,
     enumerate_bipermutations,
     parse_bipermutation,
 )
@@ -238,7 +241,7 @@ def test_closed_form_barycentric_matches_linear_solve():
             for target in (point, outside):
                 coeffs = _barycentric(bp, target, weight)
                 assert coeffs == _reference_barycentric(simplex, target, weight)
-                assert _rebuild(simplex, coeffs) == target
+                assert _rebuild(bp.n, bisubsets_of(bp), coeffs) == target
             assert _barycentric(bp, point, weight) == inside
 
 
@@ -270,3 +273,126 @@ def test_cover_locate_certifies_by_reconstruction(monkeypatch):
     with pytest.raises(ArithmeticError, match="do not rebuild") as excinfo:
         cover_locate(p)
     assert excinfo.type is ArithmeticError
+
+
+P61 = 2**61 - 1
+
+
+def _digest_column(rng, den):
+    x, y = sorted((rng.randint(0, den), rng.randint(0, den)))
+    return F(x, den), F(y - x, den), F(den - y, den)
+
+
+def _digest_tables():
+    """630 seeded points at n = 3, 4, 5 with denominators 97, 2^61 - 1 or
+    a mix of both across columns, then every vertex table of Delta^1 and
+    Delta^2 in plain ints."""
+    rng = random.Random(20261018)
+    for n in (3, 4, 5):
+        for dens in ((97,), (P61,), (97, P61)):
+            for _ in range(70):
+                columns = [_digest_column(rng, rng.choice(dens)) for _ in range(n)]
+                yield tuple(zip(*columns))
+    for n in (1, 2):
+        for left, right in _covering_pairs(n):
+            columns = [
+                (int(i not in left), int(i not in right), int(i in left and i in right))
+                for i in range(1, n + 1)
+            ]
+            yield tuple(zip(*columns))
+
+
+# sha256 of one line per table: the LocatedPoint's repr, or the exception's
+# class and message.  579 tables are located and 63 tie on a boundary.
+LOCATE_DIGEST = "26c4b29c2f55e10b455a5e944933478c5a3540174caca48455a2e7bea0c328fe"
+
+
+def test_cover_locate_answers_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for p in _digest_tables():
+        try:
+            line = repr(cover_locate(p))
+            outcomes["located"] += 1
+        except (ValueError, ArithmeticError) as exc:
+            line = f"{type(exc).__name__}: {exc}"
+            outcomes[type(exc).__name__] += 1
+        digest.update(line.encode() + b"\n")
+    assert outcomes == {"located": 579, "TieOnBoundary": 63}
+    assert digest.hexdigest() == LOCATE_DIGEST
+
+
+SUM_MESSAGE = "columns of a point of Delta^n must sum to 1"
+SIGN_MESSAGE = "points of Delta^n have nonnegative entries"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # a negative entry in column 1 comes before a bad sum in column 2
+        (((F(2), F(1, 2)), (F(-1), F(1, 2)), (F(0), F(1, 2))), SIGN_MESSAGE),
+        # a bad sum in column 1 comes before a negative entry in column 2
+        (((F(1), F(2)), (F(1), F(-1)), (F(0), F(0))), SUM_MESSAGE),
+        # within a column the sum is checked first
+        (((F(3),), (F(-1),), (F(-2),)), SUM_MESSAGE),
+        (((F(3),), (F(-1),), (F(-1),)), SIGN_MESSAGE),
+        (((2, 0), (-1, 1), (0, 0)), SIGN_MESSAGE),
+        (((1, 0), (1, 1), (0, 0)), SUM_MESSAGE),
+        (((1, 0), (0, 0), (0, 0)), SUM_MESSAGE),
+        (((F(1, 3), F(1, 2)), (F(1, 3), F(1, 2)), (F(1, 2), F(0))), SUM_MESSAGE),
+    ],
+)
+def test_cover_locate_rejects_malformed_tables(table, message):
+    with pytest.raises(ValueError) as excinfo:
+        cover_locate(table)
+    assert excinfo.type is ValueError
+    assert str(excinfo.value) == message
+
+
+def test_cover_locate_of_plain_int_tables():
+    located = cover_locate(((0,), (0,), (1,)))
+    assert located.bipermutation == parse_bipermutation("1")
+    assert located.coefficients() == [0, 0, 1]
+    with pytest.raises(TieOnBoundary, match=r"reads as 2\|1, not a bipermutation"):
+        cover_locate(((1, 0), (0, 1), (0, 0)))
+
+
+def test_unimodularity_check_fails_on_a_repeated_split(monkeypatch):
+    def repeat_first(bp):
+        splits = bisubsets_of(bp)
+        return (splits[0],) + splits[:-1]
+
+    monkeypatch.setattr(triangulation, "bisubsets_of", repeat_first)
+    assert unimodularity_check(2) is False
+
+
+def test_locate_and_unimodularity_build_no_product_vertex(monkeypatch):
+    u, v = (F(1, 5), F(1, 2), F(2, 9), F(1, 97)), (F(1, 3), F(1, 7), F(0), F(5, 6))
+    p = (u, v, tuple(1 - x - y for x, y in zip(u, v)))
+    expected = cover_locate(p)  # a generic point: no tie, no negative coefficient
+
+    def refuse(self):
+        raise RuntimeError("a ProductVertex was built")
+
+    monkeypatch.setattr(ProductVertex, "__post_init__", refuse)
+    assert cover_locate(p) == expected
+    assert unimodularity_check(3) is True
+
+
+def test_cover_locate_reports_a_negative_coefficient(monkeypatch):
+    u, v = (F(1, 5), F(1, 2)), (F(1, 3), F(1, 7))
+    p = (u, v, tuple(1 - x - y for x, y in zip(u, v)))
+    assert cover_locate(p).bipermutation == parse_bipermutation("1|1|2")
+    # Read the point into a neighbouring chamber: its coefficients there
+    # still rebuild pi1(p), but one is negative.
+    monkeypatch.setattr(
+        triangulation,
+        "bisequence_of_configuration",
+        lambda z, w: parse_bipermutation("1|2|1").to_bisequence(),
+    )
+    with pytest.raises(triangulation.NegativeCoefficient) as excinfo:
+        cover_locate(p)
+    assert str(excinfo.value) == (
+        "point in the chamber of 1|2|1 has barycentric coefficient -4/21 < 0; "
+        "the simplices would not cover Delta^n"
+    )
