@@ -44,11 +44,7 @@ from .invariants import (
     polytope_f_vector,
 )
 from .polynomials import IntPolynomial, real_root_check
-from .triangulation import (
-    cover_locate,
-    simplex_of_bipermutation,
-    unimodularity_check,
-)
+from .triangulation import cover_locate, unimodularity_check
 
 __version__ = "0.1.0"
 
@@ -83,6 +79,5 @@ __all__ = [
     "IntPolynomial",
     "real_root_check",
     "cover_locate",
-    "simplex_of_bipermutation",
     "unimodularity_check",
 ]

@@ -11,6 +11,7 @@ worry about 64-bit overflow.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -432,7 +433,10 @@ def _cmd_check(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="bipermutahedron",
         description=(

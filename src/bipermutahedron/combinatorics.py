@@ -659,5 +659,7 @@ def bisequence_of_configuration(
         keys.setdefault(zi, set()).add(i)
         if zi + wi != c:
             keys.setdefault(c - wi, set()).add(i)
-    parts = [keys[key] for key in sorted(keys, reverse=True)]
-    return validate_bisequence(parts, len(z))
+    # Every element lies in one or two parts, and the element with the least
+    # z_i + w_i lies on the line, so in one part: the axioms hold as built.
+    parts = tuple(frozenset(keys[key]) for key in sorted(keys, reverse=True))
+    return Bisequence(parts, len(z))

@@ -14,16 +14,16 @@ the covering property (by exact location of random rational points), the
 face-to-face property (by locating points of one simplex in another), and
 the resulting h-polynomial identity with the biEulerian polynomial.
 
+A simplex is held as the splits of its bipermutation, ``bisubsets_of(B)``.
+The cone points are shared by every simplex and stay implicit: a point of
+T_B is a coefficient list in the vertex order (empty,E), (E,empty), (E,E),
+then the splits of B, so the cone points sit at positions 0, 1 and 2.
+
 The affine projection pi1 sends a table (u, v, w) to (1 - u, 1 - v),
 mapping v_(S,T) to e_S + f_T and the three cone points into the span of
 e_E and f_E; pi1 restricts to a bijection on the affine hull of Delta^n.
 Points are located in these 2n coordinates, where barycentric coordinates
-in T_B have an integer closed form (see ``_barycentric``).
-
-Location and unimodularity run on integers from the splits of B alone:
-``cover_locate`` checks its table as numerators over one lcm, and both it
-and ``unimodularity_check`` read the simplex off the cone points and
-``bisubsets_of(B)``, building no ``ProductVertex``.  A location is
+in T_B have an integer closed form (see ``_barycentric``).  A location is
 certified by ``_rebuild``, which sums each coefficient over its vertex's
 sets and so shares no step with the closed form it checks.
 """
@@ -39,7 +39,6 @@ from typing import Sequence
 from .combinatorics import (
     Bipermutation,
     Bisubset,
-    _covering_pairs,
     bisequence_of_configuration,
     bisubsets_of,
     doubled_word,
@@ -62,92 +61,6 @@ class TieOnBoundary(ArithmeticError):
 class NegativeCoefficient(ArithmeticError):
     """A located point received a negative barycentric coefficient,
     contradicting the covering property of the triangulation."""
-
-
-@dataclass(frozen=True)
-class ProductVertex:
-    """A vertex of Delta^n: the pair (S, T) with S union T = E."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-    n: int
-
-    def __post_init__(self) -> None:
-        ground = frozenset(range(1, self.n + 1))
-        if self.left | self.right != ground:
-            raise ValueError("vertex sets must cover the ground set")
-
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """Rows are indicators of E - S, E - T, S intersect T."""
-        cols = range(1, self.n + 1)
-        return (
-            tuple(int(i not in self.left) for i in cols),
-            tuple(int(i not in self.right) for i in cols),
-            tuple(int(i in self.left and i in self.right) for i in cols),
-        )
-
-    def pi1(self) -> tuple[int, ...]:
-        """The projected point (1 - u, 1 - v) = e_S + f_T."""
-        cols = range(1, self.n + 1)
-        return tuple(int(i in self.left) for i in cols) + tuple(
-            int(i in self.right) for i in cols
-        )
-
-    def __str__(self) -> str:
-        fmt = lambda s: "{" + ",".join(map(str, sorted(s))) + "}"
-        return f"v({fmt(self.left)},{fmt(self.right)})"
-
-
-def delta_vertices(n: int) -> list[ProductVertex]:
-    """All 3^n vertices of Delta^n, in a fixed lexicographic order.
-
-    >>> len(delta_vertices(1)), len(delta_vertices(2))
-    (3, 9)
-    """
-    return [ProductVertex(left, right, n) for left, right in _covering_pairs(n)]
-
-
-def cone_points(n: int) -> tuple[ProductVertex, ProductVertex, ProductVertex]:
-    """The three vertices shared by every simplex of the triangulation."""
-    ground = frozenset(range(1, n + 1))
-    empty: frozenset[int] = frozenset()
-    return (
-        ProductVertex(empty, ground, n),
-        ProductVertex(ground, empty, n),
-        ProductVertex(ground, ground, n),
-    )
-
-
-@dataclass(frozen=True)
-class BipermSimplex:
-    """The (2n)-simplex selected by a bipermutation."""
-
-    bipermutation: Bipermutation
-    vertices: tuple[ProductVertex, ...]
-
-    @property
-    def n(self) -> int:
-        return self.bipermutation.n
-
-
-def simplex_of_bipermutation(bp: Bipermutation) -> BipermSimplex:
-    """The three cone points plus one vertex per prefix/suffix bisubset.
-
-    >>> s = simplex_of_bipermutation(Bipermutation((1, 3, 2, 1, 3)))
-    >>> len(s.vertices)
-    7
-    """
-    split_vertices = tuple(
-        ProductVertex(bs.left, bs.right, bp.n) for bs in bisubsets_of(bp)
-    )
-    return BipermSimplex(bp, cone_points(bp.n) + split_vertices)
-
-
-def projection_pi1(table: Table) -> tuple[Fraction, ...]:
-    """(u, v, w) -> (1 - u, 1 - v), column by column."""
-    u, v, _w = table
-    one = Fraction(1)
-    return tuple(one - x for x in u) + tuple(one - x for x in v)
 
 
 def pi1_lattice_check(n: int) -> bool:
@@ -257,7 +170,8 @@ def cover_locate(p: Table) -> LocatedPoint:
 
 def _barycentric(bp: Bipermutation, point: Sequence[int], weight: int) -> list[int]:
     """Coefficient numerators over ``weight`` of the point (z, w) / weight
-    in T_B, in BipermSimplex vertex order [a, b, c, lambda_1, ...].
+    in T_B, in the vertex order (empty,E), (E,empty), (E,E), then the
+    splits of B: [a, b, c, lambda_1, ...].
 
     With 0-based word positions, z_i = b + c + sum(lambda_j, j > first(i))
     and w_i = a + c + sum(lambda_j, j <= last(i)).  The first, the last
@@ -287,7 +201,8 @@ def _rebuild(
     n: int, splits: Sequence[Bisubset], coeffs: Sequence[int]
 ) -> list[int]:
     """pi1 of sum(coeff * vertex) over T_B, given the splits of B and the
-    coefficients [a, b, c, lambda_1, ...] in BipermSimplex vertex order.
+    coefficients [a, b, c, lambda_1, ...] in the vertex order (empty,E),
+    (E,empty), (E,E), then the splits of B.
 
     The cone points v_(empty,E), v_(E,empty) and v_(E,E) put b + c on each
     z coordinate and a + c on each w coordinate; lambda_j adds to z_i for
@@ -302,6 +217,18 @@ def _rebuild(
             for i in bs.right:
                 point[n + i - 1] += lam
     return point
+
+
+def _vertex_pairs(
+    n: int, splits: Sequence[Bisubset]
+) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """The pairs (S, T) of the vertices v_(S,T) of T_B in coefficient order:
+    (empty,E), (E,empty), (E,E), then the splits of B."""
+    ground = frozenset(range(1, n + 1))
+    empty: frozenset[int] = frozenset()
+    return [(empty, ground), (ground, empty), (ground, ground)] + [
+        (bs.left, bs.right) for bs in splits
+    ]
 
 
 def random_delta_point(n: int, rng: random.Random) -> Table:
@@ -384,58 +311,56 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
     hull of the shared vertices at every sampled point.
     """
     rng = random.Random(seed)
-    simplices = [
-        simplex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
-    ]
-    splits = [bisubsets_of(s.bipermutation) for s in simplices]
-    vertex_sets = [set(s.vertices) for s in simplices]
+    bps = list(enumerate_bipermutations(n))
+    splits = [bisubsets_of(bp) for bp in bps]
+    split_sets = [set(s) for s in splits]
+    size = 2 * n + 1
     per_mode = max(1, samples // 4)
     failures: list[str] = []
     points = 0
 
-    def weights(indices: list[int], size: int) -> tuple[list[int], int]:
+    def weights(indices: list[int]) -> tuple[list[int], int]:
         raw = [rng.randint(1, 97) for _ in indices]
         out = [0] * size
         for idx, value in zip(indices, raw):
             out[idx] = value
         return out, sum(raw)
 
-    for i1, i2 in itertools.combinations(range(len(simplices)), 2):
+    for i1, i2 in itertools.combinations(range(len(bps)), 2):
         for src, dst in ((i1, i2), (i2, i1)):
-            source, target = simplices[src], simplices[dst]
-            shared_idx = [
-                idx
-                for idx, v in enumerate(source.vertices)
-                if v in vertex_sets[dst]
+            source, target = bps[src], bps[dst]
+            # The cone points are shared by every simplex, and never equal
+            # a split vertex: a split has S and T nonempty with S != T.
+            shared_idx = [0, 1, 2] + [
+                3 + j for j, bs in enumerate(splits[src]) if bs in split_sets[dst]
             ]
             for _ in range(per_mode):
                 # Shared-support sample: must live in both simplices.
-                coeffs, total = weights(shared_idx, len(source.vertices))
+                coeffs, total = weights(shared_idx)
                 point = _rebuild(n, splits[src], coeffs)
-                mus = _barycentric(target.bipermutation, point, total)
-                expected = {
-                    v: c for v, c in zip(source.vertices, coeffs) if c
-                }
-                for vertex, mu in zip(target.vertices, mus):
-                    want = expected.get(vertex, 0)
+                mus = _barycentric(target, point, total)
+                carried = dict(zip(splits[src], coeffs[3:]))
+                expected = coeffs[:3] + [carried.get(bs, 0) for bs in splits[dst]]
+                for pos, (mu, want) in enumerate(zip(mus, expected)):
                     if mu != want:
+                        vertex = ",".join(
+                            "{" + ",".join(map(str, sorted(part))) + "}"
+                            for part in _vertex_pairs(n, splits[dst])[pos]
+                        )
                         failures.append(
-                            f"{source.bipermutation} cap {target.bipermutation}: "
+                            f"{source} cap {target}: "
                             f"shared-support point got {Fraction(mu, total)} "
-                            f"!= {Fraction(want, total)} at {vertex}"
+                            f"!= {Fraction(want, total)} at v({vertex})"
                         )
                         break
                 points += 1
                 # Interior sample: must stay out of every other simplex.
-                coeffs, total = weights(
-                    list(range(len(source.vertices))), len(source.vertices)
-                )
+                coeffs, total = weights(list(range(size)))
                 point = _rebuild(n, splits[src], coeffs)
-                mus = _barycentric(target.bipermutation, point, total)
+                mus = _barycentric(target, point, total)
                 if all(mu >= 0 for mu in mus):
                     failures.append(
-                        f"interior point of {source.bipermutation} also lies "
-                        f"in {target.bipermutation}"
+                        f"interior point of {source} also lies in {target}"
                     )
                 points += 1
             if len(failures) >= 5:
@@ -445,7 +370,7 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
     return FaceToFaceReport(
         n=n,
         passed=not failures,
-        pairs=len(simplices) * (len(simplices) - 1) // 2,
+        pairs=len(bps) * (len(bps) - 1) // 2,
         points=points,
         failures=tuple(failures),
     )
@@ -468,9 +393,9 @@ def triangulation_f_vector_direct(n: int) -> list[int]:
     vertex set; deduplicate across simplices.  Exponential in n; intended
     for n <= 3.
     """
-    faces: set[frozenset[ProductVertex]] = set()
+    faces: set[frozenset[tuple[frozenset[int], frozenset[int]]]] = set()
     for bp in enumerate_bipermutations(n):
-        vertices = simplex_of_bipermutation(bp).vertices
+        vertices = _vertex_pairs(n, bisubsets_of(bp))
         for size in range(len(vertices) + 1):
             for subset in itertools.combinations(vertices, size):
                 faces.add(frozenset(subset))

@@ -628,3 +628,34 @@ def test_module_invocation_runs():
         check=True,
     )
     assert result.stdout.splitlines()[1] == "2"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def run_catching_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SHARED_PARSER_ARGV = [
+    ["fvector", "--n", "3", "--format", "text"],
+    ["fvector", "--n", "two"],
+    ["quotient", "--n", "2"],
+]
+
+
+def test_a_shared_parser_answers_as_a_fresh_one(capsys):
+    fresh = []
+    for argv in SHARED_PARSER_ARGV:
+        cli.build_parser.cache_clear()
+        fresh.append(run_catching_exit(capsys, argv))
+    shared = [run_catching_exit(capsys, argv) for argv in SHARED_PARSER_ARGV]
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert "invalid" in shared[1][2]
+    assert shared == fresh

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -222,6 +223,21 @@ def test_configuration_reading():
     assert str(bisequence_of_configuration((0, 1), (0, 0))) == "2|12"
     # points 1 and 2 lie on the lowest slope -1 line, point 3 above it
     assert str(bisequence_of_configuration((0, 5, 2), (0, -5, -1))) == "2|3|3|1"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_configuration_reading_satisfies_the_axioms(n):
+    # Small coordinates make ties between keys and points on the line common.
+    rng = random.Random(40 + n)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            z = [rng.randint(-3, 3) for _ in range(n)]
+            w = [rng.randint(-3, 3) for _ in range(n)]
+        else:
+            z = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+            w = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        reading = bisequence_of_configuration(z, w)
+        assert reading == validate_bisequence(reading.parts, n)
 
 
 def test_wall_enumeration_counts_and_order():

@@ -19,21 +19,16 @@ from bipermutahedron import triangulation
 from bipermutahedron.invariants import bieulerian_by_ehrhart, h_from_f
 from bipermutahedron.linalg import solve_unique
 from bipermutahedron.triangulation import (
-    BipermSimplex,
-    ProductVertex,
     TieOnBoundary,
     _barycentric,
     _rebuild,
-    cone_points,
+    _vertex_pairs,
     cover_check,
     cover_locate,
-    delta_vertices,
     face_to_face_check,
     hstar_consistency,
     pi1_lattice_check,
-    projection_pi1,
     random_delta_point,
-    simplex_of_bipermutation,
     triangulation_f_vector,
     triangulation_f_vector_direct,
     unimodularity_check,
@@ -42,43 +37,66 @@ from bipermutahedron.triangulation import (
 F = Fraction
 
 
-def test_product_vertex_table_worked_example():
-    v = ProductVertex(frozenset({2, 3, 5}), frozenset({1, 3, 4, 5}), 5)
-    assert v.table() == (
-        (F(1), F(0), F(0), F(1), F(0)),
-        (F(0), F(1), F(0), F(0), F(0)),
-        (F(0), F(0), F(1), F(0), F(1)),
+def _simplex_vertices(bp):
+    """The pairs (S, T) of the vertices of T_B: the cone points (empty,E),
+    (E,empty), (E,E), then the splits of B."""
+    ground = frozenset(range(1, bp.n + 1))
+    empty = frozenset()
+    cone = [(empty, ground), (ground, empty), (ground, ground)]
+    return cone + [(bs.left, bs.right) for bs in bisubsets_of(bp)]
+
+
+def _vertex_table(left, right, n):
+    """Rows are the indicators of E - S, E - T and S intersect T."""
+    cols = range(1, n + 1)
+    return (
+        [int(i not in left) for i in cols],
+        [int(i not in right) for i in cols],
+        [int(i in left and i in right) for i in cols],
     )
 
 
-def test_product_vertex_requires_cover():
-    with pytest.raises(ValueError):
-        ProductVertex(frozenset({1}), frozenset({1}), 2)
+def _vertex_pi1(left, right, n):
+    """pi1 v_(S,T) = e_S + f_T."""
+    cols = range(1, n + 1)
+    return [int(i in left) for i in cols] + [int(i in right) for i in cols]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_delta_vertices_count(n):
-    vertices = delta_vertices(n)
-    assert len(vertices) == 3**n
-    assert len(set(vertices)) == 3**n
-    for v in vertices:
-        for column in zip(*v.table()):
-            assert sum(column) == 1
+    # The simplices use every vertex of Delta^n and nothing else: the cone
+    # points and the splits of all bipermutations are the 3^n pairs (S, T)
+    # with S union T = E.
+    used = set()
+    for bp in enumerate_bipermutations(n):
+        used.update(_simplex_vertices(bp))
+    assert len(used) == 3**n
+    assert used == set(_covering_pairs(n))
 
 
 def test_cone_point_projections():
+    # The cone points sit at coefficient positions 0, 1 and 2 of every
+    # simplex, with pi1 v_(empty,E) = f_E, pi1 v_(E,empty) = e_E and
+    # pi1 v_(E,E) = e_E + f_E.
     n = 3
-    empty_e, e_empty, e_e = cone_points(n)
-    assert projection_pi1(empty_e.table()) == (0, 0, 0, 1, 1, 1)
-    assert projection_pi1(e_empty.table()) == (1, 1, 1, 0, 0, 0)
-    assert projection_pi1(e_e.table()) == (1, 1, 1, 1, 1, 1)
+    bp = parse_bipermutation("1|3|2|1|3")
+    projections = [(0, 0, 0, 1, 1, 1), (1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1)]
+    for position, projection in enumerate(projections):
+        unit = [int(j == position) for j in range(2 * n + 1)]
+        assert _rebuild(n, bisubsets_of(bp), unit) == list(projection)
+        assert _barycentric(bp, projection, 1) == unit
 
 
 def test_simplex_vertices():
-    s = simplex_of_bipermutation(parse_bipermutation("1|3|2|1|3"))
-    assert len(s.vertices) == 7
-    labels = [(sorted(v.left), sorted(v.right)) for v in s.vertices[3:]]
+    bp = parse_bipermutation("1|3|2|1|3")
+    vertices = _vertex_pairs(bp.n, bisubsets_of(bp))
+    assert len(vertices) == 7
+    assert vertices == _simplex_vertices(bp)
+    labels = [(sorted(left), sorted(right)) for left, right in vertices]
     assert labels == [
+        ([], [1, 2, 3]),
+        ([1, 2, 3], []),
+        ([1, 2, 3], [1, 2, 3]),
         ([1], [1, 2, 3]),
         ([1, 3], [1, 2, 3]),
         ([1, 2, 3], [1, 3]),
@@ -113,16 +131,17 @@ def test_cover_locate_reconstructs_the_point():
             located = cover_locate(p)
         except TieOnBoundary:
             continue
-        simplex = simplex_of_bipermutation(located.bipermutation)
+        tables = [
+            _vertex_table(left, right, n)
+            for left, right in _simplex_vertices(located.bipermutation)
+        ]
         coeffs = located.coefficients()
+        assert len(coeffs) == len(tables) == 2 * n + 1
         assert sum(coeffs) == 1
         assert all(c >= 0 for c in coeffs)
         for row in range(3):
             for col in range(n):
-                value = sum(
-                    c * v.table()[row][col]
-                    for c, v in zip(coeffs, simplex.vertices)
-                )
+                value = sum(c * t[row][col] for c, t in zip(coeffs, tables))
                 assert value == p[row][col]
 
 
@@ -163,13 +182,8 @@ def test_face_to_face(n):
 
 
 def test_shared_vertex_histogram_n2():
-    simplices = [
-        simplex_of_bipermutation(bp) for bp in enumerate_bipermutations(2)
-    ]
-    histogram = Counter(
-        len(set(a.vertices) & set(b.vertices))
-        for a, b in combinations(simplices, 2)
-    )
+    splits = [set(bisubsets_of(bp)) for bp in enumerate_bipermutations(2)]
+    histogram = Counter(3 + len(a & b) for a, b in combinations(splits, 2))
     # every pair shares the three cone points; chamber neighbors share
     # exactly one more vertex (the common wall's split)
     assert dict(histogram) == {3: 9, 4: 6}
@@ -202,14 +216,13 @@ def test_hstar_equals_bieulerian_explicitly():
     assert h == bieulerian_by_ehrhart(n)
 
 
-def _reference_barycentric(simplex, point, weight):
+def _reference_barycentric(projections, point, weight):
     """Coefficient numerators over ``weight`` by a linear solve of the
-    affine frame at the apex v_(E,E), in BipermSimplex vertex order."""
-    apex = simplex.vertices[2].pi1()
-    others = simplex.vertices[:2] + simplex.vertices[3:]
-    matrix = [
-        [v.pi1()[i] - apex[i] for v in others] for i in range(2 * simplex.n)
-    ]
+    affine frame at the apex v_(E,E), in the vertex order of
+    ``_simplex_vertices``; ``projections`` are the vertices under pi1."""
+    apex = projections[2]
+    others = projections[:2] + projections[3:]
+    matrix = [[v[i] - apex[i] for v in others] for i in range(len(apex))]
     rhs = [F(x, weight) - a for x, a in zip(point, apex)]
     mu = solve_unique(matrix, rhs)
     coeffs = [mu[0], mu[1], 1 - sum(mu)] + mu[2:]
@@ -227,40 +240,84 @@ def _closed_form_cases():
 def test_closed_form_barycentric_matches_linear_solve():
     rng = random.Random(29)
     for bp in _closed_form_cases():
-        simplex = simplex_of_bipermutation(bp)
-        size = len(simplex.vertices)
+        projections = [
+            _vertex_pi1(left, right, bp.n) for left, right in _simplex_vertices(bp)
+        ]
+        size = len(projections)
         for weight in (1, rng.randint(2, 500), rng.randint(2, 2**61)):
             # inside: nonnegative coefficients summing to the weight
             cuts = sorted(rng.randint(0, weight) for _ in range(size - 1))
             inside = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
             point = [0] * (2 * bp.n)
-            for coeff, vertex in zip(inside, simplex.vertices):
-                point = [p + coeff * x for p, x in zip(point, vertex.pi1())]
+            for coeff, vertex in zip(inside, projections):
+                point = [p + coeff * x for p, x in zip(point, vertex)]
             bound = 3 * weight + 5
             outside = [rng.randint(-bound, bound) for _ in range(2 * bp.n)]
             for target in (point, outside):
                 coeffs = _barycentric(bp, target, weight)
-                assert coeffs == _reference_barycentric(simplex, target, weight)
+                assert coeffs == _reference_barycentric(projections, target, weight)
                 assert _rebuild(bp.n, bisubsets_of(bp), coeffs) == target
             assert _barycentric(bp, point, weight) == inside
 
 
-def _shift_one_lambda(original):
+def _shift_one_lambda(original, position=3):
     def shifted(bp, point, weight):
         coeffs = original(bp, point, weight)
-        coeffs[3] += 1
+        coeffs[position] += 1
         return coeffs
 
     return shifted
 
 
+# The failures of face_to_face_check(2, 8, seed=3) when one coefficient of
+# every target simplex is off by one: a split's (position 3) or the cone
+# point v_(empty,E)'s (position 0).  Each names the vertex it fails at.
+SHIFTED_FACE_TO_FACE_FAILURES = {
+    3: (
+        "1|1|2 cap 1|2|1: shared-support point got 9/97 != 17/194 at v({1},{1,2})",
+        "1|1|2 cap 1|2|1: shared-support point got 31/75 != 61/150 at v({1},{1,2})",
+        "1|2|1 cap 1|1|2: shared-support point got 62/263 != 61/263 at v({1},{1,2})",
+        "1|2|1 cap 1|1|2: shared-support point got 12/29 != 95/232 at v({1},{1,2})",
+        "1|1|2 cap 1|2|2: shared-support point got 3/7 != 5/12 at v({1},{2})",
+        "1|1|2 cap 1|2|2: shared-support point got 75/274 != 37/137 at v({1},{2})",
+    ),
+    0: (
+        "1|1|2 cap 1|2|1: shared-support point got 16/97 != 31/194 at v({},{1,2})",
+        "1|1|2 cap 1|2|1: shared-support point got 1/15 != 3/50 at v({},{1,2})",
+        "1|2|1 cap 1|1|2: shared-support point got 62/263 != 61/263 at v({},{1,2})",
+        "1|2|1 cap 1|1|2: shared-support point got 21/232 != 5/58 at v({},{1,2})",
+        "1|1|2 cap 1|2|2: shared-support point got 1/12 != 1/14 at v({},{1,2})",
+        "1|1|2 cap 1|2|2: shared-support point got 28/137 != 55/274 at v({},{1,2})",
+    ),
+}
+
+
 def test_face_to_face_reports_a_wrong_coefficient(monkeypatch):
-    monkeypatch.setattr(
-        triangulation, "_barycentric", _shift_one_lambda(_barycentric)
-    )
-    report = face_to_face_check(2, 8, seed=3)
-    assert report.passed is False
-    assert any("shared-support point got" in f for f in report.failures)
+    for position, failures in SHIFTED_FACE_TO_FACE_FAILURES.items():
+        monkeypatch.setattr(
+            triangulation, "_barycentric", _shift_one_lambda(_barycentric, position)
+        )
+        report = face_to_face_check(2, 8, seed=3)
+        assert (report.pairs, report.points, report.passed) == (15, 12, False)
+        assert report.failures == failures
+
+
+# (pairs, points, passed, failures) of face_to_face_check(n, samples, seed).
+FACE_TO_FACE_REPORTS = {
+    (1, 8, 7): (0, 0, True, ()),
+    (1, 8, 11): (0, 0, True, ()),
+    (2, 8, 7): (15, 120, True, ()),
+    (2, 8, 11): (15, 120, True, ()),
+    (3, 4, 7): (4005, 16020, True, ()),
+    (3, 4, 11): (4005, 16020, True, ()),
+}
+
+
+@pytest.mark.parametrize("args", sorted(FACE_TO_FACE_REPORTS))
+def test_face_to_face_reports_match_the_recorded_ones(args):
+    report = face_to_face_check(*args)
+    got = (report.pairs, report.points, report.passed, report.failures)
+    assert got == FACE_TO_FACE_REPORTS[args]
 
 
 def test_cover_locate_certifies_by_reconstruction(monkeypatch):
@@ -364,19 +421,6 @@ def test_unimodularity_check_fails_on_a_repeated_split(monkeypatch):
 
     monkeypatch.setattr(triangulation, "bisubsets_of", repeat_first)
     assert unimodularity_check(2) is False
-
-
-def test_locate_and_unimodularity_build_no_product_vertex(monkeypatch):
-    u, v = (F(1, 5), F(1, 2), F(2, 9), F(1, 97)), (F(1, 3), F(1, 7), F(0), F(5, 6))
-    p = (u, v, tuple(1 - x - y for x, y in zip(u, v)))
-    expected = cover_locate(p)  # a generic point: no tie, no negative coefficient
-
-    def refuse(self):
-        raise RuntimeError("a ProductVertex was built")
-
-    monkeypatch.setattr(ProductVertex, "__post_init__", refuse)
-    assert cover_locate(p) == expected
-    assert unimodularity_check(3) is True
 
 
 def test_cover_locate_reports_a_negative_coefficient(monkeypatch):
