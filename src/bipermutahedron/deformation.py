@@ -24,7 +24,11 @@ parts singletons, once-elements i and j): double i and j in place, bar
 second occurrences, and split the resulting word of length 2n at every
 switch between unbarred and barred letters; splits switching unbarred to
 barred count negatively (they include r and r'), the others positively.
-Both forms are validated against the generic dependence oracle.
+Both forms are validated against the generic dependence oracle, which
+solves the dependence from scratch on the integer ray rows e_S + f_T and
+returns integer coefficients.  A WallInequality holds positive int
+coefficients, and two inequalities are the same when their primitive
+integer forms are equal.
 
 Many walls share one inequality (614 distinct ones among the 7,560 walls
 at n = 4, 5,570 among the 453,600 at n = 5), and every closed-form
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
 from typing import Iterable, Iterator, Literal
 
 from .combinatorics import (
@@ -73,6 +77,7 @@ from .combinatorics import (
     _bisubset_index,
     _bisubset_order,
     bisubset,
+    bisubsets_of,
     doubled_word,
     enumerate_wall_bisequences,
     parse_bisequence,
@@ -81,6 +86,7 @@ from .combinatorics import (
 )
 from .geometry import (
     SupportFunction,
+    _lineality_rows,
     biperm_support_function,
     harmonic_support_function,
     ray_vector,
@@ -223,42 +229,40 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
 
 @dataclass(frozen=True)
 class WallInequality:
-    """I(h) = sum of plus terms minus sum of minus terms, all exact."""
+    """I(h) = sum of plus terms minus sum of minus terms, each coefficient a
+    positive int."""
 
-    plus: tuple[tuple[Bisubset, Fraction], ...]
-    minus: tuple[tuple[Bisubset, Fraction], ...]
+    plus: tuple[tuple[Bisubset, int], ...]
+    minus: tuple[tuple[Bisubset, int], ...]
 
     def __post_init__(self) -> None:
         for _, coeff in self.plus + self.minus:
             if coeff <= 0:
                 raise ValueError("inequality coefficients must be positive")
+            if not isinstance(coeff, int):
+                raise TypeError(f"inequality coefficients must be ints: {coeff!r}")
 
     def evaluate(self, h: SupportFunction) -> Fraction:
         return sum((c * h[bs] for bs, c in self.plus), Fraction(0)) - sum(
             (c * h[bs] for bs, c in self.minus), Fraction(0)
         )
 
-    def as_dict(self) -> dict[Bisubset, Fraction]:
-        out: dict[Bisubset, Fraction] = {}
-        for bs, c in self.plus:
-            out[bs] = out.get(bs, Fraction(0)) + c
-        for bs, c in self.minus:
-            out[bs] = out.get(bs, Fraction(0)) - c
-        return {bs: c for bs, c in out.items() if c}
+
+def _primitive_form(ineq: WallInequality) -> dict[Bisubset, int]:
+    """The signed coefficients of an inequality, merged across plus and
+    minus, zeros dropped, divided by their gcd."""
+    merged: dict[Bisubset, int] = {}
+    for bs, c in ineq.plus:
+        merged[bs] = merged.get(bs, 0) + c
+    for bs, c in ineq.minus:
+        merged[bs] = merged.get(bs, 0) - c
+    g = gcd(*merged.values())
+    return {bs: c // g for bs, c in merged.items() if c}
 
 
 def same_inequality(a: WallInequality, b: WallInequality) -> bool:
     """Equality of inequalities up to a positive scalar."""
-    da, db = a.as_dict(), b.as_dict()
-    if set(da) != set(db):
-        return False
-    if not da:
-        return True
-    key = min(da, key=lambda bs: (sorted(bs.left), sorted(bs.right)))
-    sa, sb = da[key], db[key]
-    if (sa > 0) != (sb > 0):
-        return False
-    return all(da[bs] * sb == db[bs] * sa for bs in da)
+    return _primitive_form(a) == _primitive_form(b)
 
 
 def _term(left: frozenset[int], right: frozenset[int], n: int) -> Bisubset | None:
@@ -284,10 +288,9 @@ def supermodular_inequality(wall: Wall) -> WallInequality:
     ij = frozenset((i, j))
     plus = [_term(s, ij | t, n), _term(s | ij, t, n)]
     minus = [_term(s | {i}, t | {j}, n), _term(s | {j}, t | {i}, n)]
-    one = Fraction(1)
     return WallInequality(
-        tuple((bs, one) for bs in plus if bs is not None),
-        tuple((bs, one) for bs in minus if bs is not None),
+        tuple((bs, 1) for bs in plus if bs is not None),
+        tuple((bs, 1) for bs in minus if bs is not None),
     )
 
 
@@ -315,9 +318,8 @@ def updown_inequality(wall: Wall) -> WallInequality:
         raise KindMismatch("up-down inequalities belong to kind B walls")
     tree = wall_tree(wall)
     splits = [(Bisubset(*tree.edges[m - 1], wall.n), up) for m, up in _switches(wall)]
-    one = Fraction(1)
-    plus = tuple((bs, one) for bs, up in splits if not up)
-    minus = tuple((bs, one) for bs, up in splits if up)
+    plus = tuple((bs, 1) for bs, up in splits if not up)
+    minus = tuple((bs, 1) for bs, up in splits if up)
     if len(minus) != len(plus) + 1:
         raise AssertionError("switches must alternate, ends up")
     if tree.spine != tuple(bs for bs, _ in splits):
@@ -439,44 +441,41 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     """The wall inequality derived from scratch by linear algebra.
 
     Finds the two adjacent chambers, their two extra rays r and r', and
-    the wall's own rays; solves the unique dependence
-    r + c' r' = sum(c_m w_m) modulo the lineality span of e_E and f_E,
-    and checks c' > 0.  No combinatorial case analysis enters, so this is
-    an independent oracle for the closed-form inequalities.
+    the wall's own rays w_m; solves the 2n x 2n integer system
+    c' r' + sum(x_m w_m) + a e_E + b f_E = -r, whose columns are the ray
+    rows of :func:`ray_vector` and the lineality rows, so that
+    r + c' r' = sum(c_m w_m) modulo lineality with c_m = -x_m; and checks
+    c' > 0.  The solution is scaled to integers over the lcm of its
+    denominators: r gets the lcm, c' and every c_m their numerators.  No
+    combinatorial case analysis enters, so this is an independent oracle
+    for the closed-form inequalities.
     """
     n = wall.n
-    wall_rays = list(splits_of(wall.bisequence))
-    chamber1, chamber2 = wall_refinements(wall)
+    wall_rays = splits_of(wall.bisequence)
     wall_set = set(wall_rays)
-    extra1 = [bs for bs in splits_of(chamber1.to_bisequence()) if bs not in wall_set]
-    extra2 = [bs for bs in splits_of(chamber2.to_bisequence()) if bs not in wall_set]
-    if len(extra1) != 1 or len(extra2) != 1:
+    extras = [
+        [bs for bs in bisubsets_of(chamber) if bs not in wall_set]
+        for chamber in wall_refinements(wall)
+    ]
+    if any(len(extra) != 1 for extra in extras):
         raise DependenceNotUnique(
             f"chambers of {wall} do not add exactly one ray each"
         )
-    r, rp = extra1[0], extra2[0]
-    rays = [ray_vector(rp)] + [-ray_vector(w) for w in wall_rays]
-    columns = [[*v.top, *v.bottom] for v in rays]
-    columns.append([1] * n + [0] * n)
-    columns.append([0] * n + [1] * n)
-    matrix = [[col[row] for col in columns] for row in range(2 * n)]
-    target = -ray_vector(r)
-    rhs = [*target.top, *target.bottom]
+    (r,), (rp,) = extras
+    columns = [ray_vector(rp)] + [ray_vector(w) for w in wall_rays] + _lineality_rows(n)
+    rhs = [-x for x in ray_vector(r)]
     try:
-        solution = solve_unique(matrix, rhs)
+        solution = solve_unique(list(zip(*columns)), rhs)
     except ValueError as exc:
         raise DependenceNotUnique(f"dependence at {wall} is not unique") from exc
-    cp = solution[0]
-    coeffs = solution[1 : 1 + len(wall_rays)]
+    (cp, *xs), den = _scaled_integers(solution[: 1 + len(wall_rays)])
     if cp <= 0:
         raise DependenceNotUnique(
-            f"chamber-ray coefficient at {wall} must be positive, got {cp}"
+            f"chamber-ray coefficient at {wall} must be positive, got "
+            f"{Fraction(cp, den)}"
         )
-    plus = tuple((w, c) for w, c in zip(wall_rays, coeffs) if c > 0)
-    minus = tuple(
-        [(r, Fraction(1)), (rp, cp)]
-        + [(w, -c) for w, c in zip(wall_rays, coeffs) if c < 0]
-    )
+    plus = tuple((w, -x) for w, x in zip(wall_rays, xs) if x < 0)
+    minus = ((r, den), (rp, cp)) + tuple((w, x) for w, x in zip(wall_rays, xs) if x > 0)
     return WallInequality(plus, minus)
 
 
@@ -939,6 +938,8 @@ def _too_many_digits(limit: int) -> ValueError:
 
 def parse_support_csv(text: str, n: int) -> SupportFunction:
     """Parse the CSV format; every bisubset must appear exactly once."""
+    # No bisubset exists below n = 1; bisubset() then names the error.
+    known = _bisubset_index(max(n, 0))
     values: dict[Bisubset, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -953,10 +954,12 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
             value = _support_value(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        try:
-            bs = bisubset(left, right, n)
-        except BisequenceError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+        bs = Bisubset(frozenset(left), frozenset(right), n)
+        if bs not in known:
+            try:
+                bs = bisubset(left, right, n)
+            except BisequenceError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
         if bs in values:
             raise ValueError(f"line {lineno}: duplicate bisubset {bs}")
         values[bs] = value

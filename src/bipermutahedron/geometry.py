@@ -37,7 +37,6 @@ from .combinatorics import (
     bisubsets_of,
     enumerate_bipermutations,
     enumerate_wall_bisequences,
-    expanded_word,
     reverse,
     signed_word,
     splits_of,
@@ -58,18 +57,25 @@ class LatticePoint:
     def n(self) -> int:
         return len(self.top)
 
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(tuple(-a for a in self.top), tuple(-a for a in self.bottom))
-
     def row_sums(self) -> tuple[int, int]:
         return sum(self.top), sum(self.bottom)
 
 
-def ray_vector(bs: Bisubset) -> LatticePoint:
-    """The ray e_S + f_T of the normal fan attached to a bisubset."""
-    top = tuple(1 if i in bs.left else 0 for i in range(1, bs.n + 1))
-    bottom = tuple(1 if i in bs.right else 0 for i in range(1, bs.n + 1))
-    return LatticePoint(top, bottom)
+def ray_vector(bs: Bisubset) -> list[int]:
+    """The ray e_S + f_T of the normal fan attached to a bisubset, as one row
+    of 2n ints: the top entries, then the bottom ones.
+
+    >>> from bipermutahedron.combinatorics import bisubset
+    >>> ray_vector(bisubset({1, 3}, {2, 3}, 3))
+    [1, 0, 1, 0, 1, 1]
+    """
+    ground = range(1, bs.n + 1)
+    return [int(i in bs.left) for i in ground] + [int(i in bs.right) for i in ground]
+
+
+def _lineality_rows(n: int) -> list[list[int]]:
+    """The rows e_E and f_E spanning the fan's lineality space."""
+    return [[1] * n + [0] * n, [0] * n + [1] * n]
 
 
 def pairing(
@@ -199,74 +205,6 @@ def harmonic_support_function(n: int) -> SupportFunction:
 
 
 @dataclass(frozen=True)
-class ChamberCone:
-    """The chamber of the normal fan selected by a bipermutation.
-
-    The chamber is cut out by a single chain of 2n weak inequalities: list
-    the barred word of B and attach to the unbarred letter i the quantity
-    z_i - z_k and to the barred letter i-bar the quantity w_k - w_i; the
-    chain requires these to be weakly decreasing along the word.
-    """
-
-    bipermutation: Bipermutation
-    chain: tuple[tuple[str, int], ...]
-
-    @property
-    def k(self) -> int:
-        return self.bipermutation.k
-
-    def quantities(
-        self, z: Sequence[int | Fraction], w: Sequence[int | Fraction]
-    ) -> list[Fraction]:
-        k = self.k
-        out = []
-        for axis, e in self.chain:
-            if axis == "z":
-                out.append(Fraction(z[e - 1]) - Fraction(z[k - 1]))
-            else:
-                out.append(Fraction(w[k - 1]) - Fraction(w[e - 1]))
-        return out
-
-
-def chamber_cone(bp: Bipermutation) -> ChamberCone:
-    chain = tuple(
-        ("w" if barred else "z", e) for e, barred in expanded_word(bp)
-    )
-    return ChamberCone(bp, chain)
-
-
-def cone_contains(
-    cone: ChamberCone,
-    z: Sequence[int | Fraction],
-    w: Sequence[int | Fraction],
-) -> bool:
-    """Exact membership of (z, w) in the (closed) chamber."""
-    q = cone.quantities(z, w)
-    return all(a >= b for a, b in zip(q, q[1:]))
-
-
-def chamber_interior_point(bp: Bipermutation) -> tuple[Row, Row]:
-    """An integer point in the relative interior of the chamber of B.
-
-    The chain quantities of the returned point strictly decrease along the
-    barred word except at the forced tie q(k) = q(kbar) = 0, which holds
-    identically on the whole chamber.
-    """
-    n = bp.n
-    word = expanded_word(bp)
-    t_k = next(t for t, (e, barred) in enumerate(word) if e == bp.k and not barred)
-    z = [0] * n
-    w = [0] * n
-    for t, (e, barred) in enumerate(word):
-        q = t_k - t if t <= t_k else t_k + 1 - t
-        if barred:
-            w[e - 1] = -q
-        else:
-            z[e - 1] = q
-    return tuple(z), tuple(w)
-
-
-@dataclass(frozen=True)
 class FacetReport:
     n: int
     passed: bool
@@ -372,15 +310,14 @@ def symmetry_checks(n: int) -> SymmetryReport:
     S intersect T nonempty and S, T proper gives a ray whose negative is
     not a ray.
     """
-    ray_of = {bs: ray_vector(bs) for bs in all_bisubsets(n)}
-    rays = {canonical_ray(r.top, r.bottom) for r in ray_of.values()}
+    row_of = {bs: ray_vector(bs) for bs in all_bisubsets(n)}
+    rays = {canonical_ray(row[:n], row[n:]) for row in row_of.values()}
 
     perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    images = (_relabel_point(r, perm) for perm in perms for r in ray_of.values())
+    points = [LatticePoint(tuple(row[:n]), tuple(row[n:])) for row in row_of.values()]
+    images = (_relabel_point(p, perm) for perm in perms for p in points)
     rays_relabel = all(canonical_ray(i.top, i.bottom) in rays for i in images)
-    rays_swap = all(
-        canonical_ray(r.bottom, r.top) in rays for r in ray_of.values()
-    )
+    rays_swap = all(canonical_ray(row[n:], row[:n]) in rays for row in row_of.values())
 
     vertex_of = {
         bp: vertex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
@@ -397,7 +334,9 @@ def symmetry_checks(n: int) -> SymmetryReport:
     ) and {LatticePoint(v.bottom, v.top) for v in vertex_set} == vertex_set
 
     off_fan = [
-        bs for bs, r in ray_of.items() if canonical_ray((-r).top, (-r).bottom) not in rays
+        bs
+        for bs, row in row_of.items()
+        if canonical_ray([-a for a in row[:n]], [-a for a in row[n:]]) not in rays
     ]
     witness = next(
         (
@@ -421,10 +360,8 @@ def symmetry_checks(n: int) -> SymmetryReport:
 HYPERPLANE_TYPES = (1, 2, 3, 4)
 
 
-def _wall_normal(rays: Iterable[LatticePoint], n: int) -> tuple[int, ...]:
-    rows = [list(r.top) + list(r.bottom) for r in rays]
-    rows.append([1] * n + [0] * n)
-    rows.append([0] * n + [1] * n)
+def _wall_normal(splits: Iterable[Bisubset], n: int) -> tuple[int, ...]:
+    rows = [ray_vector(bs) for bs in splits] + _lineality_rows(n)
     return tuple(nullspace_normal(rows))
 
 
@@ -543,8 +480,7 @@ def hyperplane_face_counts(n: int) -> HyperplaneCountReport:
     for seq in enumerate_wall_bisequences(n):
         total += 1
         label = structural_wall_type(seq)
-        rays = [ray_vector(bs) for bs in splits_of(seq)]
-        if classify_wall_normal(_wall_normal(rays, n), n) != label:
+        if classify_wall_normal(_wall_normal(splits_of(seq), n), n) != label:
             agrees = False
         tally[label] += 1
     counts_by_type: dict[int, set[int]] = {t: set() for t in HYPERPLANE_TYPES}

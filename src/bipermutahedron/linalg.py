@@ -21,7 +21,8 @@ Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
 ``solve_unique``, ``nullspace_normal``, ``primitive_integer_vector``,
-``deformation._scaled_support`` and ``triangulation.cover_locate`` call it.
+``deformation._scaled_support``, ``deformation.generic_wallcross_oracle``
+and ``triangulation.cover_locate`` call it.
 """
 
 from __future__ import annotations

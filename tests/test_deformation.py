@@ -17,12 +17,14 @@ from bipermutahedron.combinatorics import (
     NoSingleOccurrence,
     all_bisubsets,
     bisubset,
+    enumerate_bipermutations,
     parse_bisequence,
 )
 from bipermutahedron.geometry import SupportFunction
 from bipermutahedron.invariants import multigraph_count
 from bipermutahedron.deformation import (
     _inequality_table,
+    DependenceNotUnique,
     KindMismatch,
     Wall,
     WallInequality,
@@ -174,6 +176,11 @@ class TestClosedFormInequalities:
         with pytest.raises(ValueError, match="positive"):
             WallInequality(plus=bad, minus=())
 
+    def test_int_coefficients_enforced(self):
+        bad = ((bisubset({1}, {1, 2}, 2), Fraction(1)),)
+        with pytest.raises(TypeError, match="ints"):
+            WallInequality(plus=(), minus=bad)
+
 
 class TestWallTree:
     def test_worked_example_tree(self):
@@ -255,6 +262,52 @@ class TestOracleAgreement:
         ineq = wall_inequality(wall_from("12|1", 2, "A"))
         flipped = WallInequality(plus=ineq.minus, minus=ineq.plus)
         assert not same_inequality(ineq, flipped)
+
+    def test_same_inequality_compares_primitive_forms(self):
+        ineq = wall_inequality(wall_from("12|1", 2, "A"))
+
+        def times(k):
+            return WallInequality(
+                plus=tuple((b, k * c) for b, c in ineq.plus),
+                minus=tuple((b, k * c) for b, c in ineq.minus),
+            )
+
+        assert same_inequality(times(2), times(3))
+        # A term on both sides counts once, with the difference of its
+        # coefficients.
+        (bs, _), *_ = ineq.plus
+        merged = WallInequality(
+            plus=((bs, 3),) + ineq.plus[1:], minus=ineq.minus + ((bs, 2),)
+        )
+        assert same_inequality(ineq, merged)
+        empty = WallInequality((), ())
+        assert same_inequality(empty, empty)
+        assert not same_inequality(empty, ineq)
+        assert not same_inequality(ineq, empty)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oracle_coefficients_are_int_ones(self, n):
+        for wall in enumerate_walls(n):
+            oracle = generic_wallcross_oracle(wall)
+            coefficients = [c for _, c in oracle.plus + oracle.minus]
+            assert all(type(c) is int and c == 1 for c in coefficients), wall
+
+    def test_oracle_refuses_a_repeated_chamber(self, monkeypatch):
+        wall = wall_from("12|1", 2, "A")
+        chamber, _ = wall_refinements(wall)
+        monkeypatch.setattr(deformation, "wall_refinements", lambda w: (chamber, chamber))
+        with pytest.raises(DependenceNotUnique, match="must be positive, got -1"):
+            generic_wallcross_oracle(wall)
+
+    def test_oracle_refuses_a_chamber_off_the_wall(self, monkeypatch):
+        wall = wall_from("1|12|2|3", 3, "A")
+        chamber, _ = wall_refinements(wall)
+        other = next(
+            bp for bp in enumerate_bipermutations(3) if bp not in wall_refinements(wall)
+        )
+        monkeypatch.setattr(deformation, "wall_refinements", lambda w: (chamber, other))
+        with pytest.raises(DependenceNotUnique, match="exactly one ray"):
+            generic_wallcross_oracle(wall)
 
 
 class TestCaseClassification:

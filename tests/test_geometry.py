@@ -1,4 +1,4 @@
-"""Vertices, facets, chambers, support functions, and symmetries."""
+"""Vertices, facets, rays, support functions, and symmetries."""
 
 from fractions import Fraction
 
@@ -11,15 +11,11 @@ from bipermutahedron.combinatorics import (
     parse_bipermutation,
 )
 from bipermutahedron.geometry import (
-    ChamberCone,
     SupportFunction,
     SymmetryReport,
     biperm_support,
     biperm_support_function,
     canonical_ray,
-    chamber_cone,
-    chamber_interior_point,
-    cone_contains,
     facet_check,
     facets_json,
     harmonic_support,
@@ -52,8 +48,7 @@ def test_vertices_are_distinct_with_zero_row_sums(n):
 
 def test_ray_vector_and_pairing():
     bs = bisubset({1, 3}, {2, 3}, 3)
-    r = ray_vector(bs)
-    assert r.top == (1, 0, 1) and r.bottom == (0, 1, 1)
+    assert ray_vector(bs) == [1, 0, 1, 0, 1, 1]
     assert pairing(bs, (5, 0, 2), (0, 3, 1)) == 5 + 2 + 3 + 1
 
 
@@ -107,26 +102,6 @@ def test_facet_check_vertex_and_facet_json_schema():
     assert len(fdata["facets"]) == 6
     # right-hand sides are decimal strings, set members plain integers
     assert fdata["facets"][0] == {"S": [1, 2], "T": [1], "rhs": "-3"}
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_chamber_interior_points_read_back(n):
-    for bp in enumerate_bipermutations(n):
-        cone = chamber_cone(bp)
-        z, w = chamber_interior_point(bp)
-        assert cone_contains(cone, z, w)
-
-
-def test_chambers_are_exclusive_at_n2():
-    chambers = {bp: chamber_cone(bp) for bp in enumerate_bipermutations(2)}
-    for bp, cone in chambers.items():
-        z, w = chamber_interior_point(bp)
-        hits = [
-            other
-            for other, c in chambers.items()
-            if cone_contains(c, z, w)
-        ]
-        assert hits == [bp]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

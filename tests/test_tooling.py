@@ -1,6 +1,7 @@
 """Tooling checks: the benchmark's span tracer names only functions the
-package still has, the package imports nothing it does not use, and the
-README's command line tour prints what it shows."""
+package still has, the package imports nothing it does not use, the
+README's command line tour prints what it shows, and its Python blocks
+run."""
 
 import ast
 import importlib
@@ -120,3 +121,11 @@ def test_readme_tour_runs_as_shown(capsys, monkeypatch, tmp_path):
             lines = lines[: int(re.fullmatch(r"\s*head -(\d+)\s*", head)[1])]
         if shown:
             assert lines == shown, line
+
+
+def test_readme_python_blocks_run():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
