@@ -142,6 +142,14 @@ def _cmd_hvector(args) -> int:
 
 
 def _cmd_bieulerian(args) -> int:
+    # The descent route visits one word per vertex.
+    if args.method in ("descents", "all") and args.n > _VERTICES_MAX_N:
+        raise ValueError(
+            f"n = {args.n} has more bipermutations than the "
+            f"{bipermutation_count(_VERTICES_MAX_N)} at n = {_VERTICES_MAX_N}, "
+            f"the largest n whose words the descent route visits; use --method "
+            f"hfromf or --method ehrhart"
+        )
     if args.method == "all":
         results = {name: route(args.n) for name, route in _BIEULERIAN_ROUTES.items()}
         values = set(results.values())

@@ -357,6 +357,33 @@ def doubled_word(
     return tuple(out)
 
 
+def _is_descent(a: int, abar: bool, b: int, bbar: bool, k: int) -> bool:
+    """Whether the adjacent letters ``a`` then ``b`` of a barred word, with
+    bar flags ``abar`` and ``bbar`` and once-letter ``k``, form a descent.
+
+    The once-letter takes its neighbour's bar flag.  Two unbarred letters
+    descend when they decrease, two barred ones when they increase; an
+    unbarred letter before a barred one descends when it exceeds ``k``, and
+    a barred one before an unbarred one when the latter is below ``k``.
+
+    >>> _is_descent(3, False, 1, False, 2), _is_descent(3, True, 1, True, 2)
+    (True, False)
+    >>> _is_descent(1, True, 3, False, 2), _is_descent(1, True, 2, False, 2)
+    (False, True)
+    """
+    if a == k:
+        abar = bbar
+    elif b == k:
+        bbar = abar
+    if not abar and not bbar:
+        return a > b
+    if abar and bbar:
+        return a < b
+    if not abar:
+        return a > k
+    return b < k
+
+
 def descents(bp: Bipermutation) -> int:
     """The number of descents of a bipermutation.
 
@@ -367,21 +394,10 @@ def descents(bp: Bipermutation) -> int:
     """
     k = bp.k
     word = doubled_word(bp.letters, ())
-    count = 0
-    for (a, abar), (b, bbar) in zip(word, word[1:]):
-        if a == k:
-            abar = bbar
-        elif b == k:
-            bbar = abar
-        if not abar and not bbar:
-            count += a > b
-        elif abar and bbar:
-            count += a < b
-        elif not abar and bbar:
-            count += a > k
-        else:
-            count += b < k
-    return count
+    return sum(
+        _is_descent(a, abar, b, bbar, k)
+        for (a, abar), (b, bbar) in zip(word, word[1:])
+    )
 
 
 def reverse(bp: Bipermutation) -> Bipermutation:

@@ -87,11 +87,11 @@ from .combinatorics import (
 from .geometry import (
     SupportFunction,
     _lineality_rows,
+    _ray_rows,
     biperm_support_function,
     harmonic_support_function,
-    ray_vector,
 )
-from .linalg import _scaled_integers, solve_unique
+from .linalg import _scaled_integers, _solve_int
 
 __all__ = [
     "KindMismatch",
@@ -443,12 +443,12 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     Finds the two adjacent chambers, their two extra rays r and r', and
     the wall's own rays w_m; solves the 2n x 2n integer system
     c' r' + sum(x_m w_m) + a e_E + b f_E = -r, whose columns are the ray
-    rows of :func:`ray_vector` and the lineality rows, so that
+    rows of :func:`geometry.ray_vector` and the lineality rows, so that
     r + c' r' = sum(c_m w_m) modulo lineality with c_m = -x_m; and checks
-    c' > 0.  The solution is scaled to integers over the lcm of its
-    denominators: r gets the lcm, c' and every c_m their numerators.  No
-    combinatorial case analysis enters, so this is an independent oracle
-    for the closed-form inequalities.
+    c' > 0.  The solution is scaled to integers over its least common
+    denominator: r gets that denominator, c' and every c_m their
+    numerators.  No combinatorial case analysis enters, so this is an
+    independent oracle for the closed-form inequalities.
     """
     n = wall.n
     wall_rays = splits_of(wall.bisequence)
@@ -462,13 +462,19 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
             f"chambers of {wall} do not add exactly one ray each"
         )
     (r,), (rp,) = extras
-    columns = [ray_vector(rp)] + [ray_vector(w) for w in wall_rays] + _lineality_rows(n)
-    rhs = [-x for x in ray_vector(r)]
+    table = _ray_rows(n)
+    columns = [table[rp], *(table[w] for w in wall_rays), *_lineality_rows(n)]
+    columns.append([-x for x in table[r]])
     try:
-        solution = solve_unique(list(zip(*columns)), rhs)
+        numerators, d = _solve_int(list(zip(*columns)))
     except ValueError as exc:
         raise DependenceNotUnique(f"dependence at {wall} is not unique") from exc
-    (cp, *xs), den = _scaled_integers(solution[: 1 + len(wall_rays)])
+    # The solution is numerators / d.  Dividing d and the numerators by
+    # their gcd, signed like d, puts it over its least common denominator.
+    head = numerators[: 1 + len(wall_rays)]
+    g = gcd(d, *head) if d > 0 else -gcd(d, *head)
+    den = d // g
+    cp, *xs = [x // g for x in head]
     if cp <= 0:
         raise DependenceNotUnique(
             f"chamber-ray coefficient at {wall} must be positive, got "

@@ -24,6 +24,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,7 +42,7 @@ from .combinatorics import (
     signed_word,
     splits_of,
 )
-from .linalg import nullspace_normal
+from .linalg import _nullspace_int
 
 Row = tuple[int, ...]
 
@@ -71,6 +72,13 @@ def ray_vector(bs: Bisubset) -> list[int]:
     """
     ground = range(1, bs.n + 1)
     return [int(i in bs.left) for i in ground] + [int(i in bs.right) for i in ground]
+
+
+@cache
+def _ray_rows(n: int) -> dict[Bisubset, tuple[int, ...]]:
+    """Each bisubset's :func:`ray_vector` row as a tuple, built once per n
+    (do not mutate)."""
+    return {bs: tuple(ray_vector(bs)) for bs in _bisubset_order(n)}
 
 
 def _lineality_rows(n: int) -> list[list[int]]:
@@ -310,11 +318,11 @@ def symmetry_checks(n: int) -> SymmetryReport:
     S intersect T nonempty and S, T proper gives a ray whose negative is
     not a ray.
     """
-    row_of = {bs: ray_vector(bs) for bs in all_bisubsets(n)}
+    row_of = _ray_rows(n)
     rays = {canonical_ray(row[:n], row[n:]) for row in row_of.values()}
 
     perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    points = [LatticePoint(tuple(row[:n]), tuple(row[n:])) for row in row_of.values()]
+    points = [LatticePoint(row[:n], row[n:]) for row in row_of.values()]
     images = (_relabel_point(p, perm) for perm in perms for p in points)
     rays_relabel = all(canonical_ray(i.top, i.bottom) in rays for i in images)
     rays_swap = all(canonical_ray(row[n:], row[:n]) in rays for row in row_of.values())
@@ -361,8 +369,8 @@ HYPERPLANE_TYPES = (1, 2, 3, 4)
 
 
 def _wall_normal(splits: Iterable[Bisubset], n: int) -> tuple[int, ...]:
-    rows = [ray_vector(bs) for bs in splits] + _lineality_rows(n)
-    return tuple(nullspace_normal(rows))
+    table = _ray_rows(n)
+    return tuple(_nullspace_int([table[bs] for bs in splits] + _lineality_rows(n)))
 
 
 def classify_wall_normal(normal: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:

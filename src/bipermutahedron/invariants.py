@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .combinatorics import (
     Bipermutation,
+    _is_descent,
     descents,
     doubled_word,
     enumerate_bipermutations,
@@ -229,14 +230,45 @@ def h_from_f(f: Sequence[int], d: int) -> IntPolynomial:
 def bieulerian_by_descents(n: int) -> IntPolynomial:
     """B_n(x) as the descent histogram over all bipermutations.
 
+    One depth-first walk per once-letter k places the 2n - 1 letters of
+    every word, k at most once and every other letter at most twice, so
+    each bipermutation with once-letter k is visited exactly once.  A
+    letter is barred when it is a second occurrence, which is known as it
+    is placed, and each placement adds the descent rule's value for the
+    pair (previous letter, new letter) to a running count.
+
     >>> bieulerian_by_descents(2).coefficients
     (1, 4, 1)
     """
     if n < 1:
         raise ValueError("need n >= 1")
     histogram = [0] * (2 * n - 1)
-    for bp in enumerate_bipermutations(n):
-        histogram[descents(bp)] += 1
+    last = 2 * n - 2
+    # Token 2e + bar stands for letter e with its bar flag; token 0 for the
+    # empty start, which adds no descent.
+    tokens = [(e, bar) for e in range(1, n + 1) for bar in (False, True)]
+    for k in range(1, n + 1):
+        step = [[0] * (2 * n + 2) for _ in range(2 * n + 2)]
+        for a, abar in tokens:
+            for b, bbar in tokens:
+                step[2 * a + abar][2 * b + bbar] = _is_descent(a, abar, b, bbar, k)
+        left = [2] * (n + 1)
+        left[k] = 1
+
+        def walk(pos: int, prev: int, count: int) -> None:
+            row = step[prev]
+            for e in range(1, n + 1):
+                slots = left[e]
+                if slots:
+                    token = 2 * e + (slots == 1 and e != k)
+                    if pos == last:
+                        histogram[count + row[token]] += 1
+                        continue
+                    left[e] = slots - 1
+                    walk(pos + 1, token, count + row[token])
+                    left[e] = slots
+
+        walk(0, 0, 0)
     return IntPolynomial(tuple(histogram))
 
 

@@ -7,22 +7,26 @@ involved are tiny (at most ``2n`` rows for the ground set sizes we care
 about).
 
 One kernel does all the elimination: fraction-free elimination (Bareiss
-1968) on integer rows.  Rational input is first made integral row by row,
-scaling each row by the lcm of its denominators, which changes neither the
-solutions of a system nor its null space.  Every entry the kernel produces
-is an integer minor of its input, so no ``Fraction`` is built during
-elimination.  ``solve_unique`` and ``nullspace_normal`` run it as
-Gauss-Jordan elimination: the reduced row echelon form is the result divided
-by one common pivot value ``d``, and they read their answers off it.
-``det_int`` needs only ``d``, the minor on the pivot rows and columns, so it
-runs the kernel forward only, clearing below each pivot and never above.
+1968) on integer rows.  Every entry the kernel produces is an integer minor
+of its input, so no ``Fraction`` is built during elimination.  Two private
+integer entries run it as Gauss-Jordan elimination, where the reduced row
+echelon form is the result divided by one common pivot value ``d``, and
+read their answers off it: ``_solve_int`` returns a solution as integer
+numerators over ``d``, and ``_nullspace_int`` a primitive integer normal.
+``deformation.generic_wallcross_oracle`` and ``geometry._wall_normal``,
+whose rows are integer ray rows, call them directly.  The public
+``solve_unique`` and ``nullspace_normal`` keep their rational contracts and
+are thin adapters: each first makes its rows integral one by one, scaling
+each row by the lcm of its denominators, which changes neither the
+solutions of a system nor its null space.  ``det_int`` needs only ``d``,
+the minor on the pivot rows and columns, so it runs the kernel forward
+only, clearing below each pivot and never above.
 
 Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
 ``solve_unique``, ``nullspace_normal``, ``primitive_integer_vector``,
-``deformation._scaled_support``, ``deformation.generic_wallcross_oracle``
-and ``triangulation.cover_locate`` call it.
+``deformation._scaled_support`` and ``triangulation.cover_locate`` call it.
 """
 
 from __future__ import annotations
@@ -108,6 +112,25 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivot_cols) == m else 0
 
 
+def _solve_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Solve a square nonsingular integer system exactly; raise on a
+    singular one.
+
+    Each row holds its right-hand side as its last entry.  Returns
+    ``(numerators, d)``: the solution is ``numerators[i] / d``, read straight
+    off the Gauss-Jordan form, with ``d`` the determinant up to sign.
+
+    >>> _solve_int([[2, 0, 1], [0, 4, 1]])
+    ([4, 2], 8)
+    """
+    m = len(rows)
+    a = list(rows)
+    pivot_cols, d, _ = _bareiss(a, m)
+    if len(pivot_cols) != m:
+        raise ValueError("singular matrix")
+    return [row[m] for row in a], d
+
+
 def solve_unique(
     matrix: Sequence[Sequence[int | Fraction]],
     rhs: Sequence[int | Fraction],
@@ -120,22 +143,22 @@ def solve_unique(
     m = len(matrix)
     if len(rhs) != m or any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square with one rhs entry per row")
-    a = [_scaled_integers([*row, b])[0] for row, b in zip(matrix, rhs)]
-    pivot_cols, d, _ = _bareiss(a, m)
-    if len(pivot_cols) != m:
-        raise ValueError("singular matrix")
-    return [Fraction(row[m], d) for row in a]
+    numerators, d = _solve_int(
+        [_scaled_integers([*row, b])[0] for row, b in zip(matrix, rhs)]
+    )
+    return [Fraction(x, d) for x in numerators]
 
 
-def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
+def _nullspace_int(rows: Sequence[Sequence[int]]) -> list[int]:
     """A primitive integer spanning vector of the one-dimensional null space
-    of ``matrix`` (rows = constraints).  Raises if the null space does not
-    have dimension exactly one.
+    of the integer ``rows``, first nonzero entry positive.  Raises if the
+    null space does not have dimension exactly one.
 
-    The sign is normalized so that the first nonzero entry is positive.
+    >>> _nullspace_int([[1, 0, 1], [0, 2, 2]])
+    [1, 1, -1]
     """
-    cols = len(matrix[0])
-    a = [_scaled_integers(row)[0] for row in matrix]
+    cols = len(rows[0])
+    a = list(rows)
     pivot_cols, d, _ = _bareiss(a, cols)
     free = [c for c in range(cols) if c not in pivot_cols]
     if len(free) != 1:
@@ -145,7 +168,17 @@ def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
     vec[f] = d
     for r, c in enumerate(pivot_cols):
         vec[c] = -a[r][f]
-    return primitive_integer_vector(vec)
+    return _primitive(vec)
+
+
+def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
+    """A primitive integer spanning vector of the one-dimensional null space
+    of ``matrix`` (rows = constraints).  Raises if the null space does not
+    have dimension exactly one.
+
+    The sign is normalized so that the first nonzero entry is positive.
+    """
+    return _nullspace_int([_scaled_integers(row)[0] for row in matrix])
 
 
 def primitive_integer_vector(vec: Sequence[int | Fraction]) -> list[int]:
@@ -157,10 +190,13 @@ def primitive_integer_vector(vec: Sequence[int | Fraction]) -> list[int]:
     """
     if not any(vec):
         raise ValueError("zero vector")
-    ints, _ = _scaled_integers(vec)
+    return _primitive(_scaled_integers(vec)[0])
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """A nonzero integer vector divided by the gcd of its entries, first
+    nonzero entry positive."""
     g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]

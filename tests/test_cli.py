@@ -442,6 +442,64 @@ class TestInfeasibleN:
         with pytest.raises(RuntimeError, match="enumerated"):
             main(["vertices", "--n", "5"])
 
+    @pytest.fixture
+    def no_bieulerian_route(self, monkeypatch):
+        # A missing guard then fails at once instead of walking the 7,484,400
+        # words at n = 6.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a B_n route ran")
+
+        for name in ("bieulerian_by_descents", "bieulerian_by_ehrhart", "f_vector_formula"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("n", ["6", "100000"])
+    @pytest.mark.parametrize(
+        "method",
+        [[], ["--method", "all"], ["--method", "descents"]],
+        ids=["default", "all", "descents"],
+    )
+    def test_bieulerian_descents_refused_before_any_route(
+        self, capsys, no_bieulerian_route, n, method
+    ):
+        code, out, err = run_cli(capsys, "bieulerian", "--n", n, *method)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: n = {n} has more bipermutations than the 113400 at n = 5, "
+            "the largest n whose words the descent route visits; use --method "
+            "hfromf or --method ehrhart\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "5"],
+            ["--n", "5", "--method", "descents"],
+            ["--n", "6", "--method", "hfromf"],
+            ["--n", "100000", "--method", "ehrhart"],
+        ],
+    )
+    def test_bieulerian_routes_not_refused(self, no_bieulerian_route, argv):
+        with pytest.raises(RuntimeError, match="route ran"):
+            main(["bieulerian", *argv])
+
+    def test_bieulerian_refusal_has_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bipermutahedron.cli", "bieulerian", "--n", "6"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: n = 6 has more bipermutations")
+        assert "Traceback" not in proc.stderr
+
+    def test_bieulerian_open_routes_run_at_n6(self, capsys):
+        _, hfromf, _ = run_cli(capsys, "bieulerian", "--n", "6", "--method", "hfromf")
+        code, ehrhart, _ = run_cli(capsys, "bieulerian", "--n", "6", "--method", "ehrhart")
+        assert code == 0
+        assert json.loads(hfromf)["coeffs"] == json.loads(ehrhart)["coeffs"]
+        assert json.loads(hfromf)["coeffs"][:3] == ["1", "716", "37257"]
+
 
 # Lines a corrupted support file may contain: wrong field counts, non-integer
 # elements, empty or equal sides, out-of-range elements, bad and zero-

@@ -1,6 +1,7 @@
 """Tests for wall enumeration, wall-crossing inequalities, and cone membership."""
 
 import dataclasses
+import hashlib
 import random
 import sys
 import time
@@ -17,8 +18,10 @@ from bipermutahedron.combinatorics import (
     NoSingleOccurrence,
     all_bisubsets,
     bisubset,
+    bisubsets_of,
     enumerate_bipermutations,
     parse_bisequence,
+    splits_of,
 )
 from bipermutahedron.geometry import SupportFunction
 from bipermutahedron.invariants import multigraph_count
@@ -308,6 +311,32 @@ class TestOracleAgreement:
         monkeypatch.setattr(deformation, "wall_refinements", lambda w: (chamber, other))
         with pytest.raises(DependenceNotUnique, match="exactly one ray"):
             generic_wallcross_oracle(wall)
+
+
+    def test_oracle_refuses_a_singular_system(self, monkeypatch):
+        # Giving both chamber rays the row of a wall ray makes two columns
+        # of the system equal.
+        wall = wall_from("1|12|2|3", 3, "A")
+        wall_rays = splits_of(wall.bisequence)
+        table = dict(deformation._ray_rows(3))
+        for chamber in wall_refinements(wall):
+            for bs in set(bisubsets_of(chamber)) - set(wall_rays):
+                table[bs] = table[wall_rays[0]]
+        monkeypatch.setattr(deformation, "_ray_rows", lambda n: table)
+        with pytest.raises(DependenceNotUnique, match="dependence at .* is not unique"):
+            generic_wallcross_oracle(wall)
+
+    # sha256 of the oracle's repr on every wall, one line per wall in
+    # enumerate_walls order.
+    ORACLE_DIGESTS = {
+        2: "1c201162754a81ca0d23f56cc9ca5cccbf1f388a026410edb6f63a8fb00b2264",
+        3: "b6eabb0662f968c9d81c362f4c2cccf8b1dfb18c83bbba59593170f4ede26a6b",
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oracle_reprs_are_pinned(self, n):
+        text = "\n".join(repr(generic_wallcross_oracle(w)) for w in enumerate_walls(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ORACLE_DIGESTS[n]
 
 
 class TestCaseClassification:

@@ -1,5 +1,6 @@
 """Face numbers, biEulerian polynomials, and the sweep orientation."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,8 @@ import pytest
 
 from bipermutahedron.combinatorics import (
     bipermutation_count,
+    descents,
+    enumerate_bipermutations,
     parse_bipermutation,
 )
 from bipermutahedron.invariants import (
@@ -105,6 +108,13 @@ def test_bieulerian_three_routes_agree(n):
     assert by_h == by_descents
     assert by_ehrhart == by_descents
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_pass_histogram_counts_descents_per_word(n):
+    histogram = Counter(descents(bp) for bp in enumerate_bipermutations(n))
+    expected = tuple(histogram[d] for d in range(2 * n - 1))
+    assert bieulerian_by_descents(n).coefficients == expected
 
 def test_bieulerian_n5_cross_route_only():
     # too large to freeze by hand; the three routes are the oracle

@@ -9,7 +9,9 @@ import pytest
 
 from bipermutahedron.linalg import (
     _bareiss,
+    _nullspace_int,
     _scaled_integers,
+    _solve_int,
     det_int,
     nullspace_normal,
     primitive_integer_vector,
@@ -278,3 +280,55 @@ def test_nullspace_normal_free_column_not_last():
     assert normal == [2, -3, 1, 0]
     _check_normal(matrix, normal, v)
     assert nullspace_normal([[1, 1, 0], [0, 0, 5]]) == [1, -1, 0]
+
+
+def test_integer_solve_agrees_with_solve_unique():
+    # The seeded systems of test_solve_unique_by_substitution, made integral
+    # row by row as solve_unique does.
+    rng = random.Random(11)
+    for m in range(1, 9):
+        for trial in range(12):
+            a, _ = _nonsingular(rng, m, dense=trial % 2 == 1)
+            if trial % 3:
+                a = _scale_rows(rng, a)
+            b = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in range(m)]
+            rows = [_scaled_integers([*row, c])[0] for row, c in zip(a, b)]
+            numerators, d = _solve_int(rows)
+            assert all(isinstance(x, int) for x in [*numerators, d])
+            assert [Fraction(x, d) for x in numerators] == solve_unique(a, b)
+            if m > 1:
+                singular = _make_singular(rng, a)
+                rows = [_scaled_integers([*row, c])[0] for row, c in zip(singular, b)]
+                with pytest.raises(ValueError, match="singular matrix"):
+                    _solve_int(rows)
+    with pytest.raises(ValueError, match="singular matrix"):
+        _solve_int([[0, 1]])
+
+
+def test_integer_nullspace_agrees_with_nullspace_normal():
+    # The seeded systems of test_nullspace_normal_of_constructed_matrices.
+    rng = random.Random(13)
+    for c in range(1, 9):
+        for _ in range(12):
+            v = [_small(rng) for _ in range(c)]
+            if not any(v):
+                v[rng.randrange(c)] = rng.choice((1, -1, 4))
+            matrix = _with_null_vector(rng, v)
+            rows = [_scaled_integers(row)[0] for row in matrix]
+            normal = _nullspace_int(rows)
+            assert normal == nullspace_normal(matrix)
+            _check_normal(rows, normal, v)
+    for rows, dim in (([[1, 0, 0, 0], [0, 1, 0, 0]], 2), ([[1, 0], [0, 3]], 0)):
+        with pytest.raises(ValueError, match=f"null space has dimension {dim}, expected 1"):
+            _nullspace_int(rows)
+        with pytest.raises(ValueError, match=f"null space has dimension {dim}, expected 1"):
+            nullspace_normal(rows)
+
+
+def test_integer_entries_leave_their_rows_alone():
+    rows = [(2, 1, 5), (1, 3, 10)]
+    assert _solve_int(rows) == ([5, 15], 5)
+    assert rows == [(2, 1, 5), (1, 3, 10)]
+    rows = [(1, 0, 1), (0, 2, 2)]
+    assert _nullspace_int(rows) == [1, 1, -1]
+    assert rows == [(1, 0, 1), (0, 2, 2)]
