@@ -417,6 +417,14 @@ SUITES = {
 
 
 def _cmd_check(args) -> int:
+    # Every suite enumerates the bipermutations or the walls of each m <= n.
+    if args.n > _VERTICES_MAX_N:
+        raise ValueError(
+            f"n = {args.n} has more bipermutations than the "
+            f"{bipermutation_count(_VERTICES_MAX_N)} at n = {_VERTICES_MAX_N}, "
+            f"the largest n whose bipermutations and walls the check suites "
+            f"enumerate"
+        )
     selected = list(SUITES) if args.suite == "all" else [args.suite]
     if "triangulation" in selected and args.seed is None:
         print("a seed is required for randomized suites", file=sys.stderr)

@@ -91,7 +91,7 @@ from .geometry import (
     biperm_support_function,
     harmonic_support_function,
 )
-from .linalg import _scaled_integers, _solve_int
+from .linalg import _scaled_integers, solve_unique
 
 __all__ = [
     "KindMismatch",
@@ -466,7 +466,7 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     columns = [table[rp], *(table[w] for w in wall_rays), *_lineality_rows(n)]
     columns.append([-x for x in table[r]])
     try:
-        numerators, d = _solve_int(list(zip(*columns)))
+        numerators, d = solve_unique(list(zip(*columns)))
     except ValueError as exc:
         raise DependenceNotUnique(f"dependence at {wall} is not unique") from exc
     # The solution is numerators / d.  Dividing d and the numerators by

@@ -42,7 +42,7 @@ from .combinatorics import (
     signed_word,
     splits_of,
 )
-from .linalg import _nullspace_int
+from .linalg import nullspace_normal
 
 Row = tuple[int, ...]
 
@@ -370,7 +370,7 @@ HYPERPLANE_TYPES = (1, 2, 3, 4)
 
 def _wall_normal(splits: Iterable[Bisubset], n: int) -> tuple[int, ...]:
     table = _ray_rows(n)
-    return tuple(_nullspace_int([table[bs] for bs in splits] + _lineality_rows(n)))
+    return tuple(nullspace_normal([table[bs] for bs in splits] + _lineality_rows(n)))
 
 
 def classify_wall_normal(normal: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:

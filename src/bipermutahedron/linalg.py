@@ -1,32 +1,33 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Everything in this package that needs linear algebra needs *exact* answers:
-determinants of lattice simplices, barycentric coordinates of rational
-points, unique expansions of a ray in terms of other rays.  The matrices
-involved are tiny (at most ``2n`` rows for the ground set sizes we care
-about).
+determinants of lattice simplices, unique expansions of a ray in terms of
+other rays, normals of walls.  The matrices involved are tiny (at most
+``2n`` rows for the ground set sizes we care about).
 
 One kernel does all the elimination: fraction-free elimination (Bareiss
 1968) on integer rows.  Every entry the kernel produces is an integer minor
-of its input, so no ``Fraction`` is built during elimination.  Two private
-integer entries run it as Gauss-Jordan elimination, where the reduced row
-echelon form is the result divided by one common pivot value ``d``, and
-read their answers off it: ``_solve_int`` returns a solution as integer
-numerators over ``d``, and ``_nullspace_int`` a primitive integer normal.
-``deformation.generic_wallcross_oracle`` and ``geometry._wall_normal``,
-whose rows are integer ray rows, call them directly.  The public
-``solve_unique`` and ``nullspace_normal`` keep their rational contracts and
-are thin adapters: each first makes its rows integral one by one, scaling
-each row by the lcm of its denominators, which changes neither the
-solutions of a system nor its null space.  ``det_int`` needs only ``d``,
-the minor on the pivot rows and columns, so it runs the kernel forward
-only, clearing below each pivot and never above.
+of its input, so no ``Fraction`` is built during elimination.  Each job has
+one entry, and every entry takes integer rows:
 
-Matrices are lists/tuples of rows; entries are ints or ``Fraction``s.
+- ``solve_unique`` runs the kernel as Gauss-Jordan elimination, where the
+  reduced row echelon form is the result divided by one common pivot value
+  ``d``, and returns the solution as integer numerators over ``d``; each
+  row carries its right-hand side as its last entry;
+- ``nullspace_normal`` runs it the same way and returns a primitive integer
+  normal;
+- ``det_int`` needs only ``d``, the minor on the pivot rows and columns, so
+  it runs the kernel forward only, clearing below each pivot and never
+  above.
+
+``solve_unique`` and ``nullspace_normal`` raise ``TypeError`` on an entry
+that is not an ``int``.  ``det_int`` does not check: its callers,
+``triangulation.pi1_lattice_check`` and ``unimodularity_check``, build their
+rows from integers.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
-``solve_unique``, ``nullspace_normal``, ``primitive_integer_vector``,
-``deformation._scaled_support`` and ``triangulation.cover_locate`` call it.
+``deformation._scaled_support`` and ``triangulation.cover_locate`` call it
+to bring rational data onto integers before any integer code sees it.
 """
 
 from __future__ import annotations
@@ -112,18 +113,30 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivot_cols) == m else 0
 
 
-def _solve_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def _require_ints(rows: Sequence[Sequence[int]]) -> None:
+    """Raise ``TypeError`` unless every entry of ``rows`` is an ``int``."""
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                raise TypeError(f"entries must be int, got {type(x).__name__}")
+
+
+def solve_unique(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Solve a square nonsingular integer system exactly; raise on a
     singular one.
 
-    Each row holds its right-hand side as its last entry.  Returns
-    ``(numerators, d)``: the solution is ``numerators[i] / d``, read straight
-    off the Gauss-Jordan form, with ``d`` the determinant up to sign.
+    Each of the m rows holds m coefficients and then its right-hand side.
+    Returns ``(numerators, d)``: the solution is ``numerators[i] / d``, read
+    straight off the Gauss-Jordan form, with ``d`` the determinant up to
+    sign.
 
-    >>> _solve_int([[2, 0, 1], [0, 4, 1]])
+    >>> solve_unique([[2, 0, 1], [0, 4, 1]])
     ([4, 2], 8)
     """
     m = len(rows)
+    if any(len(row) != m + 1 for row in rows):
+        raise ValueError("matrix must be square, with one rhs entry per row")
+    _require_ints(rows)
     a = list(rows)
     pivot_cols, d, _ = _bareiss(a, m)
     if len(pivot_cols) != m:
@@ -131,32 +144,15 @@ def _solve_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return [row[m] for row in a], d
 
 
-def solve_unique(
-    matrix: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
-) -> list[Fraction]:
-    """Solve a square nonsingular system exactly; raise on a singular matrix.
-
-    >>> solve_unique([[2, 0], [0, 4]], [1, 1])
-    [Fraction(1, 2), Fraction(1, 4)]
-    """
-    m = len(matrix)
-    if len(rhs) != m or any(len(row) != m for row in matrix):
-        raise ValueError("matrix must be square with one rhs entry per row")
-    numerators, d = _solve_int(
-        [_scaled_integers([*row, b])[0] for row, b in zip(matrix, rhs)]
-    )
-    return [Fraction(x, d) for x in numerators]
-
-
-def _nullspace_int(rows: Sequence[Sequence[int]]) -> list[int]:
+def nullspace_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     """A primitive integer spanning vector of the one-dimensional null space
-    of the integer ``rows``, first nonzero entry positive.  Raises if the
-    null space does not have dimension exactly one.
+    of the integer ``rows`` (rows = constraints), first nonzero entry
+    positive.  Raises if the null space does not have dimension exactly one.
 
-    >>> _nullspace_int([[1, 0, 1], [0, 2, 2]])
+    >>> nullspace_normal([[1, 0, 1], [0, 2, 2]])
     [1, 1, -1]
     """
+    _require_ints(rows)
     cols = len(rows[0])
     a = list(rows)
     pivot_cols, d, _ = _bareiss(a, cols)
@@ -168,35 +164,8 @@ def _nullspace_int(rows: Sequence[Sequence[int]]) -> list[int]:
     vec[f] = d
     for r, c in enumerate(pivot_cols):
         vec[c] = -a[r][f]
-    return _primitive(vec)
-
-
-def nullspace_normal(matrix: Sequence[Sequence[int | Fraction]]) -> list[int]:
-    """A primitive integer spanning vector of the one-dimensional null space
-    of ``matrix`` (rows = constraints).  Raises if the null space does not
-    have dimension exactly one.
-
-    The sign is normalized so that the first nonzero entry is positive.
-    """
-    return _nullspace_int([_scaled_integers(row)[0] for row in matrix])
-
-
-def primitive_integer_vector(vec: Sequence[int | Fraction]) -> list[int]:
-    """Scale a nonzero rational vector to a primitive integer vector whose
-    first nonzero entry is positive.
-
-    >>> primitive_integer_vector([Fraction(1, 2), Fraction(-3, 2)])
-    [1, -3]
-    """
-    if not any(vec):
-        raise ValueError("zero vector")
-    return _primitive(_scaled_integers(vec)[0])
-
-
-def _primitive(ints: list[int]) -> list[int]:
-    """A nonzero integer vector divided by the gcd of its entries, first
-    nonzero entry positive."""
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
+    # The entry d at the free column is nonzero, so the gcd is too.
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
         g = -g
-    return [x // g for x in ints]
+    return [x // g for x in vec]

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from bipermutahedron import cli, combinatorics, deformation, geometry
+from bipermutahedron import (
+    cli,
+    combinatorics,
+    deformation,
+    geometry,
+    invariants,
+    triangulation,
+)
 from bipermutahedron.cli import main
 from bipermutahedron.deformation import (
     format_support_csv,
@@ -492,6 +499,43 @@ class TestInfeasibleN:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: n = 6 has more bipermutations")
         assert "Traceback" not in proc.stderr
+
+    @pytest.fixture
+    def no_suite_enumeration(self, monkeypatch):
+        # A missing guard then fails at once instead of walking the 7,484,400
+        # words or the 37,422,000 walls at n = 6.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a suite enumerated")
+
+        for module in (cli, combinatorics, deformation, geometry, invariants, triangulation):
+            for name in dir(module):
+                if name.startswith("enumerate_"):
+                    monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("n", ["6", "100000"])
+    @pytest.mark.parametrize(
+        "argv",
+        [pytest.param([], id="no-seed"), pytest.param(["--seed", "7"], id="default")]
+        + [
+            pytest.param(["--suite", suite, "--seed", "7"], id=suite)
+            for suite in (*cli.SUITES, "all")
+        ],
+    )
+    def test_check_refused_before_any_suite(
+        self, capsys, no_suite_enumeration, n, argv
+    ):
+        code, out, err = run_cli(capsys, "check", "--n", n, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: n = {n} has more bipermutations than the 113400 at n = 5, "
+            "the largest n whose bipermutations and walls the check suites "
+            "enumerate\n"
+        )
+
+    @pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
+    def test_check_n5_is_not_refused(self, no_suite_enumeration, suite):
+        with pytest.raises(RuntimeError, match="enumerated"):
+            main(["check", "--n", "5", "--suite", suite, "--seed", "7"])
 
     def test_bieulerian_open_routes_run_at_n6(self, capsys):
         _, hfromf, _ = run_cli(capsys, "bieulerian", "--n", "6", "--method", "hfromf")

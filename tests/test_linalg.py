@@ -1,4 +1,5 @@
-"""Exact linear algebra over the integers and rationals."""
+"""Exact linear algebra over the integers.  Rational test systems are
+brought onto integer rows with ``_scaled_integers``, one row at a time."""
 
 import random
 from fractions import Fraction
@@ -9,12 +10,9 @@ import pytest
 
 from bipermutahedron.linalg import (
     _bareiss,
-    _nullspace_int,
     _scaled_integers,
-    _solve_int,
     det_int,
     nullspace_normal,
-    primitive_integer_vector,
     solve_unique,
 )
 
@@ -43,14 +41,13 @@ def test_det_big_integers_exact():
 
 
 def test_solve_unique_recovers_solution():
-    m = [[2, 1], [1, 3]]
-    x = solve_unique(m, [5, 10])
-    assert x == [Fraction(1), Fraction(3)]
+    numerators, d = solve_unique([[2, 1, 5], [1, 3, 10]])
+    assert [Fraction(x, d) for x in numerators] == [1, 3]
 
 
 def test_solve_unique_rejects_singular():
-    with pytest.raises(ValueError):
-        solve_unique([[1, 2], [2, 4]], [1, 1])
+    with pytest.raises(ValueError, match="singular matrix"):
+        solve_unique([[1, 2, 1], [2, 4, 1]])
 
 
 def test_nullspace_normal_primitive_and_oriented():
@@ -65,25 +62,36 @@ def test_nullspace_normal_requires_corank_one():
     with pytest.raises(ValueError, match="null space has dimension 2, expected 1"):
         nullspace_normal([[1, 0, 0, 0], [0, 1, 0, 0]])
     with pytest.raises(ValueError, match="null space has dimension 0, expected 1"):
-        nullspace_normal([[1, 0], [0, Fraction(1, BIG_PRIME)]])
-
-
-def test_primitive_integer_vector():
-    assert primitive_integer_vector([4, -6, 8]) == [2, -3, 4]
-    assert primitive_integer_vector(
-        [Fraction(1, 2), Fraction(1, 3)]
-    ) == [3, 2]
-    with pytest.raises(ValueError):
-        primitive_integer_vector([0, 0])
+        nullspace_normal([[1, 0], [0, BIG_PRIME]])
 
 
 def test_shape_errors_are_value_errors():
     with pytest.raises(ValueError, match="square"):
         det_int([[1, 2]])
+    # Every row of solve_unique holds m coefficients and its rhs.
     with pytest.raises(ValueError, match="square"):
-        solve_unique([[1, 2]], [1])
+        solve_unique([[1, 2, 3]])
     with pytest.raises(ValueError, match="square"):
-        solve_unique([[1, 0], [0, 1]], [1])
+        solve_unique([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="square"):
+        solve_unique([[1, 0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), Fraction(1), 1.0, "1"], ids=repr
+)
+def test_non_int_entries_are_type_errors(bad):
+    # The kernel's floor divisions are exact only on integers: on the rows
+    # [[1/2, 1, 0], [0, 1, 1]] it would report a null space of dimension 2,
+    # where the true dimension is 1.
+    with pytest.raises(TypeError, match="entries must be int"):
+        nullspace_normal([[bad, 1, 0], [0, 1, 1]])
+    with pytest.raises(TypeError, match="entries must be int"):
+        nullspace_normal([[1, 1, 0], [0, 1, bad]])
+    with pytest.raises(TypeError, match="entries must be int"):
+        solve_unique([[bad, 0, 1], [0, 1, 1]])
+    with pytest.raises(TypeError, match="entries must be int"):
+        solve_unique([[1, 0, 1], [0, 1, bad]])
 
 
 # Seeded random systems with known answers.  Nonsingular matrices are built
@@ -156,6 +164,13 @@ def _make_singular(rng, matrix):
     return matrix
 
 
+def _integer_rows(matrix):
+    """Each rational row scaled to integers over the lcm of its
+    denominators, which changes neither the null space nor whether the
+    determinant vanishes."""
+    return [_scaled_integers(row)[0] for row in matrix]
+
+
 def test_det_int_matches_leibniz_expansion():
     rng = random.Random(2024)
     for m in range(1, 6):
@@ -201,7 +216,7 @@ def test_forward_only_determinant_matches_gauss_jordan():
                 a = _make_singular(rng, _scale_rows(rng, a))
             elif trial % 4 == 3:
                 a = [[_small(rng) for _ in range(m)] for _ in range(m)]
-            ints = [_scaled_integers(row)[0] for row in a]
+            ints = _integer_rows(a)
             want = _det_by_mode(ints, forward_only=False)
             assert _det_by_mode(ints, forward_only=True) == want
             assert det_int(ints) == want
@@ -209,6 +224,11 @@ def test_forward_only_determinant_matches_gauss_jordan():
                 assert want == det
             if trial % 4 == 2 and m > 1:
                 assert want == 0
+
+
+def _augmented(a, b):
+    """The rational system a x = b as integer rows with the rhs last."""
+    return [_scaled_integers([*row, c])[0] for row, c in zip(a, b)]
 
 
 def test_solve_unique_by_substitution():
@@ -219,14 +239,14 @@ def test_solve_unique_by_substitution():
             if trial % 3:
                 a = _scale_rows(rng, a)
             b = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in range(m)]
-            x = solve_unique(a, b)
-            assert all(isinstance(v, Fraction) for v in x)
-            assert _mat_vec(a, x) == b
+            numerators, d = solve_unique(_augmented(a, b))
+            assert all(type(x) is int for x in [*numerators, d])
+            assert _mat_vec(a, [Fraction(x, d) for x in numerators]) == b
             if m > 1:
                 with pytest.raises(ValueError, match="singular matrix"):
-                    solve_unique(_make_singular(rng, a), b)
+                    solve_unique(_augmented(_make_singular(rng, a), b))
     with pytest.raises(ValueError, match="singular matrix"):
-        solve_unique([[0]], [1])
+        solve_unique([[0, 1]])
 
 
 def _with_null_vector(rng, v):
@@ -269,66 +289,23 @@ def test_nullspace_normal_of_constructed_matrices():
             if not any(v):
                 v[rng.randrange(c)] = rng.choice((1, -1, 4))
             matrix = _with_null_vector(rng, v)
-            _check_normal(matrix, nullspace_normal(matrix), v)
+            _check_normal(matrix, nullspace_normal(_integer_rows(matrix)), v)
 
 
 def test_nullspace_normal_free_column_not_last():
     # the last column is forced to be a pivot column
     v = [2, -3, 1, 0]
     matrix = _with_null_vector(random.Random(17), v)
-    normal = nullspace_normal(matrix)
+    normal = nullspace_normal(_integer_rows(matrix))
     assert normal == [2, -3, 1, 0]
     _check_normal(matrix, normal, v)
     assert nullspace_normal([[1, 1, 0], [0, 0, 5]]) == [1, -1, 0]
 
 
-def test_integer_solve_agrees_with_solve_unique():
-    # The seeded systems of test_solve_unique_by_substitution, made integral
-    # row by row as solve_unique does.
-    rng = random.Random(11)
-    for m in range(1, 9):
-        for trial in range(12):
-            a, _ = _nonsingular(rng, m, dense=trial % 2 == 1)
-            if trial % 3:
-                a = _scale_rows(rng, a)
-            b = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in range(m)]
-            rows = [_scaled_integers([*row, c])[0] for row, c in zip(a, b)]
-            numerators, d = _solve_int(rows)
-            assert all(isinstance(x, int) for x in [*numerators, d])
-            assert [Fraction(x, d) for x in numerators] == solve_unique(a, b)
-            if m > 1:
-                singular = _make_singular(rng, a)
-                rows = [_scaled_integers([*row, c])[0] for row, c in zip(singular, b)]
-                with pytest.raises(ValueError, match="singular matrix"):
-                    _solve_int(rows)
-    with pytest.raises(ValueError, match="singular matrix"):
-        _solve_int([[0, 1]])
-
-
-def test_integer_nullspace_agrees_with_nullspace_normal():
-    # The seeded systems of test_nullspace_normal_of_constructed_matrices.
-    rng = random.Random(13)
-    for c in range(1, 9):
-        for _ in range(12):
-            v = [_small(rng) for _ in range(c)]
-            if not any(v):
-                v[rng.randrange(c)] = rng.choice((1, -1, 4))
-            matrix = _with_null_vector(rng, v)
-            rows = [_scaled_integers(row)[0] for row in matrix]
-            normal = _nullspace_int(rows)
-            assert normal == nullspace_normal(matrix)
-            _check_normal(rows, normal, v)
-    for rows, dim in (([[1, 0, 0, 0], [0, 1, 0, 0]], 2), ([[1, 0], [0, 3]], 0)):
-        with pytest.raises(ValueError, match=f"null space has dimension {dim}, expected 1"):
-            _nullspace_int(rows)
-        with pytest.raises(ValueError, match=f"null space has dimension {dim}, expected 1"):
-            nullspace_normal(rows)
-
-
 def test_integer_entries_leave_their_rows_alone():
     rows = [(2, 1, 5), (1, 3, 10)]
-    assert _solve_int(rows) == ([5, 15], 5)
+    assert solve_unique(rows) == ([5, 15], 5)
     assert rows == [(2, 1, 5), (1, 3, 10)]
     rows = [(1, 0, 1), (0, 2, 2)]
-    assert _nullspace_int(rows) == [1, 1, -1]
+    assert nullspace_normal(rows) == [1, 1, -1]
     assert rows == [(1, 0, 1), (0, 2, 2)]

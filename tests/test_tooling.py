@@ -1,7 +1,8 @@
 """Tooling checks: the benchmark's span tracer names only functions the
-package still has, the package imports nothing it does not use, the
-README's command line tour prints what it shows, and its Python blocks
-run."""
+package still has, and the routes call the kernel under those names; the
+package imports nothing it does not use and has no ``assert`` statement;
+the README's command line tour prints what it shows, and its Python
+blocks run."""
 
 import ast
 import importlib
@@ -9,7 +10,7 @@ import re
 import shlex
 from pathlib import Path
 
-from bipermutahedron import cli
+from bipermutahedron import cli, deformation, geometry
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,6 +41,28 @@ def test_every_traced_name_resolves():
     assert {kind for _, _, kind in names} == {"call", "iter", "method"}
     missing = [f"{m}.{a}" for m, a, kind in names if not resolves(m, a, kind)]
     assert missing == []
+
+
+def test_routes_call_the_traced_kernel_names(monkeypatch):
+    # The tracer rebinds module attributes, so it sees an elimination only
+    # if the route calls the kernel through the name it imported.
+    calls = {"solve_unique": 0, "nullspace_normal": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(deformation, "solve_unique")
+    counting(geometry, "nullspace_normal")
+    for wall in deformation.enumerate_walls(3):
+        deformation.generic_wallcross_oracle(wall)
+    assert geometry.hyperplane_face_counts(3).passed
+    assert calls == {"solve_unique": 180, "nullspace_normal": 180}
 
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipermutahedron"
@@ -80,6 +103,19 @@ def test_package_has_no_unused_imports():
         f"{path.stem}.{name}" for path in modules for name in unused_imports(path)
     ]
     assert unused == []
+
+
+def test_package_has_no_assert_statements():
+    # Guards must be exceptions: python -O strips assert statements.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    asserts = [
+        f"{path.stem}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

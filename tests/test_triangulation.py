@@ -219,15 +219,19 @@ def test_hstar_equals_bieulerian_explicitly():
 def _reference_barycentric(projections, point, weight):
     """Coefficient numerators over ``weight`` by a linear solve of the
     affine frame at the apex v_(E,E), in the vertex order of
-    ``_simplex_vertices``; ``projections`` are the vertices under pi1."""
+    ``_simplex_vertices``; ``projections`` are the vertices under pi1.
+    The right-hand side is scaled by ``weight``, so the solution is the
+    numerators themselves."""
     apex = projections[2]
     others = projections[:2] + projections[3:]
-    matrix = [[v[i] - apex[i] for v in others] for i in range(len(apex))]
-    rhs = [F(x, weight) - a for x, a in zip(point, apex)]
-    mu = solve_unique(matrix, rhs)
-    coeffs = [mu[0], mu[1], 1 - sum(mu)] + mu[2:]
-    assert all((x * weight).denominator == 1 for x in coeffs)
-    return [int(x * weight) for x in coeffs]
+    rows = [
+        [v[i] - a for v in others] + [x - weight * a]
+        for i, (x, a) in enumerate(zip(point, apex))
+    ]
+    numerators, d = solve_unique(rows)
+    assert all(x % d == 0 for x in numerators)
+    mu = [x // d for x in numerators]
+    return [mu[0], mu[1], weight - sum(mu)] + mu[2:]
 
 
 def _closed_form_cases():
