@@ -249,6 +249,26 @@ def test_solve_unique_by_substitution():
         solve_unique([[0, 1]])
 
 
+def test_integer_solve_agrees_with_solve_unique():
+    # The integer answer (numerators, d) is the rational one by Cramer's
+    # rule, numerators[i] / d = det(A_i) / det(A), and d is det(A) up to
+    # sign, on the seeded systems of test_solve_unique_by_substitution.
+    rng = random.Random(11)
+    for m in range(1, 9):
+        for trial in range(12):
+            a, _ = _nonsingular(rng, m, dense=trial % 2 == 1)
+            if trial % 3:
+                a = _scale_rows(rng, a)
+            b = [Fraction(_small(rng), rng.choice(DENOMINATORS)) for _ in range(m)]
+            rows = _augmented(a, b)
+            numerators, d = solve_unique(rows)
+            det_a = det_int([row[:m] for row in rows])
+            assert abs(d) == abs(det_a)
+            for i in range(m):
+                a_i = [[*row[:i], row[m], *row[i + 1 : m]] for row in rows]
+                assert numerators[i] * det_a == det_int(a_i) * d
+
+
 def _with_null_vector(rng, v):
     """Rows spanning the orthogonal complement of the nonzero integer vector
     ``v``, mixed, rescaled and padded with redundant rows."""
