@@ -65,17 +65,37 @@ from .triangulation import (
     unimodularity_check,
 )
 
-# Wall counts at n = 5 and n = 6 (entry 2n - 3 of f_vector_formula).  The
-# count grows with n, so a bound on n itself decides what a command can
-# afford: walls are enumerated one by one up to n = 5, and the distinct wall
-# inequalities are generated, without enumerating walls, up to n = 6.
-_WALLS_N5 = 453_600
-_WALLS_N6 = 37_422_000
-
-# The vertices are listed one per bipermutation, (2n)!/2^n of them: 113,400
-# at n = 5 and 7,484,400 at n = 6.  That count also grows with n, so the
-# largest n whose vertices can be listed is a bound on n itself.
-_VERTICES_MAX_N = 5
+# The largest n each (subcommand, --method) accepts, and the rest of the
+# message that refuses a larger one, checked by ``main`` before any work.
+# What a command lists, counts or enumerates grows with n, so n itself
+# decides feasibility.  A key that is not here accepts every n.
+_FORMULA = (200, "is above 200, the largest n whose f-vector the formula route computes")
+_BRUTEFORCE = (7, "is above 7, the largest n whose f-vector the brute-force route computes")
+_DESCENTS = (5, "has more bipermutations than the 113400 at n = 5, the largest n "
+                "whose words the descent route visits; use --method hfromf or "
+                "--method ehrhart")
+_INEQUALITIES = (6, "has more walls than the 37422000 at n = 6, the largest n "
+                    "whose wall inequalities can be generated")
+_N_BOUNDS = {
+    ("fvector", "formula"): _FORMULA,
+    ("fvector", "bruteforce"): _BRUTEFORCE,
+    ("hvector", "formula"): _FORMULA,
+    ("hvector", "bruteforce"): _BRUTEFORCE,
+    ("bieulerian", "hfromf"): _FORMULA,
+    ("bieulerian", "descents"): _DESCENTS,
+    ("bieulerian", "all"): _DESCENTS,
+    ("vertices", None): (5, "has more vertices than the 113400 at n = 5, the "
+                            "largest n whose vertices can be listed"),
+    ("facets", None): (10, "has more facets than the 59046 at n = 10, the "
+                           "largest n whose facets can be listed"),
+    ("walls", None): (5, "has more walls than the 453600 at n = 5, the largest "
+                         "n whose walls can be enumerated"),
+    ("nef-check", None): _INEQUALITIES,
+    ("quotient", None): _INEQUALITIES,
+    ("check", None): (5, "has more bipermutations than the 113400 at n = 5, the "
+                         "largest n whose bipermutations and walls the check "
+                         "suites enumerate"),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -142,14 +162,6 @@ def _cmd_hvector(args) -> int:
 
 
 def _cmd_bieulerian(args) -> int:
-    # The descent route visits one word per vertex.
-    if args.method in ("descents", "all") and args.n > _VERTICES_MAX_N:
-        raise ValueError(
-            f"n = {args.n} has more bipermutations than the "
-            f"{bipermutation_count(_VERTICES_MAX_N)} at n = {_VERTICES_MAX_N}, "
-            f"the largest n whose words the descent route visits; use --method "
-            f"hfromf or --method ehrhart"
-        )
     if args.method == "all":
         results = {name: route(args.n) for name, route in _BIEULERIAN_ROUTES.items()}
         values = set(results.values())
@@ -168,12 +180,6 @@ def _cmd_bieulerian(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    if args.n > _VERTICES_MAX_N:
-        raise ValueError(
-            f"n = {args.n} has more vertices than the "
-            f"{bipermutation_count(_VERTICES_MAX_N)} at n = {_VERTICES_MAX_N}, "
-            f"the largest n whose vertices can be listed"
-        )
     data = vertices_json(args.n)
     body = [
         "{} top={} bottom={}".format(
@@ -201,31 +207,7 @@ def _cmd_facets(args) -> int:
     return 0
 
 
-def _refuse_infeasible_walls(n: int) -> None:
-    """Refuse, before enumerating anything, an n with more walls than n = 5."""
-    if n == 6:
-        raise ValueError(
-            f"n = 6 has {_WALLS_N6} walls, more than the {_WALLS_N5} at n = 5 "
-            f"that can be enumerated"
-        )
-    if n > 6:
-        raise ValueError(
-            f"n = {n} has more walls than the {_WALLS_N6} at n = 6, and only "
-            f"the {_WALLS_N5} at n = 5 can be enumerated"
-        )
-
-
-def _refuse_infeasible_inequalities(n: int) -> None:
-    """Refuse, before generating anything, an n with more walls than n = 6."""
-    if n > 6:
-        raise ValueError(
-            f"n = {n} has more walls than the {_WALLS_N6} at n = 6, the largest "
-            f"n whose wall inequalities can be generated"
-        )
-
-
 def _cmd_walls(args) -> int:
-    _refuse_infeasible_walls(args.n)
     walls = [
         w
         for w in enumerate_walls(args.n)
@@ -251,7 +233,6 @@ def _load_support(spec_text: str, n: int) -> SupportFunction:
 
 
 def _cmd_nef_check(args) -> int:
-    _refuse_infeasible_inequalities(args.n)
     h = _load_support(args.support, args.n)
     verdict = is_ample(h, args.n) if args.ample else is_nef(h, args.n)
     payload = {
@@ -283,7 +264,6 @@ def _cmd_nef_check(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    _refuse_infeasible_inequalities(args.n)
     p = _load_support(args.p, args.n)
     q = _load_support(args.q, args.n)
     result = minkowski_quotient(p, q, args.n)
@@ -417,14 +397,6 @@ SUITES = {
 
 
 def _cmd_check(args) -> int:
-    # Every suite enumerates the bipermutations or the walls of each m <= n.
-    if args.n > _VERTICES_MAX_N:
-        raise ValueError(
-            f"n = {args.n} has more bipermutations than the "
-            f"{bipermutation_count(_VERTICES_MAX_N)} at n = {_VERTICES_MAX_N}, "
-            f"the largest n whose bipermutations and walls the check suites "
-            f"enumerate"
-        )
     selected = list(SUITES) if args.suite == "all" else [args.suite]
     if "triangulation" in selected and args.seed is None:
         print("a seed is required for randomized suites", file=sys.stderr)
@@ -527,6 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        bound = _N_BOUNDS.get((args.command, getattr(args, "method", None)))
+        if bound is not None and args.n > bound[0]:
+            raise ValueError(f"n = {args.n} {bound[1]}")
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

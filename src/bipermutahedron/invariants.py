@@ -29,6 +29,7 @@ from .combinatorics import (
 from .geometry import LatticePoint, vertex_of_bipermutation
 from .polynomials import (
     IntPolynomial,
+    poly_eval,
     poly_mul,
     real_root_check,
 )
@@ -291,18 +292,11 @@ def wagner_operator(
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     degree = len(coeffs) - 1
-
-    def value(k: int) -> Fraction:
-        acc = Fraction(0)
-        for coefficient in reversed(coeffs):
-            acc = acc * k + coefficient
-        return acc
-
     out: list[Fraction] = []
     for m in range(degree + guard_terms + 1):
         w = sum(
             (
-                (-1) ** j * comb(degree + 1, j) * value(m - j)
+                (-1) ** j * comb(degree + 1, j) * poly_eval(coeffs, m - j)
                 for j in range(min(m, degree + 1) + 1)
             ),
             Fraction(0),

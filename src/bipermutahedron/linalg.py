@@ -23,7 +23,8 @@ one entry, and every entry takes integer rows:
 ``solve_unique`` and ``nullspace_normal`` raise ``TypeError`` on an entry
 that is not an ``int``.  ``det_int`` does not check: its callers,
 ``triangulation.pi1_lattice_check`` and ``unimodularity_check``, build their
-rows from integers.
+rows from integers.  All three raise ``ValueError`` on rows of the wrong
+shape.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
 ``deformation._scaled_support`` and ``triangulation.cover_locate`` call it
@@ -152,8 +153,12 @@ def nullspace_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     >>> nullspace_normal([[1, 0, 1], [0, 2, 2]])
     [1, 1, -1]
     """
-    _require_ints(rows)
+    if not rows:
+        raise ValueError("need at least one row")
     cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"every row must have {cols} entries, as the first does")
+    _require_ints(rows)
     a = list(rows)
     pivot_cols, d, _ = _bareiss(a, cols)
     free = [c for c in range(cols) if c not in pivot_cols]

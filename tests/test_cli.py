@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import hashlib
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -30,6 +32,15 @@ from bipermutahedron.geometry import SupportFunction
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_catching_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -408,12 +419,18 @@ class TestInfeasibleN:
     )
     def test_refused_before_any_enumeration(self, capsys, no_enumeration, argv):
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        if argv[2] == "6":
-            assert err.startswith("error: n = 6 has 37422000 walls")
+        assert (code, out) == (2, "")
+        if argv[0] == "walls":
+            tail = (
+                "has more walls than the 453600 at n = 5, the largest n whose "
+                "walls can be enumerated"
+            )
         else:
-            assert err.startswith(f"error: n = {argv[2]} has more walls than")
+            tail = (
+                "has more walls than the 37422000 at n = 6, the largest n whose "
+                "wall inequalities can be generated"
+            )
+        assert err == f"error: n = {argv[2]} {tail}\n"
 
     def test_n5_is_not_refused(self, no_enumeration):
         with pytest.raises(RuntimeError, match="enumerated"):
@@ -544,6 +561,60 @@ class TestInfeasibleN:
         assert json.loads(hfromf)["coeffs"] == json.loads(ehrhart)["coeffs"]
         assert json.loads(hfromf)["coeffs"][:3] == ["1", "716", "37257"]
 
+    @pytest.fixture
+    def no_listing_route(self, monkeypatch):
+        # A missing guard then fails at once instead of listing 41 MB of
+        # facets at n = 11 or running the brute-force route at n = 8.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a listing route ran")
+
+        monkeypatch.setattr(cli, "facets_json", refuse)
+        monkeypatch.setattr(cli, "f_vector_formula", refuse)
+        for name in cli._F_VECTOR_ROUTES:
+            monkeypatch.setitem(cli._F_VECTOR_ROUTES, name, refuse)
+
+    FORMULA_TAIL = "the largest n whose f-vector the formula route computes"
+    BRUTEFORCE_TAIL = "the largest n whose f-vector the brute-force route computes"
+    LISTING_BOUNDS = [
+        pytest.param(
+            ["facets"], 10,
+            "has more facets than the 59046 at n = 10, the largest n whose "
+            "facets can be listed",
+            id="facets",
+        ),
+        pytest.param(["fvector"], 200, f"is above 200, {FORMULA_TAIL}", id="fvector"),
+        pytest.param(["hvector"], 200, f"is above 200, {FORMULA_TAIL}", id="hvector"),
+        pytest.param(
+            ["bieulerian", "--method", "hfromf"], 200,
+            f"is above 200, {FORMULA_TAIL}", id="bieulerian-hfromf",
+        ),
+        pytest.param(
+            ["fvector", "--method", "bruteforce"], 7,
+            f"is above 7, {BRUTEFORCE_TAIL}", id="fvector-bruteforce",
+        ),
+        pytest.param(
+            ["hvector", "--method", "bruteforce"], 7,
+            f"is above 7, {BRUTEFORCE_TAIL}", id="hvector-bruteforce",
+        ),
+    ]
+
+    @pytest.mark.parametrize("beyond", ["bound+1", "100000"])
+    @pytest.mark.parametrize(("argv", "bound", "tail"), LISTING_BOUNDS)
+    def test_listing_refused_before_its_route(
+        self, capsys, no_listing_route, argv, bound, tail, beyond
+    ):
+        n = str(bound + 1) if beyond == "bound+1" else beyond
+        code, out, err = run_cli(capsys, *argv, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n} {tail}\n"
+
+    @pytest.mark.parametrize(("argv", "bound", "tail"), LISTING_BOUNDS)
+    def test_listing_at_its_bound_reaches_its_route(
+        self, no_listing_route, argv, bound, tail
+    ):
+        with pytest.raises(RuntimeError, match="route ran"):
+            main([*argv, "--n", str(bound)])
+
 
 # Lines a corrupted support file may contain: wrong field counts, non-integer
 # elements, empty or equal sides, out-of-range elements, bad and zero-
@@ -643,6 +714,111 @@ class TestSupportFileFuzz:
         assert codes == {0, 1, 2}
 
 
+def subcommand_choices():
+    """{subcommand: {option: (choices, default)}} for every subcommand the
+    parser accepts and every option of it that has choices."""
+    parser = cli.build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            a.option_strings[0]: (list(a.choices), a.default)
+            for a in sub._actions
+            if a.option_strings and a.choices
+        }
+        for name, sub in subparsers.choices.items()
+    }
+
+
+# The (subcommand, --method) keys that accept every n.
+UNBOUNDED = {("bieulerian", "ehrhart")}
+
+
+class TestBoundTable:
+    def test_every_accepted_key_is_bounded_or_declared_unbounded(self):
+        accepted = {
+            (command, method)
+            for command, options in subcommand_choices().items()
+            for method in options.get("--method", ([None], None))[0]
+        }
+        assert set(cli._N_BOUNDS).isdisjoint(UNBOUNDED)
+        assert set(cli._N_BOUNDS) | UNBOUNDED == accepted
+
+    def test_every_count_in_a_refusal_is_its_closed_form(self):
+        assert combinatorics.bipermutation_count(5) == 113400
+        assert invariants.f_vector_formula(5)[7] == 453600
+        assert invariants.f_vector_formula(6)[9] == 37422000
+        assert 3**10 - 3 == 59046
+        closed_forms = {
+            "vertices": combinatorics.bipermutation_count,
+            "bipermutations": combinatorics.bipermutation_count,
+            "walls": lambda n: invariants.f_vector_formula(n)[2 * n - 3],
+            "facets": lambda n: 3**n - 3,
+        }
+        for bound, tail in cli._N_BOUNDS.values():
+            match = re.fullmatch(r"has more (\w+) than the (\d+) at n = (\d+), .+", tail)
+            if match is None:
+                assert tail.startswith(f"is above {bound}, ")
+                continue
+            word, count, at = match.groups()
+            assert int(at) == bound
+            assert int(count) == closed_forms[word](bound)
+
+
+class TestCommandFuzz:
+    SUPPORTS = list(deformation._NAMED_SUPPORTS)
+
+    def draw(self, rng, command, choices):
+        """One argv for ``command`` and the options with choices it drew;
+        the rest stay at their defaults.  n is past the bound only for a
+        bounded key."""
+        options = {
+            option: rng.choice(values)
+            for option, (values, _) in choices.items()
+            if rng.random() < 0.7
+        }
+        extra = []
+        if command == "nef-check":
+            extra = ["--support", rng.choice(self.SUPPORTS)] + rng.choice([[], ["--ample"]])
+        elif command == "quotient":
+            extra = ["--p", rng.choice(self.SUPPORTS), "--q", rng.choice(self.SUPPORTS)]
+        elif command == "check":
+            extra = ["--samples", "20"] + rng.choice([[], ["--seed", "7"]])
+        ns = ["-1", "0", "1", "2", "two"]
+        method = choices.get("--method", (None, None))[1]
+        bound = cli._N_BOUNDS.get((command, options.get("--method", method)))
+        if bound is not None:
+            ns += [str(bound[0] + 1), "100000"]
+        argv = [command, "--n", rng.choice(ns), *extra]
+        for option, value in options.items():
+            argv += [option, value]
+        return argv, options
+
+    def test_every_subcommand_keeps_its_exit_codes(self, capsys):
+        rng = random.Random(15)
+        commands = subcommand_choices()
+        drawn = set()
+        codes = set()
+        for _ in range(600):
+            command = rng.choice(sorted(commands))
+            argv, options = self.draw(rng, command, commands[command])
+            drawn |= {(command, option, value) for option, value in options.items()}
+            code, out, err = run_catching_exit(capsys, argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            if code == 2:
+                assert out == "", argv
+            codes.add(code)
+        assert {0, 2} <= codes
+        assert drawn == {
+            (command, option, value)
+            for command, choices in commands.items()
+            for option, (values, _) in choices.items()
+            for value in values
+        }
+
+
 # Exit code and sha256 of stdout + NUL + stderr of each command: any change
 # to a report, a message or an exit code shows here.
 REPORT_DIGESTS = [
@@ -734,15 +910,6 @@ def test_module_invocation_runs():
 
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
-
-
-def run_catching_exit(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 SHARED_PARSER_ARGV = [

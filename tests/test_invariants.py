@@ -125,6 +125,12 @@ def test_bieulerian_n5_cross_route_only():
     assert a.evaluate(1) == bipermutation_count(5)
 
 
+def test_ehrhart_and_h_from_f_agree_through_n12():
+    # The Ehrhart route evaluates its power polynomial by polynomials.poly_eval.
+    for n in range(6, 13):
+        assert bieulerian_by_ehrhart(n) == h_from_f(f_vector_formula(n), 2 * n - 2)
+
+
 def test_wagner_operator_examples():
     assert wagner_operator([1]).coefficients == (1,)
     # f(x) = C(x+2, 2) enumerates the lattice points of a triangle

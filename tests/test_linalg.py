@@ -75,6 +75,11 @@ def test_shape_errors_are_value_errors():
         solve_unique([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="square"):
         solve_unique([[1, 0, 1], [0, 1]])
+    # nullspace_normal needs at least one row, all of one length.
+    with pytest.raises(ValueError, match="at least one row"):
+        nullspace_normal([])
+    with pytest.raises(ValueError, match="every row must have 3 entries"):
+        nullspace_normal([[1, 0, 0], [0, 1]])
 
 
 @pytest.mark.parametrize(
