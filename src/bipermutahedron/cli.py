@@ -84,6 +84,8 @@ _N_BOUNDS = {
     ("bieulerian", "hfromf"): _FORMULA,
     ("bieulerian", "descents"): _DESCENTS,
     ("bieulerian", "all"): _DESCENTS,
+    ("bieulerian", "ehrhart"): (50, "is above 50, the largest n whose B_n the "
+                                    "Ehrhart route computes"),
     ("vertices", None): (5, "has more vertices than the 113400 at n = 5, the "
                             "largest n whose vertices can be listed"),
     ("facets", None): (10, "has more facets than the 59046 at n = 10, the "

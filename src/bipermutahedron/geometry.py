@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import (
@@ -38,7 +39,6 @@ from .combinatorics import (
     bisubsets_of,
     enumerate_bipermutations,
     enumerate_wall_bisequences,
-    reverse,
     signed_word,
     splits_of,
 )
@@ -283,19 +283,15 @@ def facets_json(n: int) -> dict:
     return {"n": n, "facets": entries}
 
 
-def relabel_bipermutation(bp: Bipermutation, perm: Sequence[int]) -> Bipermutation:
-    """Apply the permutation i -> perm[i-1] to every letter."""
-    return Bipermutation(tuple(perm[e - 1] for e in bp.letters))
-
-
-def _relabel_point(p: LatticePoint, perm: Sequence[int]) -> LatticePoint:
-    n = p.n
-    top = [0] * n
-    bottom = [0] * n
-    for i in range(n):
-        top[perm[i] - 1] = p.top[i]
-        bottom[perm[i] - 1] = p.bottom[i]
-    return LatticePoint(tuple(top), tuple(bottom))
+def _relabeller(perm: Sequence[int]) -> Callable[[Row], Row]:
+    """The relabelling i -> perm[i-1] of the ground set acting on a row of
+    2n entries (the top entries, then the bottom ones): entry i of each
+    half moves to position perm[i-1] of that half."""
+    n = len(perm)
+    source = [0] * n
+    for i, image in enumerate(perm):
+        source[image - 1] = i
+    return itemgetter(*source, *(n + i for i in source))
 
 
 @dataclass(frozen=True)
@@ -317,29 +313,41 @@ def symmetry_checks(n: int) -> SymmetryReport:
     is an automorphism only for n = 2: for n >= 3 any bisubset with
     S intersect T nonempty and S, T proper gives a ray whose negative is
     not a ray.
+
+    Rays and vertices are compared as rows of 2n ints under one relabelling
+    rule, ``_relabeller``.  Each vertex is built once and keyed by its word;
+    a relabelling maps the word letter by letter, and the vertex of the
+    image word must be the relabelled vertex.
     """
     row_of = _ray_rows(n)
     rays = {canonical_ray(row[:n], row[n:]) for row in row_of.values()}
+    # Each relabelling as the image of every letter (index 0 unused) and as
+    # its action on rows.
+    relabellings = [
+        ((0, *perm), _relabeller(perm))
+        for perm in itertools.permutations(range(1, n + 1))
+    ]
 
-    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    points = [LatticePoint(row[:n], row[n:]) for row in row_of.values()]
-    images = (_relabel_point(p, perm) for perm in perms for p in points)
-    rays_relabel = all(canonical_ray(i.top, i.bottom) in rays for i in images)
+    rays_relabel = all(
+        canonical_ray(image[:n], image[n:]) in rays
+        for _, relabel in relabellings
+        for image in map(relabel, row_of.values())
+    )
     rays_swap = all(canonical_ray(row[n:], row[:n]) in rays for row in row_of.values())
 
-    vertex_of = {
-        bp: vertex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
-    }
-    vertex_set = set(vertex_of.values())
+    vertex_of: dict[tuple[int, ...], Row] = {}
+    for bp in enumerate_bipermutations(n):
+        v = vertex_of_bipermutation(bp)
+        vertex_of[bp.letters] = v.top + v.bottom
     vertices_relabel = all(
-        _relabel_point(vertex_of[bp], perm) == vertex_of[relabel_bipermutation(bp, perm)]
-        for perm in perms
-        for bp in vertex_of
+        vertex_of.get(tuple(map(letter_image.__getitem__, word))) == relabel(v)
+        for letter_image, relabel in relabellings
+        for word, v in vertex_of.items()
     )
+    vertex_set = set(vertex_of.values())
     vertices_swap = all(
-        LatticePoint(v.bottom, v.top) == vertex_of[reverse(bp)]
-        for bp, v in vertex_of.items()
-    ) and {LatticePoint(v.bottom, v.top) for v in vertex_set} == vertex_set
+        v[n:] + v[:n] == vertex_of.get(word[::-1]) for word, v in vertex_of.items()
+    ) and {v[n:] + v[:n] for v in vertex_set} == vertex_set
 
     off_fan = [
         bs

@@ -387,6 +387,10 @@ def sweep_orientation_check(n: int) -> SweepReport:
     any difference is at most n * 2 * (2n + 2n^2) < (4n)^3 <= min z-gap,
     and ties are impossible unless the z-parts cancel exactly.  The
     NonGenericSweep guard still verifies every comparison at runtime.
+
+    Each chamber's vertex and sweep value are computed once, into a table
+    keyed by its word; a neighbor reads its value from the table, and a
+    neighbor missing from it raises ``AssertionError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -398,14 +402,19 @@ def sweep_orientation_check(n: int) -> SweepReport:
             wi * yi for wi, yi in zip(w, v.bottom)
         )
 
+    # Each chamber's value, computed once, in enumeration order.
+    chambers = list(enumerate_bipermutations(n))
+    value_of = {bp.letters: sweep_value(vertex_of_bipermutation(bp)) for bp in chambers}
     histogram = [0] * (2 * n - 1)
     incidences = 0
     mismatches: list[str] = []
-    for bp in enumerate_bipermutations(n):
-        value = sweep_value(vertex_of_bipermutation(bp))
+    for bp in chambers:
+        value = value_of[bp.letters]
         indegree = 0
         for neighbor in sweep_neighbors(bp):
-            other = sweep_value(vertex_of_bipermutation(neighbor))
+            other = value_of.get(neighbor.letters)
+            if other is None:
+                raise AssertionError(f"neighbor {neighbor} of {bp} is not a chamber")
             if other == value:
                 raise NonGenericSweep(
                     f"sweep functional ties {bp} with its neighbor {neighbor}"

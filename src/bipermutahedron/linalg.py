@@ -5,20 +5,23 @@ determinants of lattice simplices, unique expansions of a ray in terms of
 other rays, normals of walls.  The matrices involved are tiny (at most
 ``2n`` rows for the ground set sizes we care about).
 
-One kernel does all the elimination: fraction-free elimination (Bareiss
-1968) on integer rows.  Every entry the kernel produces is an integer minor
-of its input, so no ``Fraction`` is built during elimination.  Each job has
-one entry, and every entry takes integer rows:
+One kernel does all the elimination: forward fraction-free elimination
+(Bareiss 1968) on integer rows, which clears below each pivot and never
+above it.  Every entry the kernel produces is an integer minor of its
+input, so no ``Fraction`` is built during elimination.  Each job has one
+entry, and every entry takes integer rows:
 
-- ``solve_unique`` runs the kernel as Gauss-Jordan elimination, where the
-  reduced row echelon form is the result divided by one common pivot value
-  ``d``, and returns the solution as integer numerators over ``d``; each
-  row carries its right-hand side as its last entry;
-- ``nullspace_normal`` runs it the same way and returns a primitive integer
-  normal;
-- ``det_int`` needs only ``d``, the minor on the pivot rows and columns, so
-  it runs the kernel forward only, clearing below each pivot and never
-  above.
+- ``det_int`` needs only ``d``, the minor on the pivot rows and columns;
+- ``solve_unique`` back-substitutes on the echelon form and returns the
+  solution as integer numerators over ``d``; each row carries its
+  right-hand side as its last entry;
+- ``nullspace_normal`` back-substitutes the same way with the free column
+  set to ``d`` and returns a primitive integer normal.
+
+Back-substitution scaled by ``d`` divides exactly, because each value it
+computes is ``d`` times a solution entry, a Cramer numerator, so it gives
+the same integers as Gauss-Jordan elimination would, without clearing
+above any pivot.
 
 ``solve_unique`` and ``nullspace_normal`` raise ``TypeError`` on an entry
 that is not an ``int``.  ``det_int`` does not check: its callers,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -49,24 +53,17 @@ def _scaled_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _bareiss(
-    a: list[list[int]], ncols: int, forward_only: bool = False
-) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of the integer rows ``a`` in
-    place, choosing pivots among the first ``ncols`` columns.
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Forward fraction-free elimination of the integer rows ``a`` in place,
+    choosing pivots among the first ``ncols`` columns.
 
-    Returns ``(pivot_cols, d, sign)``.  Afterwards row ``r`` of the first
-    ``len(pivot_cols)`` rows holds ``d`` in column ``pivot_cols[r]`` and 0
-    in every other pivot column, the remaining rows are zero in the first
-    ``ncols`` columns, and dividing every entry by ``d`` gives the reduced
-    row echelon form.  ``d`` is the minor on the pivot rows and columns (1
-    when there is no pivot) and ``sign`` is -1 to the number of row swaps.
-    Later columns (a right-hand side) are carried along.
-
-    With ``forward_only`` no row above a pivot is touched: row ``r`` keeps
-    the leading minor of order ``r + 1`` in column ``pivot_cols[r]``, so
-    the rows form an echelon form instead, and the returned triple is the
-    same.
+    Returns ``(pivot_cols, d, sign)``.  Afterwards the first
+    ``len(pivot_cols)`` rows form an echelon form: row ``r`` is zero before
+    column ``pivot_cols[r]`` and holds there the leading minor of order
+    ``r + 1``, and the remaining rows are zero in the first ``ncols``
+    columns.  ``d`` is the minor on the pivot rows and columns (1 when there
+    is no pivot) and ``sign`` is -1 to the number of row swaps.  Later
+    columns (a right-hand side) are carried along.
     """
     rows = len(a)
     pivot_cols: list[int] = []
@@ -82,9 +79,7 @@ def _bareiss(
             sign = -sign
         top = a[rank]
         pv = top[col]
-        for i in range(rank + 1 if forward_only else 0, rows):
-            if i == rank:
-                continue
+        for i in range(rank + 1, rows):
             row = a[i]
             f = row[col]
             # Bareiss: every new entry is a minor, so the division is exact.
@@ -97,8 +92,22 @@ def _bareiss(
     return pivot_cols, prev, sign
 
 
+def _back_substitute(a: list[list[int]], pivot_cols: list[int], vec: list[int]) -> None:
+    """Fill the pivot entries of ``vec`` in place, last pivot first, so that
+    each echelon row ``a[r]`` of ``_bareiss`` pairs to zero with ``vec``.
+
+    The other entries of ``vec`` are given; the pivot entries must start at
+    0.  Each division is exact when the filled entries are integers, as
+    they are when the given ones are ``d`` times a rational solution's.
+    """
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        c = pivot_cols[r]
+        row = a[r]
+        vec[c] = -sum(map(mul, row[c + 1 :], vec[c + 1 :])) // row[c]
+
+
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by forward-only fraction-free
+    """Determinant of a square integer matrix, by forward fraction-free
     Bareiss elimination.
 
     >>> det_int([[2, 0], [1, 3]])
@@ -110,7 +119,7 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     m = len(a)
     if any(len(row) != m for row in a):
         raise ValueError("matrix must be square")
-    pivot_cols, d, sign = _bareiss(a, m, forward_only=True)
+    pivot_cols, d, sign = _bareiss(a, m)
     return sign * d if len(pivot_cols) == m else 0
 
 
@@ -127,9 +136,10 @@ def solve_unique(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     singular one.
 
     Each of the m rows holds m coefficients and then its right-hand side.
-    Returns ``(numerators, d)``: the solution is ``numerators[i] / d``, read
-    straight off the Gauss-Jordan form, with ``d`` the determinant up to
-    sign.
+    Returns ``(numerators, d)``: the solution is ``numerators[i] / d``, with
+    ``d`` the determinant up to sign.  The numerators are back-substituted
+    from the last row up, as X_i = (d b_i - sum_{j>i} U_ij X_j) / U_ii on the
+    echelon form U.
 
     >>> solve_unique([[2, 0, 1], [0, 4, 1]])
     ([4, 2], 8)
@@ -142,7 +152,10 @@ def solve_unique(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     pivot_cols, d, _ = _bareiss(a, m)
     if len(pivot_cols) != m:
         raise ValueError("singular matrix")
-    return [row[m] for row in a], d
+    # A X = d b is the augmented system's null vector with last entry -d.
+    vec = [0] * m + [-d]
+    _back_substitute(a, pivot_cols, vec)
+    return vec[:m], d
 
 
 def nullspace_normal(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -164,11 +177,9 @@ def nullspace_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     free = [c for c in range(cols) if c not in pivot_cols]
     if len(free) != 1:
         raise ValueError(f"null space has dimension {len(free)}, expected 1")
-    f = free[0]
     vec = [0] * cols
-    vec[f] = d
-    for r, c in enumerate(pivot_cols):
-        vec[c] = -a[r][f]
+    vec[free[0]] = d
+    _back_substitute(a, pivot_cols, vec)
     # The entry d at the free column is nonzero, so the gcd is too.
     g = gcd(*vec)
     if next(x for x in vec if x) < 0:

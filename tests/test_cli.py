@@ -499,12 +499,23 @@ class TestInfeasibleN:
             ["--n", "5"],
             ["--n", "5", "--method", "descents"],
             ["--n", "6", "--method", "hfromf"],
-            ["--n", "100000", "--method", "ehrhart"],
+            ["--n", "50", "--method", "ehrhart"],
         ],
     )
     def test_bieulerian_routes_not_refused(self, no_bieulerian_route, argv):
         with pytest.raises(RuntimeError, match="route ran"):
             main(["bieulerian", *argv])
+
+    @pytest.mark.parametrize("n", ["51", "100000"])
+    def test_bieulerian_ehrhart_refused_before_its_route(
+        self, capsys, no_bieulerian_route, n
+    ):
+        code, out, err = run_cli(capsys, "bieulerian", "--n", n, "--method", "ehrhart")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: n = {n} is above 50, the largest n whose B_n the Ehrhart "
+            "route computes\n"
+        )
 
     def test_bieulerian_refusal_has_no_traceback(self):
         proc = subprocess.run(
@@ -732,7 +743,7 @@ def subcommand_choices():
 
 
 # The (subcommand, --method) keys that accept every n.
-UNBOUNDED = {("bieulerian", "ehrhart")}
+UNBOUNDED: set[tuple[str, str | None]] = set()
 
 
 class TestBoundTable:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipermutahedron import geometry
 from bipermutahedron.combinatorics import (
     all_bisubsets,
     bisubset,
@@ -11,6 +12,7 @@ from bipermutahedron.combinatorics import (
     parse_bipermutation,
 )
 from bipermutahedron.geometry import (
+    LatticePoint,
     SupportFunction,
     SymmetryReport,
     biperm_support,
@@ -130,6 +132,26 @@ def test_symmetry_report_at_n4():
         negation_is_automorphism=False,
         negation_witness="123|124",
     )
+
+
+def test_symmetry_checks_catch_a_misplaced_vertex(monkeypatch):
+    # Two coordinates of one vertex swapped: the relabelled vertex no longer
+    # matches the vertex of the relabelled word.
+    real = vertex_of_bipermutation
+    target = next(enumerate_bipermutations(3))
+
+    def misplaced(bp):
+        v = real(bp)
+        if bp != target:
+            return v
+        top = (v.top[1], v.top[0], *v.top[2:])
+        assert top != v.top
+        return LatticePoint(top, v.bottom)
+
+    monkeypatch.setattr(geometry, "vertex_of_bipermutation", misplaced)
+    report = symmetry_checks(3)
+    assert not report.vertices_relabel_equivariant
+    assert report.rays_relabel_invariant
 
 
 HYPERPLANE_TABLES = {

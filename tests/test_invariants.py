@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from bipermutahedron import invariants
 from bipermutahedron.combinatorics import (
     bipermutation_count,
     descents,
@@ -14,6 +15,7 @@ from bipermutahedron.combinatorics import (
 )
 from bipermutahedron.invariants import (
     LengthMismatch,
+    NonGenericSweep,
     TruncatedBiseries,
     bieulerian_by_descents,
     bieulerian_by_ehrhart,
@@ -193,3 +195,35 @@ def test_sweep_orientation_matches_descents(n):
     assert report.passed, report.mismatches
     assert tuple(report.histogram) == BIEULERIAN[n]
     assert report.edge_incidences == (2 * n - 2) * bipermutation_count(n)
+
+
+def test_sweep_builds_each_vertex_once(monkeypatch):
+    built = Counter()
+    real = invariants.vertex_of_bipermutation
+
+    def counted(bp):
+        built[bp.letters] += 1
+        return real(bp)
+
+    monkeypatch.setattr(invariants, "vertex_of_bipermutation", counted)
+    assert sweep_orientation_check(4).passed
+    assert sum(built.values()) == len(built) == bipermutation_count(4) == 2520
+
+
+def test_sweep_tie_raises_non_generic(monkeypatch):
+    # One chamber given its neighbor's vertex: the two values tie.
+    bp = parse_bipermutation("1|2|1")
+    (neighbor, _) = sweep_neighbors(bp)
+    real = invariants.vertex_of_bipermutation
+    monkeypatch.setattr(
+        invariants, "vertex_of_bipermutation", lambda b: real(neighbor if b == bp else b)
+    )
+    with pytest.raises(NonGenericSweep, match="ties"):
+        sweep_orientation_check(2)
+
+
+def test_sweep_neighbor_outside_the_chambers_raises(monkeypatch):
+    real = invariants.enumerate_bipermutations
+    monkeypatch.setattr(invariants, "enumerate_bipermutations", lambda n: list(real(n))[1:])
+    with pytest.raises(AssertionError, match="is not a chamber"):
+        sweep_orientation_check(2)

@@ -8,8 +8,8 @@ from math import gcd, prod
 
 import pytest
 
+from bipermutahedron import deformation, geometry
 from bipermutahedron.linalg import (
-    _bareiss,
     _scaled_integers,
     det_int,
     nullspace_normal,
@@ -204,14 +204,80 @@ def test_det_int_of_constructed_matrices():
                     assert det_int(a) == 0
 
 
-def _det_by_mode(matrix, forward_only):
-    a = [list(row) for row in matrix]
-    pivot_cols, d, sign = _bareiss(a, len(a), forward_only=forward_only)
-    return sign * d if len(pivot_cols) == len(a) else 0
+def _gauss_jordan(rows, ncols):
+    """Reference kernel: fraction-free Gauss-Jordan elimination (Bareiss),
+    clearing above each pivot as well as below.  Returns the reduced rows
+    (each d times the reduced row echelon form), the pivot columns, d and
+    the sign of the row swaps."""
+    a, pivots, prev, sign = [list(row) for row in rows], [], 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p], sign = a[p], a[r], -sign
+        top, pv = a[r], a[r][col]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [(x * pv - a[i][col] * y) // prev for x, y in zip(a[i], top)]
+        prev = pv
+        pivots.append(col)
+    return a, pivots, prev, sign
 
 
-def test_forward_only_determinant_matches_gauss_jordan():
+def _reference_det(matrix):
+    _, pivots, d, sign = _gauss_jordan(matrix, len(matrix))
+    return sign * d if len(pivots) == len(matrix) else 0
+
+
+def _reference_solve(rows):
+    """(numerators, d) read off the Gauss-Jordan form, or None if singular."""
+    m = len(rows)
+    a, pivots, d, _ = _gauss_jordan(rows, m)
+    return ([row[m] for row in a], d) if len(pivots) == m else None
+
+
+def _reference_normal(rows):
+    """The primitive normal read off the Gauss-Jordan form, or None unless
+    the null space is a line."""
+    cols = len(rows[0])
+    a, pivots, d, _ = _gauss_jordan(rows, cols)
+    free = [c for c in range(cols) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [0] * cols
+    vec[free[0]] = d
+    for r, c in enumerate(pivots):
+        vec[c] = -a[r][free[0]]
+    g = gcd(*vec) * (1 if next(x for x in vec if x) > 0 else -1)
+    return [x // g for x in vec]
+
+
+def _assert_kernel_matches_reference(square=None, solve=None, null=None):
+    if square is not None:
+        assert det_int(square) == _reference_det(square)
+    if solve is not None:
+        want = _reference_solve(solve)
+        if want is None:
+            with pytest.raises(ValueError, match="singular matrix"):
+                solve_unique(solve)
+        else:
+            assert solve_unique(solve) == want
+    if null is not None:
+        want = _reference_normal(null)
+        if want is None:
+            with pytest.raises(ValueError, match="null space has dimension"):
+                nullspace_normal(null)
+        else:
+            assert nullspace_normal(null) == want
+
+
+def test_kernel_matches_gauss_jordan_reference():
+    # det_int, solve_unique and nullspace_normal back-substitute on the
+    # forward echelon form; the integers must be the Gauss-Jordan ones.
     rng = random.Random(31)
+    solves = normals = 0
     for m in range(1, 9):
         for trial in range(16):
             a, det = _nonsingular(rng, m, dense=trial % 2 == 1)
@@ -222,13 +288,40 @@ def test_forward_only_determinant_matches_gauss_jordan():
             elif trial % 4 == 3:
                 a = [[_small(rng) for _ in range(m)] for _ in range(m)]
             ints = _integer_rows(a)
-            want = _det_by_mode(ints, forward_only=False)
-            assert _det_by_mode(ints, forward_only=True) == want
-            assert det_int(ints) == want
+            augmented = [[*row, _small(rng)] for row in ints]
+            _assert_kernel_matches_reference(square=ints, solve=augmented, null=augmented)
             if trial % 4 == 0:
-                assert want == det
+                assert det_int(ints) == det
             if trial % 4 == 2 and m > 1:
-                assert want == 0
+                assert det_int(ints) == 0
+            solves += _reference_solve(augmented) is not None
+            normals += _reference_normal(augmented) is not None
+    # Both outcomes of each job are exercised.
+    assert 0 < solves < 128 and 0 < normals < 128
+
+
+def test_kernel_matches_gauss_jordan_on_route_systems(monkeypatch):
+    # Every system the oracle and the hyperplane classification build at
+    # n = 3, replayed through the kernel and the reference.
+    solves, normals = [], []
+
+    def record(sink, real):
+        def recorded(rows):
+            sink.append([list(row) for row in rows])
+            return real(rows)
+
+        return recorded
+
+    monkeypatch.setattr(deformation, "solve_unique", record(solves, solve_unique))
+    monkeypatch.setattr(geometry, "nullspace_normal", record(normals, nullspace_normal))
+    for wall in deformation.enumerate_walls(3):
+        deformation.generic_wallcross_oracle(wall)
+    geometry.hyperplane_face_counts(3)
+    assert len(solves) == len(normals) == 180
+    for rows in solves:
+        _assert_kernel_matches_reference(square=[row[:-1] for row in rows], solve=rows)
+    for rows in normals:
+        _assert_kernel_matches_reference(null=rows)
 
 
 def _augmented(a, b):
