@@ -18,7 +18,6 @@ from .combinatorics import (
     enumerate_bipermutations,
     parse_bipermutation,
     parse_bisequence,
-    signed_word,
 )
 from .deformation import (
     Wall,
@@ -58,7 +57,6 @@ __all__ = [
     "enumerate_bipermutations",
     "parse_bipermutation",
     "parse_bisequence",
-    "signed_word",
     "Wall",
     "enumerate_walls",
     "is_ample",

@@ -15,10 +15,10 @@ twice.  There are ``(2n)!/2**n`` bipermutations of E.
 
 The *barred word* of a bipermutation marks each letter's second occurrence
 with a bar and treats the single letter k as an adjacent pair "k kbar",
-giving a word of length 2n.  Mapping its letters, in order, to the odd
-integers -(2n-1), -(2n-3), ..., 2n-1 yields the *signed word*: the exact
-integer data from which the corresponding vertex of the bipermutahedron is
-built (see :mod:`bipermutahedron.geometry`).
+giving a word of length 2n (:func:`doubled_word`).  The vertex of the
+bipermutahedron is built from it by sending its letters, in order, to the
+odd integers -(2n-1), -(2n-3), ..., 2n-1 (see
+:mod:`bipermutahedron.geometry`).
 
 The *descent* statistic on bipermutations refines the Eulerian descent
 statistic on permutations.  For adjacent letters i|j, with bars taken from
@@ -327,23 +327,17 @@ def count_bipermutations_recursively(n: int) -> int:
     return g(0, n)
 
 
-def expanded_word(bp: Bipermutation) -> tuple[tuple[int, bool], ...]:
-    """The barred word of length 2n: pairs (letter, barred).
-
-    Second occurrences are barred; the single letter k is replaced by the
-    adjacent pair (k, unbarred), (k, barred).
-
-    >>> expanded_word(Bipermutation((2, 3, 4, 2, 4, 1, 1)))[:3]
-    ((2, False), (3, False), (3, True))
-    """
-    return doubled_word(bp.letters, {bp.k})
-
-
 def doubled_word(
     letters: Sequence[int], doubled: Iterable[int]
 ) -> tuple[tuple[int, bool], ...]:
     """Bar second occurrences, expanding each letter in ``doubled`` to an
-    adjacent unbarred/barred pair in place."""
+    adjacent unbarred/barred pair in place.
+
+    With ``doubled = (bp.k,)`` this is the barred word of length 2n.
+
+    >>> doubled_word((2, 3, 4, 2, 4, 1, 1), (3,))[:3]
+    ((2, False), (3, False), (3, True))
+    """
     doubled = set(doubled)
     seen: set[int] = set()
     out: list[tuple[int, bool]] = []
@@ -407,55 +401,6 @@ def reverse(bp: Bipermutation) -> Bipermutation:
     '3|1|2|3|2'
     """
     return Bipermutation(tuple(reversed(bp.letters)))
-
-
-@dataclass(frozen=True)
-class SignedWord:
-    """The signed word of a bipermutation.
-
-    The 2n letters of the barred word are sent, in order, to the odd
-    integers -(2n-1), -(2n-3), ..., 2n-1.  ``unbarred[e]`` / ``barred[e]``
-    store the values assigned to the unbarred / barred copy of element e
-    (1-indexed; index 0 unused); ``s`` is the common row sum
-    sum(unbarred) = -sum(barred).
-    """
-
-    unbarred: tuple[int, ...]
-    barred: tuple[int, ...]
-    s: int
-    k: int
-
-    @property
-    def n(self) -> int:
-        return len(self.unbarred) - 1
-
-    def position(self, element: int, is_barred: bool) -> int:
-        return (self.barred if is_barred else self.unbarred)[element]
-
-
-def signed_word(bp: Bipermutation) -> SignedWord:
-    """Assign odd integers to the barred word and record the row sum s.
-
-    >>> w = signed_word(parse_bipermutation("2|3|4|2|4|1|1"))
-    >>> w.position(2, False), w.position(3, False), w.s
-    (-7, -5, -8)
-    """
-    n = bp.n
-    unbarred = [0] * (n + 1)
-    barred = [0] * (n + 1)
-    for t, (e, is_barred) in enumerate(expanded_word(bp)):
-        value = -(2 * n - 1) + 2 * t
-        if is_barred:
-            barred[e] = value
-        else:
-            unbarred[e] = value
-    s = sum(unbarred)
-    if s != -sum(barred):
-        raise AssertionError("row sums of the signed word must agree")
-    for e in range(1, n + 1):
-        if unbarred[e] >= barred[e]:
-            raise AssertionError("unbarred copy must come first")
-    return SignedWord(tuple(unbarred), tuple(barred), s, bp.k)
 
 
 def bisubsets_of(bp: Bipermutation) -> tuple[Bisubset, ...]:

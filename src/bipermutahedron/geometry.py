@@ -13,9 +13,13 @@ The support function of the bipermutahedron itself is
 
     h(S|T) = -(|S| + |S - T|) * (|T| + |T - S|),
 
-and the vertex selected by a chamber's bipermutation is built from the
-signed word: take u with x_i = position(i), y_i = -position(i-bar), and
-subtract the row sum s from both coordinates of the single letter k.
+and the vertex selected by a chamber's bipermutation is built from its
+barred word: position t gets the value 2t - (2n - 1), x_i is the value of
+i and y_i minus the value of i-bar, and the row sum s of the x entries is
+subtracted from both coordinates of the single letter k.
+
+Every point and every ray of the table space is one row of 2n ints: the x
+(top) entries, then the y (bottom) entries.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import (
@@ -37,29 +41,14 @@ from .combinatorics import (
     _bisubset_order,
     all_bisubsets,
     bisubsets_of,
+    doubled_word,
     enumerate_bipermutations,
     enumerate_wall_bisequences,
-    signed_word,
     splits_of,
 )
 from .linalg import nullspace_normal
 
 Row = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """An integer point of the ambient table space."""
-
-    top: Row
-    bottom: Row
-
-    @property
-    def n(self) -> int:
-        return len(self.top)
-
-    def row_sums(self) -> tuple[int, int]:
-        return sum(self.top), sum(self.bottom)
 
 
 def ray_vector(bs: Bisubset) -> list[int]:
@@ -86,46 +75,49 @@ def _lineality_rows(n: int) -> list[list[int]]:
     return [[1] * n + [0] * n, [0] * n + [1] * n]
 
 
-def pairing(
-    bs: Bisubset,
-    top: Sequence[int | Fraction],
-    bottom: Sequence[int | Fraction],
-) -> int | Fraction:
-    """(e_S + f_T) evaluated on a table: sum top over S plus bottom over T."""
-    return sum(top[i - 1] for i in bs.left) + sum(bottom[i - 1] for i in bs.right)
+def pairing(bs: Bisubset, point: Sequence[int | Fraction]) -> int | Fraction:
+    """(e_S + f_T) evaluated on a point: its dot product with the
+    bisubset's ray row, the top entries summed over S plus the bottom ones
+    over T."""
+    return sum(map(mul, _ray_rows(bs.n)[bs], point))
 
 
-def canonical_ray(top: Sequence[int], bottom: Sequence[int]) -> tuple[Row, Row]:
+def canonical_ray(row: Sequence[int]) -> Row:
     """Canonical representative of a ray modulo the two lineality directions
-    and positive scaling: shift each row so its minimum is zero, then divide
-    by the gcd of all entries.  Suitable for exact ray-set membership tests.
+    and positive scaling: shift each half of the row so its minimum is zero,
+    then divide by the gcd of all entries.  Suitable for exact ray-set
+    membership tests.
     """
-    t = [a - min(top) for a in top]
-    b = [a - min(bottom) for a in bottom]
-    g = gcd(*t, *b)
-    if g:
-        t = [a // g for a in t]
-        b = [a // g for a in b]
-    return tuple(t), tuple(b)
+    n = len(row) // 2
+    low_top, low_bottom = min(row[:n]), min(row[n:])
+    shifted = [a - low_top for a in row[:n]] + [a - low_bottom for a in row[n:]]
+    g = gcd(*shifted)
+    return tuple(a // g for a in shifted) if g else tuple(shifted)
 
 
-def vertex_of_bipermutation(bp: Bipermutation) -> LatticePoint:
-    """The vertex of the bipermutahedron selected by a chamber.
+def vertex_of_bipermutation(bp: Bipermutation) -> Row:
+    """The vertex of the bipermutahedron selected by a chamber, as one row
+    of 2n ints: the x entries, then the y entries.
 
-    >>> v = vertex_of_bipermutation(Bipermutation((2, 3, 4, 2, 4, 1, 1)))
-    >>> v.top, v.bottom
-    ((5, -7, 3, -1), (-7, -1, 11, -3))
+    >>> vertex_of_bipermutation(Bipermutation((2, 3, 4, 2, 4, 1, 1)))
+    (5, -7, 3, -1, -7, -1, 11, -3)
     """
-    word = signed_word(bp)
-    n = word.n
-    top = list(word.unbarred[1:])
-    bottom = [-word.barred[e] for e in range(1, n + 1)]
-    top[word.k - 1] -= word.s
-    bottom[word.k - 1] -= word.s
-    point = LatticePoint(tuple(top), tuple(bottom))
-    if point.row_sums() != (0, 0):
+    n = bp.n
+    row = [0] * (2 * n)
+    for t, (e, barred) in enumerate(doubled_word(bp.letters, (bp.k,))):
+        value = 2 * t - (2 * n - 1)
+        if not barred:
+            row[e - 1] = value
+        elif row[e - 1]:  # the odd values are never zero
+            row[n + e - 1] = -value
+        else:
+            raise AssertionError("unbarred copy must come first")
+    s = sum(row[:n])
+    row[bp.k - 1] -= s
+    row[n + bp.k - 1] -= s
+    if sum(row[:n]) or sum(row[n:]):
         raise AssertionError("vertex coordinates must sum to zero in each row")
-    return point
+    return tuple(row)
 
 
 def biperm_support(bs: Bisubset) -> int:
@@ -240,7 +232,7 @@ def facet_check(n: int) -> FacetReport:
         splits = set(bisubsets_of(bp))
         for bs in facets:
             comparisons += 1
-            value = pairing(bs, v.top, v.bottom)
+            value = pairing(bs, v)
             rhs = biperm_support(bs)
             tight = bs in splits
             if value < rhs or (value == rhs) != tight:
@@ -263,9 +255,7 @@ def vertices_json(n: int) -> dict:
     entries = []
     for bp in enumerate_bipermutations(n):
         v = vertex_of_bipermutation(bp)
-        entries.append(
-            {"biperm": str(bp), "top": list(v.top), "bottom": list(v.bottom)}
-        )
+        entries.append({"biperm": str(bp), "top": list(v[:n]), "bottom": list(v[n:])})
     return {"n": n, "vertices": entries}
 
 
@@ -320,7 +310,7 @@ def symmetry_checks(n: int) -> SymmetryReport:
     image word must be the relabelled vertex.
     """
     row_of = _ray_rows(n)
-    rays = {canonical_ray(row[:n], row[n:]) for row in row_of.values()}
+    rays = {canonical_ray(row) for row in row_of.values()}
     # Each relabelling as the image of every letter (index 0 unused) and as
     # its action on rows.
     relabellings = [
@@ -329,16 +319,15 @@ def symmetry_checks(n: int) -> SymmetryReport:
     ]
 
     rays_relabel = all(
-        canonical_ray(image[:n], image[n:]) in rays
+        canonical_ray(image) in rays
         for _, relabel in relabellings
         for image in map(relabel, row_of.values())
     )
-    rays_swap = all(canonical_ray(row[n:], row[:n]) in rays for row in row_of.values())
+    rays_swap = all(canonical_ray(row[n:] + row[:n]) in rays for row in row_of.values())
 
-    vertex_of: dict[tuple[int, ...], Row] = {}
-    for bp in enumerate_bipermutations(n):
-        v = vertex_of_bipermutation(bp)
-        vertex_of[bp.letters] = v.top + v.bottom
+    vertex_of = {
+        bp.letters: vertex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
+    }
     vertices_relabel = all(
         vertex_of.get(tuple(map(letter_image.__getitem__, word))) == relabel(v)
         for letter_image, relabel in relabellings
@@ -352,7 +341,7 @@ def symmetry_checks(n: int) -> SymmetryReport:
     off_fan = [
         bs
         for bs, row in row_of.items()
-        if canonical_ray([-a for a in row[:n]], [-a for a in row[n:]]) not in rays
+        if canonical_ray([-a for a in row]) not in rays
     ]
     witness = next(
         (

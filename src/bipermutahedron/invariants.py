@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from operator import mul
 from typing import Sequence
 
 from .combinatorics import (
@@ -26,7 +27,7 @@ from .combinatorics import (
     doubled_word,
     enumerate_bipermutations,
 )
-from .geometry import LatticePoint, vertex_of_bipermutation
+from .geometry import vertex_of_bipermutation
 from .polynomials import (
     IntPolynomial,
     poly_eval,
@@ -273,15 +274,17 @@ def bieulerian_by_descents(n: int) -> IntPolynomial:
     return IntPolynomial(tuple(histogram))
 
 
-def wagner_operator(
-    f: Sequence[int | Fraction], guard_terms: int = 5
-) -> IntPolynomial:
+# How many coefficients past deg f the Wagner operator computes and checks.
+_GUARD_TERMS = 3
+
+
+def wagner_operator(f: Sequence[int | Fraction]) -> IntPolynomial:
     """The operator W with (W f)(z) / (1 - z)^(deg f + 1) = sum_k f(k) z^k.
 
     ``f`` is given by exact coefficients, ascending.  The product
     (sum_k f(k) z^k)(1 - z)^(deg f + 1) is a polynomial of degree at most
     deg f; its coefficients past deg f are computed anyway and must vanish
-    (``guard_terms`` of them), catching convolution mistakes.
+    (``_GUARD_TERMS`` of them), catching convolution mistakes.
 
     >>> wagner_operator([1]).coefficients
     (1,)
@@ -293,7 +296,7 @@ def wagner_operator(
         coeffs.pop()
     degree = len(coeffs) - 1
     out: list[Fraction] = []
-    for m in range(degree + guard_terms + 1):
+    for m in range(degree + _GUARD_TERMS + 1):
         w = sum(
             (
                 (-1) ** j * comb(degree + 1, j) * poly_eval(coeffs, m - j)
@@ -326,7 +329,7 @@ def bieulerian_by_ehrhart(n: int) -> IntPolynomial:
     power: tuple[Fraction, ...] = (Fraction(1),)
     for _ in range(n):
         power = poly_mul(power, triangle)
-    result = wagner_operator(power, guard_terms=3)
+    result = wagner_operator(power)
     if result.degree > 2 * n - 2:
         bad = result.coefficients[2 * n - 1]
         raise TruncationResidue(
@@ -345,23 +348,26 @@ def unimodality_check(p: IntPolynomial) -> bool:
     return p.is_unimodal()
 
 
-def sweep_neighbors(bp: Bipermutation) -> list[Bipermutation]:
-    """The 2n - 2 neighbors of a vertex, one per adjacent position.
+def sweep_neighbors(bp: Bipermutation) -> list[tuple[int, ...]]:
+    """The words of the 2n - 2 neighbors of a vertex, one per adjacent
+    position.
 
     Distinct adjacent letters swap in place.  An adjacent equal pair i|i
     collapses to a single i while the once-letter k doubles to k|k, the
     exchange walking the edge between those two vertices.
+
+    >>> sweep_neighbors(Bipermutation((1, 1, 2)))
+    [(1, 2, 2), (1, 2, 1)]
     """
     letters = bp.letters
     out = []
     for p in range(len(letters) - 1):
         a, b = letters[p], letters[p + 1]
         if a != b:
-            word = letters[:p] + (b, a) + letters[p + 2 :]
+            out.append(letters[:p] + (b, a) + letters[p + 2 :])
         else:
             rest = letters[: p + 1] + letters[p + 2 :]
-            word = tuple(e for e, _ in doubled_word(rest, (bp.k,)))
-        out.append(Bipermutation(word))
+            out.append(tuple(e for e, _ in doubled_word(rest, (bp.k,))))
     return out
 
 
@@ -378,9 +384,10 @@ def sweep_orientation_check(n: int) -> SweepReport:
     """Orient the graph of the polytope by a sweep and compare to descents.
 
     The sweep functional pairs a vertex (x, y) with weights z_i = (4n)^(i+2)
-    on x and w_i = i on y.  Every edge points toward its endpoint of smaller
-    value; the indegree of each vertex must equal the descent count of its
-    bipermutation, so the indegree histogram reproduces B_n(x).
+    on x and w_i = i on y, one weight row dotted with the vertex row.  Every
+    edge points toward its endpoint of smaller value; the indegree of each
+    vertex must equal the descent count of its bipermutation, so the
+    indegree histogram reproduces B_n(x).
 
     The weights realize z_n >> ... >> z_1 >> w_n > ... > w_1 > 0: vertex
     coordinates are bounded by 2n - 1 + |s| < 2n + 2n^2, so the y-part of
@@ -389,33 +396,32 @@ def sweep_orientation_check(n: int) -> SweepReport:
     NonGenericSweep guard still verifies every comparison at runtime.
 
     Each chamber's vertex and sweep value are computed once, into a table
-    keyed by its word; a neighbor reads its value from the table, and a
-    neighbor missing from it raises ``AssertionError``.
+    keyed by its word; a neighbor's word reads its value from the table,
+    and a word missing from it raises ``AssertionError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    z = [(4 * n) ** (i + 2) for i in range(1, n + 1)]
-    w = list(range(1, n + 1))
-
-    def sweep_value(v: LatticePoint) -> int:
-        return sum(zi * xi for zi, xi in zip(z, v.top)) + sum(
-            wi * yi for wi, yi in zip(w, v.bottom)
-        )
+    weights = [(4 * n) ** (i + 2) for i in range(1, n + 1)] + list(range(1, n + 1))
 
     # Each chamber's value, computed once, in enumeration order.
     chambers = list(enumerate_bipermutations(n))
-    value_of = {bp.letters: sweep_value(vertex_of_bipermutation(bp)) for bp in chambers}
+    value_of = {
+        bp.letters: sum(map(mul, weights, vertex_of_bipermutation(bp)))
+        for bp in chambers
+    }
     histogram = [0] * (2 * n - 1)
     incidences = 0
     mismatches: list[str] = []
     for bp in chambers:
         value = value_of[bp.letters]
         indegree = 0
-        for neighbor in sweep_neighbors(bp):
-            other = value_of.get(neighbor.letters)
+        for word in sweep_neighbors(bp):
+            other = value_of.get(word)
             if other is None:
+                neighbor = "|".join(map(str, word))
                 raise AssertionError(f"neighbor {neighbor} of {bp} is not a chamber")
             if other == value:
+                neighbor = "|".join(map(str, word))
                 raise NonGenericSweep(
                     f"sweep functional ties {bp} with its neighbor {neighbor}"
                 )

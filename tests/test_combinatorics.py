@@ -21,16 +21,15 @@ from bipermutahedron.combinatorics import (
     bisubsets_of,
     count_bipermutations_recursively,
     descents,
+    doubled_word,
     enumerate_bipermutations,
     enumerate_bisequences,
     enumerate_wall_bisequences,
-    expanded_word,
     format_bisequence,
     multigraph_to_bisequence,
     parse_bipermutation,
     parse_bisequence,
     reverse,
-    signed_word,
     splits_of,
     validate_bisequence,
     wall_kind,
@@ -94,7 +93,8 @@ def test_reversal_does_not_complement_descents():
 
 
 def test_descent_case_table():
-    word = expanded_word(parse_bipermutation("1|1|2|2|3"))
+    bp = parse_bipermutation("1|1|2|2|3")
+    word = doubled_word(bp.letters, (bp.k,))
     assert word == (
         (1, False),
         (1, True),
@@ -115,19 +115,11 @@ def test_descents_of_a_longer_word():
 
 
 def test_expanded_word_structure():
-    word = expanded_word(parse_bipermutation("2|3|4|2|4|1|1"))
+    bp = parse_bipermutation("2|3|4|2|4|1|1")
+    word = doubled_word(bp.letters, (bp.k,))
     assert len(word) == 8
     assert word[2] == (3, True)  # k = 3 doubles in place
     assert sum(1 for _, barred in word if barred) == 4
-
-
-def test_signed_word_worked_example():
-    w = signed_word(parse_bipermutation("2|3|4|2|4|1|1"))
-    assert w.n == 4 and w.k == 3
-    assert w.unbarred == (0, 5, -7, -5, -1)
-    assert w.barred == (0, 7, 1, -3, 3)
-    assert w.s == -8
-    assert w.s == -sum(w.barred)
 
 
 def test_parse_format_round_trip():

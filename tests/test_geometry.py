@@ -12,7 +12,6 @@ from bipermutahedron.combinatorics import (
     parse_bipermutation,
 )
 from bipermutahedron.geometry import (
-    LatticePoint,
     SupportFunction,
     SymmetryReport,
     biperm_support,
@@ -33,9 +32,8 @@ from bipermutahedron.geometry import (
 
 def test_vertex_worked_example():
     v = vertex_of_bipermutation(parse_bipermutation("2|3|4|2|4|1|1"))
-    assert v.top == (5, -7, 3, -1)
-    assert v.bottom == (-7, -1, 11, -3)
-    assert sum(v.top) == 0 and sum(v.bottom) == 0
+    assert v == (5, -7, 3, -1, -7, -1, 11, -3)
+    assert sum(v[:4]) == 0 and sum(v[4:]) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -43,22 +41,50 @@ def test_vertices_are_distinct_with_zero_row_sums(n):
     seen = set()
     for bp in enumerate_bipermutations(n):
         v = vertex_of_bipermutation(bp)
-        assert sum(v.top) == 0 and sum(v.bottom) == 0
-        seen.add((v.top, v.bottom))
+        assert len(v) == 2 * n
+        assert sum(v[:n]) == 0 and sum(v[n:]) == 0
+        seen.add(v)
     assert len(seen) == sum(1 for _ in enumerate_bipermutations(n))
+
+
+def test_vertex_guard_unbarred_copy_first(monkeypatch):
+    # A barred word whose first letter is barred before its unbarred copy.
+    real = geometry.doubled_word
+
+    def bar_first(letters, doubled):
+        (e, _), *rest = real(letters, doubled)
+        return ((e, True), *rest)
+
+    monkeypatch.setattr(geometry, "doubled_word", bar_first)
+    with pytest.raises(AssertionError, match="unbarred copy must come first"):
+        vertex_of_bipermutation(parse_bipermutation("2|3|4|2|4|1|1"))
+
+
+def test_vertex_guard_zero_row_sums(monkeypatch):
+    # The last letter read once more: its value moves up by 2 and the bottom
+    # row no longer sums to zero.
+    real = geometry.doubled_word
+
+    def shift_last(letters, doubled):
+        word = real(letters, doubled)
+        return word + word[-1:]
+
+    monkeypatch.setattr(geometry, "doubled_word", shift_last)
+    with pytest.raises(AssertionError, match="must sum to zero in each row"):
+        vertex_of_bipermutation(parse_bipermutation("2|3|4|2|4|1|1"))
 
 
 def test_ray_vector_and_pairing():
     bs = bisubset({1, 3}, {2, 3}, 3)
     assert ray_vector(bs) == [1, 0, 1, 0, 1, 1]
-    assert pairing(bs, (5, 0, 2), (0, 3, 1)) == 5 + 2 + 3 + 1
+    assert pairing(bs, (5, 0, 2, 0, 3, 1)) == 5 + 2 + 3 + 1
 
 
 def test_canonical_ray_quotients_lineality():
     # shifting a row by a constant or scaling positively must not matter
-    base = canonical_ray((1, 0, 1), (0, 1, 1))
-    assert base == canonical_ray((3, 2, 3), (5, 6, 6))
-    assert base == canonical_ray((2, 0, 2), (0, 2, 2))
+    base = canonical_ray((1, 0, 1, 0, 1, 1))
+    assert base == canonical_ray((3, 2, 3, 5, 6, 6))
+    assert base == canonical_ray((2, 0, 2, 0, 2, 2))
 
 
 def test_biperm_support_values():
@@ -144,9 +170,9 @@ def test_symmetry_checks_catch_a_misplaced_vertex(monkeypatch):
         v = real(bp)
         if bp != target:
             return v
-        top = (v.top[1], v.top[0], *v.top[2:])
-        assert top != v.top
-        return LatticePoint(top, v.bottom)
+        swapped = (v[1], v[0], *v[2:])
+        assert swapped != v
+        return swapped
 
     monkeypatch.setattr(geometry, "vertex_of_bipermutation", misplaced)
     report = symmetry_checks(3)
@@ -183,4 +209,4 @@ def test_biperm_support_function_matches_vertex_minima():
         vertex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
     ]
     for bs in all_bisubsets(n):
-        assert h[bs] == min(pairing(bs, v.top, v.bottom) for v in vertices)
+        assert h[bs] == min(pairing(bs, v) for v in vertices)

@@ -1,5 +1,6 @@
 """Face numbers, biEulerian polynomials, and the sweep orientation."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 
 from bipermutahedron import invariants
 from bipermutahedron.combinatorics import (
+    Bipermutation,
     bipermutation_count,
     descents,
     enumerate_bipermutations,
@@ -180,13 +182,12 @@ def test_bieulerian_evaluations_and_shape(n):
 
 def test_sweep_neighbors_structure():
     bp = parse_bipermutation("1|2|1")
-    neighbors = {str(b) for b in sweep_neighbors(bp)}
+    neighbors = set(sweep_neighbors(bp))
     # swap the two distinct adjacent pairs; no equal adjacent pair exists
-    assert neighbors == {"2|1|1", "1|1|2"}
-    bp = parse_bipermutation("1|1|2")
-    neighbors = [str(b) for b in sweep_neighbors(parse_bipermutation("1|1|2"))]
+    assert neighbors == {(2, 1, 1), (1, 1, 2)}
+    neighbors = sweep_neighbors(parse_bipermutation("1|1|2"))
     # collapsing 1|1 doubles the single letter 2 in place
-    assert sorted(neighbors) == ["1|2|1", "1|2|2"]
+    assert sorted(neighbors) == [(1, 2, 1), (1, 2, 2)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -213,17 +214,19 @@ def test_sweep_builds_each_vertex_once(monkeypatch):
 def test_sweep_tie_raises_non_generic(monkeypatch):
     # One chamber given its neighbor's vertex: the two values tie.
     bp = parse_bipermutation("1|2|1")
-    (neighbor, _) = sweep_neighbors(bp)
+    neighbor = Bipermutation(sweep_neighbors(bp)[0])
     real = invariants.vertex_of_bipermutation
     monkeypatch.setattr(
         invariants, "vertex_of_bipermutation", lambda b: real(neighbor if b == bp else b)
     )
-    with pytest.raises(NonGenericSweep, match="ties"):
+    message = "sweep functional ties 1|2|1 with its neighbor 2|1|1"
+    with pytest.raises(NonGenericSweep, match=f"^{re.escape(message)}$"):
         sweep_orientation_check(2)
 
 
 def test_sweep_neighbor_outside_the_chambers_raises(monkeypatch):
     real = invariants.enumerate_bipermutations
     monkeypatch.setattr(invariants, "enumerate_bipermutations", lambda n: list(real(n))[1:])
-    with pytest.raises(AssertionError, match="is not a chamber"):
+    message = "neighbor 1|1|2 of 1|2|1 is not a chamber"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         sweep_orientation_check(2)

@@ -165,3 +165,19 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_every_public_name_resolves():
+    # A deleted function or type must not leave a dangling export behind.
+    modules = [
+        "bipermutahedron",
+        "bipermutahedron.invariants",
+        "bipermutahedron.deformation",
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in map(importlib.import_module, modules)
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert missing == []
