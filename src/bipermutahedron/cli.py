@@ -52,9 +52,7 @@ from .invariants import (
     f_vector_bruteforce,
     f_vector_formula,
     h_from_f,
-    logconcavity_check,
     sweep_orientation_check,
-    unimodality_check,
 )
 from .polynomials import real_root_check
 from .triangulation import (
@@ -84,8 +82,8 @@ _N_BOUNDS = {
     ("bieulerian", "hfromf"): _FORMULA,
     ("bieulerian", "descents"): _DESCENTS,
     ("bieulerian", "all"): _DESCENTS,
-    ("bieulerian", "ehrhart"): (50, "is above 50, the largest n whose B_n the "
-                                    "Ehrhart route computes"),
+    ("bieulerian", "ehrhart"): (200, "is above 200, the largest n whose B_n the "
+                                     "Ehrhart route computes"),
     ("vertices", None): (5, "has more vertices than the 113400 at n = 5, the "
                             "largest n whose vertices can be listed"),
     ("facets", None): (10, "has more facets than the 59046 at n = 10, the "
@@ -312,7 +310,7 @@ def _suite_invariants(n: int, samples: int, seed: int | None) -> Iterator[str]:
             yield f"B_n(1) differs from (2n)!/2^n at n={m}"
         if real_root_check(poly) != "real-rooted":
             yield f"B_n fails the real-rootedness certificate at n={m}"
-        if not (logconcavity_check(poly) and unimodality_check(poly)):
+        if not (poly.is_log_concave() and poly.is_unimodal()):
             yield f"B_n fails log-concavity/unimodality at n={m}"
         if m <= 3 and not sweep_orientation_check(m).passed:
             yield f"sweep indegrees differ from descents at n={m}"

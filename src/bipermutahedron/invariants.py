@@ -28,12 +28,7 @@ from .combinatorics import (
     enumerate_bipermutations,
 )
 from .geometry import vertex_of_bipermutation
-from .polynomials import (
-    IntPolynomial,
-    poly_eval,
-    poly_mul,
-    real_root_check,
-)
+from .polynomials import IntPolynomial
 
 __all__ = [
     "LengthMismatch",
@@ -48,10 +43,6 @@ __all__ = [
     "h_from_f",
     "bieulerian_by_descents",
     "bieulerian_by_ehrhart",
-    "wagner_operator",
-    "real_root_check",
-    "logconcavity_check",
-    "unimodality_check",
     "SweepReport",
     "sweep_orientation_check",
     "sweep_neighbors",
@@ -274,78 +265,35 @@ def bieulerian_by_descents(n: int) -> IntPolynomial:
     return IntPolynomial(tuple(histogram))
 
 
-# How many coefficients past deg f the Wagner operator computes and checks.
-_GUARD_TERMS = 3
-
-
-def wagner_operator(f: Sequence[int | Fraction]) -> IntPolynomial:
-    """The operator W with (W f)(z) / (1 - z)^(deg f + 1) = sum_k f(k) z^k.
-
-    ``f`` is given by exact coefficients, ascending.  The product
-    (sum_k f(k) z^k)(1 - z)^(deg f + 1) is a polynomial of degree at most
-    deg f; its coefficients past deg f are computed anyway and must vanish
-    (``_GUARD_TERMS`` of them), catching convolution mistakes.
-
-    >>> wagner_operator([1]).coefficients
-    (1,)
-    >>> wagner_operator([1, Fraction(3, 2), Fraction(1, 2)]).coefficients
-    (1,)
-    """
-    coeffs = [Fraction(v) for v in f]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    degree = len(coeffs) - 1
-    out: list[Fraction] = []
-    for m in range(degree + _GUARD_TERMS + 1):
-        w = sum(
-            (
-                (-1) ** j * comb(degree + 1, j) * poly_eval(coeffs, m - j)
-                for j in range(min(m, degree + 1) + 1)
-            ),
-            Fraction(0),
-        )
-        if m > degree and w != 0:
-            raise TruncationResidue(
-                f"guard coefficient of z^{m} is {w}, expected 0"
-            )
-        if m <= degree:
-            out.append(w)
-    return IntPolynomial.from_fractions(out)
-
-
 def bieulerian_by_ehrhart(n: int) -> IntPolynomial:
     """B_n(x) as the numerator of sum_k C(k+2,2)^n x^k over (1-x)^(2n+1).
 
-    The count C(k+2,2)^n is polynomial in k of degree 2n, so the numerator
-    could a priori have degree up to 2n; the coefficients of x^(2n-1)
-    through x^(2n+3) are all checked to vanish, leaving degree 2n - 2.
+    The k-th dilate of the product of n triangles has C(k+2,2)^n lattice
+    points, so the numerator's coefficient of x^m is the integer
+    sum_j (-1)^j C(2n+1, j) C(m-j+2, 2)^n over j = 0..min(m, 2n+1).  The
+    count is polynomial in k of degree 2n, so the numerator could a priori
+    have degree up to 2n; the coefficients of x^(2n-1) through x^(2n+3) are
+    all computed and must vanish, leaving degree 2n - 2.
 
     >>> bieulerian_by_ehrhart(1).coefficients
     (1,)
+    >>> bieulerian_by_ehrhart(2).coefficients
+    (1, 4, 1)
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    triangle = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
-    power: tuple[Fraction, ...] = (Fraction(1),)
-    for _ in range(n):
-        power = poly_mul(power, triangle)
-    result = wagner_operator(power)
-    if result.degree > 2 * n - 2:
-        bad = result.coefficients[2 * n - 1]
-        raise TruncationResidue(
-            f"coefficient of x^{result.degree} is {bad}, expected 0"
-        )
-    return result
-
-
-def logconcavity_check(p: IntPolynomial) -> bool:
-    """True when consecutive coefficients satisfy b_i^2 >= b_(i-1) b_(i+1)."""
-    return p.is_log_concave()
-
-
-def unimodality_check(p: IntPolynomial) -> bool:
-    """True when the coefficients rise to a single peak and then fall."""
-    return p.is_unimodal()
+    counts = [comb(k + 2, 2) ** n for k in range(2 * n + 4)]
+    signed = [(-1) ** j * comb(2 * n + 1, j) for j in range(2 * n + 2)]
+    coefficients = [
+        sum(c * counts[m - j] for j, c in enumerate(signed[: m + 1]))
+        for m in range(2 * n + 4)
+    ]
+    for m in range(2 * n - 1, 2 * n + 4):
+        if coefficients[m]:
+            raise TruncationResidue(
+                f"coefficient of x^{m} is {coefficients[m]}, expected 0"
+            )
+    return IntPolynomial(tuple(coefficients[: 2 * n - 1]))
 
 
 def sweep_neighbors(bp: Bipermutation) -> list[tuple[int, ...]]:

@@ -126,13 +126,6 @@ class IntPolynomial:
         if self.coefficients and self.coefficients[-1] == 0:
             raise ValueError("coefficients must be trimmed")
 
-    @staticmethod
-    def from_fractions(coeffs: Sequence[Fraction]) -> "IntPolynomial":
-        trimmed = poly_trim(coeffs)
-        if any(c.denominator != 1 for c in trimmed):
-            raise ValueError(f"non-integer coefficients: {trimmed}")
-        return IntPolynomial(tuple(int(c) for c in trimmed))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1

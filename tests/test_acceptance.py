@@ -28,10 +28,8 @@ from bipermutahedron.invariants import (
     f_vector_bruteforce,
     f_vector_formula,
     h_from_f,
-    logconcavity_check,
     polytope_f_vector,
     sweep_orientation_check,
-    unimodality_check,
 )
 from bipermutahedron.polynomials import real_root_check
 from bipermutahedron.triangulation import (
@@ -154,8 +152,8 @@ def test_criterion_07_real_rootedness(verdict):
         for n in range(1, 7):
             poly = bieulerian_by_ehrhart(n)
             assert real_root_check(poly) == "real-rooted"
-            assert logconcavity_check(poly)
-            assert unimodality_check(poly)
+            assert poly.is_log_concave()
+            assert poly.is_unimodal()
 
     timed(verdict, 7, "B_n real-rooted, log-concave, unimodal n<=6", 5.0, body)
 

@@ -499,21 +499,21 @@ class TestInfeasibleN:
             ["--n", "5"],
             ["--n", "5", "--method", "descents"],
             ["--n", "6", "--method", "hfromf"],
-            ["--n", "50", "--method", "ehrhart"],
+            ["--n", "200", "--method", "ehrhart"],
         ],
     )
     def test_bieulerian_routes_not_refused(self, no_bieulerian_route, argv):
         with pytest.raises(RuntimeError, match="route ran"):
             main(["bieulerian", *argv])
 
-    @pytest.mark.parametrize("n", ["51", "100000"])
+    @pytest.mark.parametrize("n", ["201", "100000"])
     def test_bieulerian_ehrhart_refused_before_its_route(
         self, capsys, no_bieulerian_route, n
     ):
         code, out, err = run_cli(capsys, "bieulerian", "--n", n, "--method", "ehrhart")
         assert (code, out) == (2, "")
         assert err == (
-            f"error: n = {n} is above 50, the largest n whose B_n the Ehrhart "
+            f"error: n = {n} is above 200, the largest n whose B_n the Ehrhart "
             "route computes\n"
         )
 
@@ -841,6 +841,8 @@ REPORT_DIGESTS = [
      "232a9ecca29867aa0debdd3ff92803d35feb901b5526ddcf3a17a00442715c7c"),
     ("bieulerian --n 4", 0,
      "8375a74d86cf34ac091d301d3e8160a88b1364d1611cd263546852756ed706f2"),
+    ("bieulerian --n 50 --method ehrhart", 0,
+     "39e3a378ed0fc618082878c683175888f0084ab179205d88f6a7fcba9f5f9365"),
     ("vertices --n 3", 0,
      "fb279cdae47fbe9381b9055256237455346e419b3ecc65bb1b50766e2aa663e2"),
     ("facets --n 3 --format csv", 0,

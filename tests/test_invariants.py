@@ -2,8 +2,6 @@
 
 import re
 from collections import Counter
-from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -19,23 +17,19 @@ from bipermutahedron.invariants import (
     LengthMismatch,
     NonGenericSweep,
     TruncatedBiseries,
+    TruncationResidue,
     bieulerian_by_descents,
     bieulerian_by_ehrhart,
     f_generating_check,
     f_vector_bruteforce,
     f_vector_formula,
     h_from_f,
-    logconcavity_check,
     multigraph_count,
     polytope_f_vector,
     sweep_neighbors,
     sweep_orientation_check,
-    unimodality_check,
-    wagner_operator,
 )
 from bipermutahedron.polynomials import IntPolynomial, real_root_check
-
-F = Fraction
 
 # Frozen fan f-vectors (dimensions 0..2n-2 in the quotient).
 FAN_F = {
@@ -130,43 +124,36 @@ def test_bieulerian_n5_cross_route_only():
 
 
 def test_ehrhart_and_h_from_f_agree_through_n12():
-    # The Ehrhart route evaluates its power polynomial by polynomials.poly_eval.
-    for n in range(6, 13):
+    for n in range(1, 31):
         assert bieulerian_by_ehrhart(n) == h_from_f(f_vector_formula(n), 2 * n - 2)
 
 
-def test_wagner_operator_examples():
-    assert wagner_operator([1]).coefficients == (1,)
-    # f(x) = C(x+2, 2) enumerates the lattice points of a triangle
-    assert wagner_operator([1, F(3, 2), F(1, 2)]).coefficients == (1,)
-    square = [F(1), F(3), F(13, 4), F(3, 2), F(1, 4)]
-    assert wagner_operator(square).coefficients == (1, 4, 1)
-    # the classical Eulerian polynomial of x^3
-    assert wagner_operator([0, 0, 0, 1]).coefficients == (0, 1, 4, 1)
+def test_ehrhart_at_the_cli_bound():
+    # n = 200 is the largest n that bieulerian --method ehrhart accepts.
+    poly = bieulerian_by_ehrhart(200)
+    assert poly.degree == 398
+    assert poly.is_palindromic()
+    assert poly.evaluate(1) == bipermutation_count(200)
 
 
-def test_wagner_guard_coefficients_vanish():
-    # recompute the guard window by hand for f = C(x+2,2)^2
-    coeffs = [F(1), F(3), F(13, 4), F(3, 2), F(1, 4)]
-
-    def f(k):
-        return sum(c * k**i for i, c in enumerate(coeffs))
-
-    degree = 4
-    for m in range(degree + 1, degree + 6):
-        guard = sum(
-            (-1) ** j * comb(degree + 1, j) * f(m - j)
-            for j in range(degree + 2)
-            if m - j >= 0
-        )
-        assert guard == 0
-
-
-def test_wagner_rejects_non_integer_output():
-    # perturbing one coefficient destroys integrality of the h-vector
-    bad = [F(3, 2), F(3), F(13, 4), F(3, 2), F(1, 4)]
-    with pytest.raises(ValueError):
-        wagner_operator(bad)
+@pytest.mark.parametrize(
+    ("a", "message"),
+    [
+        # C(4,2)^2 = 36 becomes 49 in the 2nd dilate, which moves every
+        # coefficient from x^2 on: the first guard coefficient is -5 * 13.
+        (4, "coefficient of x^3 is -65, expected 0"),
+        # C(9,2)^2 = 1296 becomes 1369 in the 7th dilate, past the degree:
+        # only the last guard coefficient reads it.
+        (9, "coefficient of x^7 is 73, expected 0"),
+    ],
+    ids=["first-guard", "last-guard"],
+)
+def test_ehrhart_guard_catches_a_wrong_lattice_point_count(monkeypatch, a, message):
+    # One lattice point more in one dilate of the product of two triangles.
+    real = invariants.comb
+    monkeypatch.setattr(invariants, "comb", lambda p, q: real(p, q) + ((p, q) == (a, 2)))
+    with pytest.raises(TruncationResidue, match=f"^{re.escape(message)}$"):
+        bieulerian_by_ehrhart(2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -175,8 +162,8 @@ def test_bieulerian_evaluations_and_shape(n):
     assert poly.degree == max(2 * n - 2, 0)
     assert poly.evaluate(1) == bipermutation_count(n)
     assert poly.is_palindromic()
-    assert logconcavity_check(poly)
-    assert unimodality_check(poly)
+    assert poly.is_log_concave()
+    assert poly.is_unimodal()
     assert real_root_check(poly) == "real-rooted"
 
 

@@ -66,10 +66,8 @@ def test_count_distinct_real_roots(coeffs, expected):
 def test_int_polynomial_requires_trimmed_integers():
     with pytest.raises(ValueError):
         IntPolynomial((1, 2, 0))
-    poly = IntPolynomial.from_fractions([F(1), F(2)])
-    assert poly.coefficients == (1, 2)
-    with pytest.raises(ValueError):
-        IntPolynomial.from_fractions([F(1), F(1, 2)])
+    with pytest.raises(TypeError):
+        IntPolynomial((F(1), F(1, 2)))
 
 
 def test_int_polynomial_evaluate_and_degree():
