@@ -68,9 +68,12 @@ def multigraph_count(d: int, n: int) -> int:
     >>> multigraph_count(3, 2), multigraph_count(2, 3)
     (6, 1)
     """
-    return sum(
-        (-1) ** (d - i) * comb(d, i) * comb(i, 2) ** n for i in range(d + 1)
-    )
+    return _covered_count(d, [comb(i, 2) ** n for i in range(d + 1)])
+
+
+def _covered_count(d: int, powers: Sequence[int]) -> int:
+    """:func:`multigraph_count` given ``powers[i] = comb(i, 2) ** n``."""
+    return sum((-1) ** (d - i) * comb(d, i) * powers[i] for i in range(d + 1))
 
 
 def f_vector_formula(n: int) -> list[int]:
@@ -83,7 +86,8 @@ def f_vector_formula(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return [multigraph_count(d, n) for d in range(2, 2 * n + 1)]
+    powers = [comb(i, 2) ** n for i in range(2 * n + 1)]
+    return [_covered_count(d, powers) for d in range(2, 2 * n + 1)]
 
 
 def f_vector_bruteforce(n: int) -> list[int]:

@@ -23,11 +23,8 @@ computes is ``d`` times a solution entry, a Cramer numerator, so it gives
 the same integers as Gauss-Jordan elimination would, without clearing
 above any pivot.
 
-``solve_unique`` and ``nullspace_normal`` raise ``TypeError`` on an entry
-that is not an ``int``.  ``det_int`` does not check: its callers,
-``triangulation.pi1_lattice_check`` and ``unimodularity_check``, build their
-rows from integers.  All three raise ``ValueError`` on rows of the wrong
-shape.
+All three entries raise ``TypeError`` on an entry that is not an ``int``
+and ``ValueError`` on rows of the wrong shape.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
 ``deformation._scaled_support`` and ``triangulation.cover_locate`` call it
@@ -119,6 +116,7 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     m = len(a)
     if any(len(row) != m for row in a):
         raise ValueError("matrix must be square")
+    _require_ints(a)
     pivot_cols, d, sign = _bareiss(a, m)
     return sign * d if len(pivot_cols) == m else 0
 

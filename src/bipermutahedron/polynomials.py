@@ -1,114 +1,113 @@
-"""Exact univariate polynomial arithmetic and root-location certificates.
+"""Integer univariate polynomials and a Sturm real-rootedness certificate.
 
-Polynomials are represented by tuples of coefficients in ascending order of
-degree, ``p = (p[0], p[1], ...)`` meaning ``p[0] + p[1] x + ...``; entries
-are ints or ``Fraction``s and the zero polynomial is the empty tuple.  The
-public ``IntPolynomial`` wrapper is what the invariant computations hand
-out: integer coefficients, trimmed, with a few convenience queries attached
-(palindromy, log-concavity, unimodality, a Sturm real-rootedness check).
+Polynomials are tuples of ``int`` coefficients in ascending order of
+degree, ``p = (p[0], p[1], ...)`` meaning ``p[0] + p[1] x + ...``; the zero
+polynomial is the empty tuple.  As in the elimination kernel of ``linalg``,
+every step stays on integers and no ``Fraction`` is built.
+
+``sturm_chain`` is a primitive pseudo-remainder sequence (Collins):
+multiplying the entries of a Sturm sequence by positive integers keeps
+every sign, so it is a Sturm sequence of p, and its last entry is
+gcd(p, p') up to a constant (Basu–Pollack–Roy, *Algorithms in Real
+Algebraic Geometry*, ch. 8).  The public ``IntPolynomial`` wrapper is what
+the invariant computations hand out: integer coefficients, trimmed, with
+palindromy, log-concavity and unimodality queries attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from math import gcd
+from typing import Literal, Sequence
 
-Coeffs = tuple[Fraction, ...]
+from .linalg import _require_ints
+
+__all__ = [
+    "IntPolynomial",
+    "real_root_check",
+    "count_distinct_real_roots",
+    "sturm_chain",
+    "poly_mul",
+]
 
 
-def poly_trim(p: Sequence[int | Fraction]) -> Coeffs:
-    coeffs = [Fraction(c) for c in p]
+def _trim(p: Sequence[int]) -> tuple[int, ...]:
+    coeffs = list(p)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
-def poly_scale(p: Sequence[Fraction], a: int | Fraction) -> Coeffs:
-    return poly_trim([Fraction(a) * c for c in p])
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return _trim(out)
 
 
-def poly_eval(p: Sequence[int | Fraction], x: int | Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Minus the remainder of ``a`` by ``b``, times a power of |lc(b)|,
+    divided by its content: each step scales by |lc(b)|, never by lc(b),
+    so the factor stays positive."""
+    r = list(a)
+    k = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    for top in range(len(r) - 1, k - 1, -1):
+        f = r.pop() * sign
+        if f:
+            shift = top - k
+            r = [x * scale for x in r]
+            for i in range(k):
+                r[shift + i] -= f * b[i]
+    rem = _trim(r)
+    g = gcd(*rem)  # 0 for an empty remainder, which then stays empty
+    return tuple(-x // g for x in rem)
 
 
-def poly_derivative(p: Sequence[Fraction]) -> Coeffs:
-    return poly_trim([i * c for i, c in enumerate(p)][1:])
+def sturm_chain(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """A Sturm sequence of the nonzero integer polynomial ``p``: p, p', and
+    then primitive negated pseudo-remainders until the next one vanishes.
 
-
-def poly_divmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Quotient and remainder of exact polynomial division."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(rem) >= len(q) and any(c != 0 for c in rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(q)
-        factor = rem[-1] / q[-1]
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Monic greatest common divisor, by the Euclidean algorithm."""
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(a, Fraction(1) / a[-1])
-    return a
-
-
-def sturm_chain(p: Coeffs) -> list[Coeffs]:
-    chain = [poly_trim(p), poly_derivative(p)]
-    while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(poly_scale(r, -1))
-    return [c for c in chain if c]
-
-
-def _sign_variations(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_distinct_real_roots(p: Coeffs) -> int:
-    """Number of distinct real roots of a nonzero squarefree-or-not
-    polynomial, via sign variations of its Sturm chain at -oo and +oo.
+    >>> sturm_chain((-2, 0, 1))
+    [(-2, 0, 1), (0, 2), (1,)]
     """
-    q = poly_trim(p)
+    _require_ints([p])
+    q = _trim(p)
     if not q:
-        raise ValueError("zero polynomial")
-    if len(q) == 1:
-        return 0
-    chain = sturm_chain(q)
-    at_minus = [c[-1] * (-1) ** (len(c) - 1) for c in chain]
-    at_plus = [c[-1] for c in chain]
+        raise ValueError("the zero polynomial has no Sturm chain")
+    chain = [q]
+    nxt = _trim([i * c for i, c in enumerate(q)][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = _negated_remainder(chain[-2], chain[-1])
+    return chain
+
+
+def _sign_variations(signs: list[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _real_root_count(chain: list[tuple[int, ...]]) -> int:
+    """Sign variations of the chain's leading coefficients at -oo minus
+    those at +oo; no entry of the chain is zero."""
+    at_plus = [c[-1] > 0 for c in chain]
+    at_minus = [s == (len(c) % 2 == 1) for c, s in zip(chain, at_plus)]
     return _sign_variations(at_minus) - _sign_variations(at_plus)
+
+
+def count_distinct_real_roots(p: Sequence[int]) -> int:
+    """Number of distinct real roots of a nonzero integer polynomial,
+    squarefree or not.
+
+    >>> count_distinct_real_roots((-6, 11, -6, 1))
+    3
+    """
+    return _real_root_count(sturm_chain(p))
 
 
 Verdict = Literal["real-rooted", "not-real-rooted"]
@@ -121,8 +120,7 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.coefficients):
-            raise TypeError(f"coefficients must be ints: {self.coefficients}")
+        _require_ints([self.coefficients])
         if self.coefficients and self.coefficients[-1] == 0:
             raise ValueError("coefficients must be trimmed")
 
@@ -130,8 +128,11 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        return poly_eval(self.coefficients, x)
+    def evaluate(self, x: int) -> int:
+        acc = 0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
 
     def is_palindromic(self) -> bool:
         return self.coefficients == tuple(reversed(self.coefficients))
@@ -159,23 +160,15 @@ class IntPolynomial:
 def real_root_check(p: IntPolynomial) -> Verdict:
     """Decide whether all complex roots of ``p`` are real.
 
-    The polynomial is divided by gcd(p, p') to make it squarefree, and a
-    Sturm-sequence count of distinct real roots is compared against the
-    squarefree degree.  Sturm sequences decide every nonzero input.
+    One Sturm chain counts the distinct real roots, and its last entry,
+    gcd(p, p') up to a constant, leaves deg p minus its degree distinct
+    complex roots.  Sturm sequences decide every nonzero input.
 
     >>> real_root_check(IntPolynomial((1, 4, 1)))
     'real-rooted'
     >>> real_root_check(IntPolynomial((1, 0, 1)))
     'not-real-rooted'
     """
-    coeffs = poly_trim(p.coefficients)
-    if not coeffs:
-        raise ValueError("the zero polynomial has no root-location verdict")
-    if len(coeffs) == 1:
-        return "real-rooted"
-    g = poly_gcd(coeffs, poly_derivative(coeffs))
-    squarefree, rem = poly_divmod(coeffs, g)
-    if rem:
-        raise AssertionError("the gcd with the derivative must divide the polynomial")
-    count = count_distinct_real_roots(squarefree)
-    return "real-rooted" if count == len(squarefree) - 1 else "not-real-rooted"
+    chain = sturm_chain(p.coefficients)
+    distinct = len(chain[0]) - len(chain[-1])
+    return "real-rooted" if _real_root_count(chain) == distinct else "not-real-rooted"

@@ -383,7 +383,7 @@ def triangulation_f_vector(n: int) -> list[int]:
     structure, so its f-polynomial is (x+1)^3 times the fan's; entry j
     counts faces with j vertices (entry 0 is the empty face).
     """
-    return [int(c) for c in poly_mul(f_vector_formula(n), (1, 3, 3, 1))]
+    return list(poly_mul(f_vector_formula(n), (1, 3, 3, 1)))
 
 
 def triangulation_f_vector_direct(n: int) -> list[int]:

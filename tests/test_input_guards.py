@@ -11,7 +11,6 @@ from bipermutahedron.geometry import SupportFunction, biperm_support_function
 from bipermutahedron.polynomials import (
     IntPolynomial,
     count_distinct_real_roots,
-    poly_divmod,
 )
 
 
@@ -27,8 +26,8 @@ from bipermutahedron.polynomials import (
             ),
             ValueError,
         ),
-        (lambda: poly_divmod((Fraction(1),), ()), ZeroDivisionError),
         (lambda: count_distinct_real_roots((0, 0)), ValueError),
+        (lambda: count_distinct_real_roots((1, Fraction(1, 2))), TypeError),
         (lambda: IntPolynomial((1, Fraction(1, 2))), TypeError),
     ],
     ids=[
@@ -36,8 +35,8 @@ from bipermutahedron.polynomials import (
         "configuration-empty",
         "combine-no-terms",
         "combine-mixed-n",
-        "divmod-zero-divisor",
         "roots-zero-polynomial",
+        "roots-fraction",
         "intpolynomial-fraction",
     ],
 )

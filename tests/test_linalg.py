@@ -99,6 +99,16 @@ def test_non_int_entries_are_type_errors(bad):
         solve_unique([[1, 0, 1], [0, 1, bad]])
 
 
+@pytest.mark.parametrize(
+    "matrix", [[[Fraction(1, 2), 1], [1, 3]], [[1.5, 1], [1, 3]]], ids=repr
+)
+def test_det_int_rejects_non_int_entries(matrix):
+    # Unchecked, these came back as 0 (the determinant is 1/2) and as 3.0
+    # (it is 3.5).
+    with pytest.raises(TypeError, match="entries must be int"):
+        det_int(matrix)
+
+
 # Seeded random systems with known answers.  Nonsingular matrices are built
 # as P * U * L: P a permutation (so leading entries are often zero and rows
 # must be swapped), U upper triangular with a nonzero diagonal, L unit lower

@@ -173,6 +173,7 @@ def test_every_public_name_resolves():
         "bipermutahedron",
         "bipermutahedron.invariants",
         "bipermutahedron.deformation",
+        "bipermutahedron.polynomials",
     ]
     missing = [
         f"{module.__name__}.{name}"
