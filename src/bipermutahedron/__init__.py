@@ -40,7 +40,6 @@ from .invariants import (
     bieulerian_by_ehrhart,
     f_vector_formula,
     h_from_f,
-    polytope_f_vector,
 )
 from .polynomials import IntPolynomial, real_root_check
 from .triangulation import cover_locate, unimodularity_check
@@ -73,7 +72,6 @@ __all__ = [
     "bieulerian_by_ehrhart",
     "f_vector_formula",
     "h_from_f",
-    "polytope_f_vector",
     "IntPolynomial",
     "real_root_check",
     "cover_locate",

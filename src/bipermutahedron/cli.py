@@ -20,12 +20,16 @@ from typing import Iterable, Iterator, Sequence
 from . import __version__
 from .combinatorics import (
     bipermutation_count,
+    bisequence_to_multigraph,
     count_bipermutations_recursively,
     enumerate_bipermutations,
+    enumerate_bisequences,
+    multigraph_to_bisequence,
 )
 from .deformation import (
     _NAMED_SUPPORTS,
     enumerate_walls,
+    format_support_csv,
     generic_wallcross_oracle,
     inequality_table_check,
     is_ample,
@@ -34,6 +38,7 @@ from .deformation import (
     named_support,
     parse_support_csv,
     same_inequality,
+    updown_value_by_segments,
     wall_inequality,
     wall_value_table,
 )
@@ -194,16 +199,13 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_facets(args) -> int:
-    data = facets_json(args.n)
-    body = [
-        "{};{};{}".format(
-            ",".join(map(str, f["S"])),
-            ",".join(map(str, f["T"])),
-            f["rhs"],
-        )
-        for f in data["facets"]
-    ]
-    _emit(data, args.format, None, body)
+    # Each format builds only its own table: the csv and text lines are the
+    # bipermutahedron's support in the S;T;value form that --support reads.
+    if args.format == "json":
+        _emit(facets_json(args.n), args.format, None, ())
+    else:
+        h = named_support("biperm", args.n)
+        _emit({}, args.format, None, format_support_csv(h).splitlines())
     return 0
 
 
@@ -312,10 +314,26 @@ def _suite_invariants(n: int, samples: int, seed: int | None) -> Iterator[str]:
             yield f"B_n fails the real-rootedness certificate at n={m}"
         if not (poly.is_log_concave() and poly.is_unimodal()):
             yield f"B_n fails log-concavity/unimodality at n={m}"
-        if m <= 3 and not sweep_orientation_check(m).passed:
-            yield f"sweep indegrees differ from descents at n={m}"
+        if m <= 3:
+            if not sweep_orientation_check(m).passed:
+                yield f"sweep indegrees differ from descents at n={m}"
+            yield from _bijection_failures(m)
     if not f_generating_check(min(n, 4), 2 * min(n, 4)):
         yield "generating-function coefficients differ from the f-vector"
+
+
+def _bijection_failures(m: int) -> Iterator[str]:
+    """The faces as bisequences, counted by number of parts against the
+    formula and each sent to its multigraph and back."""
+    faces = [0] * (2 * m - 1)
+    round_trip = True
+    for seq in enumerate_bisequences(m):
+        faces[len(seq.parts) - 1] += 1
+        round_trip &= multigraph_to_bisequence(bisequence_to_multigraph(seq)) == seq
+    if faces != f_vector_formula(m):
+        yield f"bisequence counts by number of parts differ from the f-vector at n={m}"
+    if not round_trip:
+        yield f"a bisequence does not survive the multigraph round trip at n={m}"
 
 
 def _suite_geometry(n: int, samples: int, seed: int | None) -> Iterator[str]:
@@ -355,13 +373,17 @@ def _suite_triangulation(n: int, samples: int, seed: int | None) -> Iterator[str
 
 
 def _suite_deformation(n: int, samples: int, seed: int | None) -> Iterator[str]:
+    biperm = named_support("biperm", n)
     for wall in enumerate_walls(n):
-        if not same_inequality(wall_inequality(wall), generic_wallcross_oracle(wall)):
+        ineq = wall_inequality(wall)
+        if not same_inequality(ineq, generic_wallcross_oracle(wall)):
             yield f"closed-form inequality differs from the oracle at {wall}"
+            break
+        if wall.kind == "B" and updown_value_by_segments(wall) != ineq.evaluate(biperm):
+            yield f"segment value differs from the closed form at {wall}"
             break
     if not inequality_table_check(n):
         yield "the generated wall inequalities differ from the wall walk"
-    biperm = named_support("biperm", n)
     harmonic = named_support("harmonic", n)
     table_p = wall_value_table(biperm, n)
     if n >= 3:

@@ -394,15 +394,6 @@ def descents(bp: Bipermutation) -> int:
     )
 
 
-def reverse(bp: Bipermutation) -> Bipermutation:
-    """The bipermutation read backwards.
-
-    >>> str(reverse(parse_bipermutation("2|3|2|1|3")))
-    '3|1|2|3|2'
-    """
-    return Bipermutation(tuple(reversed(bp.letters)))
-
-
 def bisubsets_of(bp: Bipermutation) -> tuple[Bisubset, ...]:
     """The 2n-2 prefix/suffix bisubsets of a bipermutation, in word order.
 
@@ -583,19 +574,16 @@ def multigraph_to_bisequence(graph: Multigraph) -> Bisequence:
 
     Part i (for i < d) collects the labels of the edges touching vertex i;
     vertex d carries the would-be final part and is dropped.  Graphs with
-    loops are rejected by the ``Multigraph`` constructor; isolated vertices
-    surface as empty or missing parts.
+    loops are rejected by the ``Multigraph`` constructor, and a graph with
+    an isolated vertex, the last one included, raises ``ElementMissing``.
     """
-    n = len(graph.edges)
     if graph.has_isolated_vertex():
         raise ElementMissing("multigraph has an isolated vertex")
-    parts = []
-    for v in range(1, graph.d):
-        part = {e + 1 for e, (a, b) in enumerate(graph.edges) if v in (a, b)}
-        if not part:
-            raise EmptyPart(f"vertex {v} is isolated")
-        parts.append(part)
-    return validate_bisequence(parts, n)
+    parts = [
+        {e + 1 for e, (a, b) in enumerate(graph.edges) if v in (a, b)}
+        for v in range(1, graph.d)
+    ]
+    return validate_bisequence(parts, len(graph.edges))
 
 
 def bisequence_of_configuration(

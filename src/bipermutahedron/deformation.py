@@ -98,7 +98,6 @@ __all__ = [
     "DependenceNotUnique",
     "Wall",
     "enumerate_walls",
-    "wall_count",
     "wall_refinements",
     "WallInequality",
     "supermodular_inequality",
@@ -174,11 +173,6 @@ def enumerate_walls(n: int) -> Iterator[Wall]:
     """
     for seq in enumerate_wall_bisequences(n):
         yield Wall(seq, wall_kind(seq))
-
-
-def wall_count(n: int) -> int:
-    """Number of walls; must match the fan's f-vector at dimension 2n - 3."""
-    return sum(1 for _ in enumerate_wall_bisequences(n))
 
 
 def _kind_a_parts(
@@ -886,13 +880,14 @@ def named_support(name: str, n: int) -> SupportFunction:
 
 
 def format_support_csv(h: SupportFunction) -> str:
-    """Serialize as lines "S;T;value" with comma-joined sets."""
+    """Serialize as lines "S;T;value" with comma-joined sets, each line
+    ending in a newline; the empty table (n = 1) is the empty string."""
     lines = []
     for bs in _bisubset_order(h.n):
         left = ",".join(str(e) for e in sorted(bs.left))
         right = ",".join(str(e) for e in sorted(bs.right))
-        lines.append(f"{left};{right};{h[bs]}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{left};{right};{h[bs]}\n")
+    return "".join(lines)
 
 
 # A value in exponent form as ``Fraction`` reads it: signed mantissa, exponent.

@@ -6,7 +6,13 @@ generating function.  The biEulerian polynomial B_n(x) is computed three
 ways as well: as the descent histogram of bipermutations, as the h-vector
 of the fan's f-vector, and as the numerator of the rational generating
 function sum_k C(k+2,2)^n x^k.  Each route is an independent implementation
-so the cross-method equalities are meaningful checks.
+so the cross-method equalities are meaningful checks.  The face-multigraph
+bijection behind the formula (``combinatorics.enumerate_bisequences`` and
+the two multigraph maps) is a further leg: ``check --suite invariants``
+counts the bisequences by number of parts against ``f_vector_formula`` and
+round-trips each one through its multigraph.  The polytope's f-vector is
+the fan's reversed, headed by 1 for the empty face, as ``fvector --object
+polytope`` prints it.
 
 All arithmetic is exact: Python big integers and fractions throughout.
 """
@@ -38,7 +44,6 @@ __all__ = [
     "multigraph_count",
     "f_vector_formula",
     "f_vector_bruteforce",
-    "polytope_f_vector",
     "f_generating_check",
     "h_from_f",
     "bieulerian_by_descents",
@@ -117,18 +122,6 @@ def f_vector_bruteforce(n: int) -> list[int]:
         return go(n, 0)
 
     return [count(d) for d in range(2, 2 * n + 1)]
-
-
-def polytope_f_vector(n: int) -> list[int]:
-    """The polytope's f-vector (empty face through the full polytope).
-
-    Faces of dimension j correspond to cones of codimension j, so this is
-    the fan vector reversed, prefixed by 1 for the empty face.
-
-    >>> polytope_f_vector(2)
-    [1, 6, 6, 1]
-    """
-    return [1] + list(reversed(f_vector_formula(n)))
 
 
 @dataclass(frozen=True)

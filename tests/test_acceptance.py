@@ -5,11 +5,13 @@ and enforces a wall-clock budget.  Run with ``pytest -v`` to see the verdict
 lines in the live output.
 """
 
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
+from bipermutahedron import cli
 from bipermutahedron.combinatorics import bipermutation_count, enumerate_bipermutations
 from bipermutahedron.deformation import (
     enumerate_walls,
@@ -28,7 +30,6 @@ from bipermutahedron.invariants import (
     f_vector_bruteforce,
     f_vector_formula,
     h_from_f,
-    polytope_f_vector,
     sweep_orientation_check,
 )
 from bipermutahedron.polynomials import real_root_check
@@ -82,10 +83,14 @@ def timed(verdict, number: int, label: str, limit: float, body) -> None:
     assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s, budget {limit}s"
 
 
-def test_criterion_01_f_vectors(verdict):
+def test_criterion_01_f_vectors(verdict, capsys):
     def body():
         for n, expected in POLYTOPE_F.items():
-            assert polytope_f_vector(n) == expected
+            for method in ("formula", "bruteforce"):
+                argv = ["fvector", "--object", "polytope", "--n", str(n), "--method", method]
+                assert cli.main(argv) == 0
+                coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+                assert coeffs == [str(c) for c in expected]
         for n in range(1, 5):
             assert f_vector_formula(n) == f_vector_bruteforce(n)
 

@@ -392,6 +392,49 @@ class TestCheckSuites:
         assert code == 1
         assert "the generated wall inequalities differ from the wall walk" in out
 
+    def test_invariants_suite_counts_the_faces_as_bisequences(self, capsys, monkeypatch):
+        enumerate_all = cli.enumerate_bisequences
+
+        def one_short(n):
+            yield from list(enumerate_all(n))[:-1]
+
+        monkeypatch.setattr(cli, "enumerate_bisequences", one_short)
+        code, out, _ = run_cli(capsys, "check", "--n", "3", "--suite", "invariants")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            f"invariants: bisequence counts by number of parts differ from the "
+            f"f-vector at n={m}"
+            for m in (1, 2, 3)
+        ]
+
+    def test_invariants_suite_round_trips_each_face_through_its_multigraph(
+        self, capsys, monkeypatch
+    ):
+        to_multigraph = cli.bisequence_to_multigraph
+
+        def first_two_edges_swapped(seq):
+            graph = to_multigraph(seq)
+            return combinatorics.Multigraph(graph.d, graph.edges[1::-1] + graph.edges[2:])
+
+        monkeypatch.setattr(cli, "bisequence_to_multigraph", first_two_edges_swapped)
+        code, out, _ = run_cli(capsys, "check", "--n", "3", "--suite", "invariants")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            f"invariants: a bisequence does not survive the multigraph round trip at n={m}"
+            for m in (2, 3)
+        ]
+
+    def test_deformation_suite_compares_segment_values_with_the_closed_form(
+        self, capsys, monkeypatch
+    ):
+        by_segments = cli.updown_value_by_segments
+        monkeypatch.setattr(cli, "updown_value_by_segments", lambda wall: by_segments(wall) + 1)
+        code, out, _ = run_cli(capsys, "check", "--n", "3", "--suite", "deformation")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            "deformation: segment value differs from the closed form at B:1|1|2|3"
+        ]
+
 
 class TestInfeasibleN:
     @pytest.fixture

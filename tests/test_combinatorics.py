@@ -14,6 +14,7 @@ from bipermutahedron.combinatorics import (
     ElementMissing,
     ElementTriple,
     EmptyPart,
+    Multigraph,
     NoSingleOccurrence,
     bipermutation_count,
     bisequence_of_configuration,
@@ -29,7 +30,6 @@ from bipermutahedron.combinatorics import (
     multigraph_to_bisequence,
     parse_bipermutation,
     parse_bisequence,
-    reverse,
     splits_of,
     validate_bisequence,
     wall_kind,
@@ -82,12 +82,12 @@ def test_unique_descent_free_bipermutation_is_the_palindrome(n):
 def test_reversal_does_not_complement_descents():
     # 1|2|1 is its own reversal with 0 descents, but 2n-2 - 0 = 2.
     witness = parse_bipermutation("1|2|1")
-    assert reverse(witness) == witness
+    assert Bipermutation(witness.letters[::-1]) == witness
     assert descents(witness) == 0
     failures = sum(
         1
         for bp in enumerate_bipermutations(3)
-        if descents(reverse(bp)) != 4 - descents(bp)
+        if descents(Bipermutation(bp.letters[::-1])) != 4 - descents(bp)
     )
     assert failures == 50
 
@@ -209,6 +209,16 @@ def test_multigraph_round_trip(n):
     for seq in enumerate_bisequences(n):
         graph = bisequence_to_multigraph(seq)
         assert multigraph_to_bisequence(graph) == seq
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [((1, 3), (1, 3)), ((1, 2), (1, 2))],
+    ids=["inner-vertex", "last-vertex"],
+)
+def test_isolated_vertex_raises_element_missing(edges):
+    with pytest.raises(ElementMissing, match="isolated vertex"):
+        multigraph_to_bisequence(Multigraph(3, edges))
 
 
 def test_configuration_reading():

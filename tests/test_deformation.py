@@ -24,7 +24,7 @@ from bipermutahedron.combinatorics import (
     splits_of,
 )
 from bipermutahedron.geometry import SupportFunction
-from bipermutahedron.invariants import multigraph_count
+from bipermutahedron.invariants import f_vector_formula, multigraph_count
 from bipermutahedron.deformation import (
     _inequality_table,
     DependenceNotUnique,
@@ -44,7 +44,6 @@ from bipermutahedron.deformation import (
     supermodular_inequality,
     updown_inequality,
     updown_value_by_segments,
-    wall_count,
     wall_inequality,
     wall_refinements,
     wall_tree,
@@ -103,7 +102,7 @@ class TestEnumeration:
     def test_counts_match_codimension_one_cones(self, n):
         walls = list(enumerate_walls(n))
         assert len(walls) == WALL_COUNTS[n]
-        assert wall_count(n) == WALL_COUNTS[n]
+        assert f_vector_formula(n)[2 * n - 3] == WALL_COUNTS[n]
         assert len(set(map(str, walls))) == len(walls)
 
     def test_kind_split_at_n3(self):
@@ -452,6 +451,12 @@ class TestSupportCsv:
         assert len(text.splitlines()) == 24
         parsed = parse_support_csv(text, 3)
         assert parsed == harmonic
+
+    def test_empty_table_at_n1(self):
+        # n = 1 has no bisubsets: no lines at all, not one blank line.
+        h = named_support("biperm", 1)
+        assert format_support_csv(h) == ""
+        assert parse_support_csv(format_support_csv(h), 1) == h
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\n" + format_support_csv(named_support("biperm", 2))

@@ -1,8 +1,8 @@
 """Tooling checks: the benchmark's span tracer names only functions the
 package still has, and the routes call the kernel under those names; the
 package imports nothing it does not use and has no ``assert`` statement;
-the README's command line tour prints what it shows, and its Python
-blocks run."""
+every public function has a caller outside the tests; the README's command
+line tour prints what it shows, and its Python blocks run."""
 
 import ast
 import importlib
@@ -116,6 +116,49 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public names that nothing in the package or the benchmark calls, each with
+# the reason it stays.
+CALLED_ONLY_BY_TESTS = {
+    "combinatorics.parse_bipermutation": "the documented parser of the word notation",
+    "combinatorics.parse_bisequence": "the documented parser of the word notation",
+    "polynomials.count_distinct_real_roots": (
+        "the Sturm root count that the tests check against known roots"
+    ),
+}
+
+
+def name_references(path):
+    """(name, line) for each Name and Attribute node of a module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_function_has_a_caller():
+    # A public def or class that only the tests reach is wired into a route
+    # or deleted.  Imports, __all__ strings and doctests are not callers, and
+    # neither is the definition itself.
+    sources = sorted(PACKAGE.parent.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
+    references = [(path, name, line) for path in sources for name, line in name_references(path)]
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (where == path and line in own)
+                for where, name, line in references
+            ):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert [name for name in uncalled if name not in CALLED_ONLY_BY_TESTS] == []
+    assert sorted(uncalled) == sorted(CALLED_ONLY_BY_TESTS)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
