@@ -30,16 +30,12 @@ from .deformation import (
     _NAMED_SUPPORTS,
     enumerate_walls,
     format_support_csv,
-    generic_wallcross_oracle,
     inequality_table_check,
     is_ample,
     is_nef,
     minkowski_quotient,
     named_support,
     parse_support_csv,
-    same_inequality,
-    updown_value_by_segments,
-    wall_inequality,
     wall_value_table,
 )
 from .geometry import (
@@ -373,17 +369,8 @@ def _suite_triangulation(n: int, samples: int, seed: int | None) -> Iterator[str
 
 
 def _suite_deformation(n: int, samples: int, seed: int | None) -> Iterator[str]:
+    yield from inequality_table_check(n)
     biperm = named_support("biperm", n)
-    for wall in enumerate_walls(n):
-        ineq = wall_inequality(wall)
-        if not same_inequality(ineq, generic_wallcross_oracle(wall)):
-            yield f"closed-form inequality differs from the oracle at {wall}"
-            break
-        if wall.kind == "B" and updown_value_by_segments(wall) != ineq.evaluate(biperm):
-            yield f"segment value differs from the closed form at {wall}"
-            break
-    if not inequality_table_check(n):
-        yield "the generated wall inequalities differ from the wall walk"
     harmonic = named_support("harmonic", n)
     table_p = wall_value_table(biperm, n)
     if n >= 3:
@@ -423,11 +410,14 @@ def _cmd_check(args) -> int:
     if "triangulation" in selected and args.seed is None:
         print("a seed is required for randomized suites", file=sys.stderr)
         return 2
-    failures = [
-        f"{name}: {msg}"
-        for name in selected
-        for msg in SUITES[name](args.n, args.samples, args.seed)
-    ]
+    failures = []
+    for name in selected:
+        # A guard a suite raises is that suite's failure, not malformed input.
+        try:
+            for msg in SUITES[name](args.n, args.samples, args.seed):
+                failures.append(f"{name}: {msg}")
+        except (AssertionError, ValueError, ArithmeticError) as exc:
+            failures.append(f"{name}: {exc}")
     payload = {
         "suite": args.suite,
         "n": args.n,

@@ -426,9 +426,23 @@ def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
     return tuple(Bisubset(left, right, seq.n) for left, right in zip(lefts, rights))
 
 
-def wall_kind(seq: Bisequence) -> str:
-    """Kind of a wall bisequence: "A" if it has a two-element part, else "B"."""
-    return "A" if any(len(part) == 2 for part in seq.parts) else "B"
+def _kind_a_parts(
+    seq: Bisequence,
+) -> tuple[int, int, int, frozenset[int], frozenset[int], int]:
+    """A kind-A wall's pair position, its pair i < j, the prefix set S and
+    the suffix set T around the pair, and its once-element.
+
+    Every other element occurs twice, so the once-element is n(n + 1) minus
+    the sum of the letters.
+    """
+    for pos, part in enumerate(seq.parts):
+        if len(part) == 2:
+            i, j = sorted(part)
+            s = frozenset().union(*seq.parts[:pos])
+            t = frozenset().union(*seq.parts[pos + 1 :])
+            once = seq.n * (seq.n + 1) - sum(map(sum, seq.parts))
+            return pos, i, j, s, t, once
+    raise BisequenceError("a kind-A wall needs a pair part")
 
 
 def enumerate_wall_bisequences(n: int) -> Iterator[Bisequence]:

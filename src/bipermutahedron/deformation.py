@@ -51,10 +51,9 @@ Both rules also give each entry's first wall and wall count in closed form
 the kind-B ones are generated only when a query reads past them.  Entries
 keep the order of their first walls, so witnesses are the first walls that
 violate or attain, exactly as in a wall-by-wall scan.  The walk over every
-wall through wall_inequality and wall_tree stays as the checked route:
-inequality_table_check compares the generated table with the walked one,
-and the oracle checks each walked inequality in the tests and in
-``check --suite deformation``.
+wall stays as the checked route: inequality_table_check, which
+``check --suite deformation`` runs, walks once, comparing each wall's
+inequality with the oracle's and the walked table with the generated one.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -76,13 +75,13 @@ from .combinatorics import (
     Bisubset,
     _bisubset_index,
     _bisubset_order,
+    _kind_a_parts,
     bisubset,
     bisubsets_of,
     doubled_word,
     enumerate_wall_bisequences,
     parse_bisequence,
     splits_of,
-    wall_kind,
 )
 from .geometry import (
     SupportFunction,
@@ -124,7 +123,7 @@ __all__ = [
 
 
 class KindMismatch(ValueError):
-    """A kind-A construction was fed a kind-B wall, or vice versa."""
+    """A wall of neither kind, or a construction fed the other kind."""
 
 
 class DependenceNotUnique(ArithmeticError):
@@ -134,10 +133,14 @@ class DependenceNotUnique(ArithmeticError):
 
 @dataclass(frozen=True)
 class Wall:
-    """A codimension-1 cone of the fan, indexed by its bisequence."""
+    """A codimension-1 cone of the fan, indexed by its bisequence.
+
+    ``kind`` is read off the parts at validation: "A" for one pair part
+    among singletons, "B" for all singletons with two once-elements.
+    """
 
     bisequence: Bisequence
-    kind: Literal["A", "B"]
+    kind: Literal["A", "B"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seq = self.bisequence
@@ -145,17 +148,13 @@ class Wall:
         if len(seq.parts) != 2 * n - 2:
             raise ValueError(f"a wall bisequence needs {2 * n - 2} parts")
         sizes = sorted(len(p) for p in seq.parts)
-        letters = sum(sizes)
-        if self.kind == "A":
-            if sizes != [1] * (2 * n - 3) + [2] or letters != 2 * n - 1:
-                raise KindMismatch("kind A needs one pair part among singletons")
-        elif self.kind == "B":
-            if sizes != [1] * (2 * n - 2) or len(seq.single_elements()) != 2:
-                raise KindMismatch(
-                    "kind B needs all singleton parts and two once-elements"
-                )
+        if sizes == [1] * (2 * n - 3) + [2]:
+            kind = "A"
+        elif sizes == [1] * (2 * n - 2) and len(seq.single_elements()) == 2:
+            kind = "B"
         else:
-            raise KindMismatch(f"unknown wall kind {self.kind!r}")
+            raise KindMismatch("a wall bisequence of neither kind A nor kind B")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def n(self) -> int:
@@ -172,21 +171,7 @@ def enumerate_walls(n: int) -> Iterator[Wall]:
     ['A:1|12', 'A:12|1', 'A:12|2', 'A:2|12', 'B:1|2', 'B:2|1']
     """
     for seq in enumerate_wall_bisequences(n):
-        yield Wall(seq, wall_kind(seq))
-
-
-def _kind_a_parts(
-    seq: Bisequence,
-) -> tuple[int, int, int, frozenset[int], frozenset[int]]:
-    """A kind-A wall's pair position, its pair i < j, and the prefix set S
-    and the suffix set T around the pair."""
-    for pos, part in enumerate(seq.parts):
-        if len(part) == 2:
-            i, j = sorted(part)
-            s = frozenset().union(*seq.parts[:pos])
-            t = frozenset().union(*seq.parts[pos + 1 :])
-            return pos, i, j, s, t
-    raise KindMismatch("no pair part found")
+        yield Wall(seq)
 
 
 def _kind_b_word(seq: Bisequence) -> tuple[tuple[int, bool], ...]:
@@ -207,7 +192,7 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
     """
     seq = wall.bisequence
     if wall.kind == "A":
-        pos, i, j, _, _ = _kind_a_parts(seq)
+        pos, i, j, *_ = _kind_a_parts(seq)
         head = tuple(next(iter(p)) for p in seq.parts[:pos])
         tail = tuple(next(iter(p)) for p in seq.parts[pos + 1 :])
         return (
@@ -269,7 +254,7 @@ def _term(left: frozenset[int], right: frozenset[int], n: int) -> Bisubset | Non
 def supermodular_inequality(wall: Wall) -> WallInequality:
     """The closed-form inequality of a kind-A wall.
 
-    >>> ineq = supermodular_inequality(Wall(parse_bisequence("12|1", 2), "A"))
+    >>> ineq = supermodular_inequality(Wall(parse_bisequence("12|1", 2)))
     >>> sorted(str(bs) for bs, _ in ineq.minus)
     ['1|12', '2|1']
     >>> [str(bs) for bs, _ in ineq.plus]
@@ -278,7 +263,7 @@ def supermodular_inequality(wall: Wall) -> WallInequality:
     if wall.kind != "A":
         raise KindMismatch("supermodular inequalities belong to kind A walls")
     n = wall.n
-    _, i, j, s, t = _kind_a_parts(wall.bisequence)
+    _, i, j, s, t, _ = _kind_a_parts(wall.bisequence)
     ij = frozenset((i, j))
     plus = [_term(s, ij | t, n), _term(s | ij, t, n)]
     minus = [_term(s | {i}, t | {j}, n), _term(s | {j}, t | {i}, n)]
@@ -304,7 +289,7 @@ def updown_inequality(wall: Wall) -> WallInequality:
     the doubled pairs i|i and j|j) enter negatively.  The associated tree
     invariants are re-validated on every call.
 
-    >>> ineq = updown_inequality(Wall(parse_bisequence("1|2", 2), "B"))
+    >>> ineq = updown_inequality(Wall(parse_bisequence("1|2", 2)))
     >>> [str(bs) for bs, _ in ineq.plus], [str(bs) for bs, _ in ineq.minus]
     (['1|2'], ['1|12', '12|2'])
     """
@@ -485,12 +470,11 @@ class _TableEntry:
 
     ``plus`` and ``minus`` index into ``all_bisubsets(n)``; ``parts`` holds
     the sorted parts of the first wall, in :func:`enumerate_walls` order,
-    with this inequality and kind-A case, and ``walls`` counts the walls
-    that share both.
+    with this inequality and kind-A case (None for kind B), and ``walls``
+    counts the walls that share both.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    kind: Literal["A", "B"]
     case: str | None
     plus: tuple[int, ...]
     minus: tuple[int, ...]
@@ -499,7 +483,7 @@ class _TableEntry:
     @property
     def wall(self) -> Wall:
         n = len(self.parts) // 2 + 1
-        return Wall(Bisequence(tuple(map(frozenset, self.parts)), n), self.kind)
+        return Wall(Bisequence(tuple(map(frozenset, self.parts)), n))
 
     def value(self, v: list[int]) -> int:
         """L * I(h), for v, L = _scaled_support(h, n)."""
@@ -589,7 +573,7 @@ def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
                         seen[1] += walls
     ordered = sorted(found.items(), key=lambda item: item[1][0])
     return tuple(
-        _TableEntry(parts, "A", *key, walls) for key, (parts, walls) in ordered
+        _TableEntry(parts, *key, walls) for key, (parts, walls) in ordered
     )
 
 
@@ -659,7 +643,7 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
                 first = letters
         entries.append(
             _TableEntry(
-                tuple((e,) for e in first), "B", None, tuple(plus), tuple(minus), walls
+                tuple((e,) for e in first), None, tuple(plus), tuple(minus), walls
             )
         )
 
@@ -703,25 +687,33 @@ def _inequality_table(n: int) -> Iterator[_TableEntry]:
     yield from _kind_b_entries(n)
 
 
-def inequality_table_check(n: int) -> bool:
-    """Whether the generated table equals the one a walk over every wall
-    collects: the checked route.
+def inequality_table_check(n: int) -> Iterator[str]:
+    """The checked route, one walk over every wall: the failure messages.
 
-    Each wall of :func:`enumerate_walls` goes through
-    :func:`wall_inequality` (for kind B also :func:`wall_tree`), every
-    coefficient must be 1, and the distinct (kind, case, plus, minus) are
-    kept in order of first wall with their wall counts; the two tables must
-    agree entry by entry, first walls and wall counts included.
+    Each wall's :func:`wall_inequality` (for kind B also :func:`wall_tree`)
+    must have every coefficient 1 and equal the oracle's, and on kind B
+    have :func:`updown_value_by_segments` as its value at the
+    bipermutahedron; after the first of these comparisons fails, neither
+    runs again.  The distinct (case, plus, minus), in order of first wall
+    with their wall counts, must equal the generated table.
     """
     index = _bisubset_index(n)
+    biperm = biperm_support_function(n)
     first: dict[tuple, Wall] = {}
     walls: Counter = Counter()
+    compare = True
     for wall in enumerate_walls(n):
         ineq = wall_inequality(wall)
         if any(c != 1 for _, c in ineq.plus + ineq.minus):
             raise AssertionError(f"closed-form coefficients at {wall} must be 1")
+        if compare:
+            if not same_inequality(ineq, generic_wallcross_oracle(wall)):
+                yield f"closed-form inequality differs from the oracle at {wall}"
+                compare = False
+            elif wall.kind == "B" and updown_value_by_segments(wall) != ineq.evaluate(biperm):
+                yield f"segment value differs from the closed form at {wall}"
+                compare = False
         key = (
-            wall.kind,
             kind_a_case(wall) if wall.kind == "A" else None,
             tuple(index[bs] for bs, _ in ineq.plus),
             tuple(index[bs] for bs, _ in ineq.minus),
@@ -736,7 +728,8 @@ def inequality_table_check(n: int) -> bool:
         )
         for key, wall in first.items()
     ]
-    return list(_inequality_table(n)) == walked
+    if list(_inequality_table(n)) != walked:
+        yield "the generated wall inequalities differ from the wall walk"
 
 
 def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
@@ -785,9 +778,8 @@ def kind_a_case(wall: Wall) -> str:
     """
     if wall.kind != "A":
         raise KindMismatch("cases classify kind A walls")
-    seq = wall.bisequence
-    _, i, j, s, _ = _kind_a_parts(seq)
-    if seq.single_elements() & {i, j}:
+    _, i, j, s, _, once = _kind_a_parts(wall.bisequence)
+    if once in (i, j):
         return "iii"
     return "i" if (i in s) == (j in s) else "ii"
 

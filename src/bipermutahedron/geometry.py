@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import (
@@ -39,6 +40,7 @@ from .combinatorics import (
     Bisubset,
     _bisubset_index,
     _bisubset_order,
+    _kind_a_parts,
     all_bisubsets,
     bisubsets_of,
     doubled_word,
@@ -153,22 +155,34 @@ def harmonic_support(bs: Bisubset) -> Fraction:
 
 @dataclass(frozen=True)
 class SupportFunction:
-    """A support function: one exact rational value per bisubset."""
+    """A support function: one exact rational value per bisubset.
+
+    ``values`` becomes a read-only copy of the table passed in, so neither
+    the caller nor a reader can change a validated support.
+    """
 
     n: int
-    values: Mapping[Bisubset, Fraction]
+    values: Mapping[Bisubset, int | Fraction]
 
     def __post_init__(self) -> None:
+        values = dict(self.values)
         expected = _bisubset_index(self.n).keys()
-        if self.values.keys() != expected:
-            missing = len(expected - self.values.keys())
-            extra = len(self.values.keys() - expected)
+        if values.keys() != expected:
+            missing = len(expected - values.keys())
+            extra = len(values.keys() - expected)
             raise ValueError(
                 f"support table must cover all bisubsets exactly once "
                 f"({missing} missing, {extra} unknown)"
             )
+        for bs, value in values.items():
+            if type(value) is bool or not isinstance(value, (int, Fraction)):
+                raise TypeError(
+                    f"support value at {bs} must be an int or a Fraction, "
+                    f"got {value!r}"
+                )
+        object.__setattr__(self, "values", MappingProxyType(values))
 
-    def __getitem__(self, bs: Bisubset) -> Fraction:
+    def __getitem__(self, bs: Bisubset) -> int | Fraction:
         return self.values[bs]
 
     @staticmethod
@@ -415,29 +429,21 @@ def structural_wall_type(seq: Bisequence) -> tuple[int, tuple[int, ...]]:
     in the pair its own quantity is zero, so its partner's bar status picks
     type 2 or type 3 with signature (partner, k).
     """
-    pair = next((part for part in seq.parts if len(part) == 2), None)
-    singles = sorted(seq.single_elements())
-    if pair is None:
+    if all(len(part) == 1 for part in seq.parts):
+        singles = tuple(sorted(seq.single_elements()))
         if len(singles) != 2:
             raise AssertionError("kind B wall needs exactly two once-elements")
-        return 1, tuple(singles)
-    (k,) = singles
-    seen: set[int] = set()
-    statuses: dict[int, bool] = {}
-    for part in seq.parts:
-        if part == pair:
-            for e in part:
-                statuses[e] = e in seen
-        seen |= part
-    if k in pair:
-        (partner,) = pair - {k}
-        return (3 if statuses[partner] else 2), tuple(sorted((partner, k)))
-    a, b = sorted(pair)
-    if not statuses[a] and not statuses[b]:
+        return 1, singles
+    # A pair element is barred when it occurred before the pair part, in S.
+    _, a, b, s, _, k = _kind_a_parts(seq)
+    if k in (a, b):
+        partner = a + b - k
+        return (3 if partner in s else 2), tuple(sorted((partner, k)))
+    if a not in s and b not in s:
         return 2, (a, b)
-    if statuses[a] and statuses[b]:
+    if a in s and b in s:
         return 3, (a, b)
-    unbarred, barred = (a, b) if statuses[b] else (b, a)
+    unbarred, barred = (a, b) if b in s else (b, a)
     return 4, (unbarred, barred, k)
 
 

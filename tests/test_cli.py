@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -9,7 +10,10 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,10 +23,13 @@ from bipermutahedron import (
     deformation,
     geometry,
     invariants,
+    polynomials,
     triangulation,
 )
 from bipermutahedron.cli import main
 from bipermutahedron.deformation import (
+    QuotientResult,
+    WallInequality,
     format_support_csv,
     named_support,
     parse_support_csv,
@@ -427,13 +434,291 @@ class TestCheckSuites:
     def test_deformation_suite_compares_segment_values_with_the_closed_form(
         self, capsys, monkeypatch
     ):
-        by_segments = cli.updown_value_by_segments
-        monkeypatch.setattr(cli, "updown_value_by_segments", lambda wall: by_segments(wall) + 1)
+        by_segments = deformation.updown_value_by_segments
+        monkeypatch.setattr(
+            deformation, "updown_value_by_segments", lambda wall: by_segments(wall) + 1
+        )
         code, out, _ = run_cli(capsys, "check", "--n", "3", "--suite", "deformation")
         assert code == 1
         assert json.loads(out)["failures"] == [
             "deformation: segment value differs from the closed form at B:1|1|2|3"
         ]
+
+    def test_deformation_suite_walks_the_walls_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            # Counted under every module that holds the function, as the
+            # benchmark's tracer counts it.
+            inner = getattr(deformation, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            for module in (cli, deformation):
+                if getattr(module, name, None) is inner:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        counting("wall_inequality")
+        counting("enumerate_walls")
+        code, _, _ = run_cli(capsys, "check", "--n", "3", "--suite", "deformation")
+        assert code == 0
+        assert calls == {"wall_inequality": 180, "enumerate_walls": 1}
+
+
+def one_short(real):
+    return lambda *args: list(real(*args))[:-1]
+
+
+def failing_report(real):
+    return lambda *args: dataclasses.replace(real(*args), passed=False)
+
+
+def answers(value):
+    return lambda real: lambda *args: value
+
+
+def biperm_table(**changes):
+    """wall_value_table, with ``changes`` made to the bipermutahedron's."""
+
+    def stub(real):
+        def table(h, n):
+            if h == named_support("biperm", n):
+                return dataclasses.replace(real(h, n), **changes)
+            return real(h, n)
+
+        return table
+
+    return stub
+
+
+def harmonic_kind_b(real):
+    def table(h, n):
+        if h == named_support("harmonic", n):
+            return dataclasses.replace(real(h, n), kind_b=Counter({Fraction(2): 1}))
+        return real(h, n)
+
+    return table
+
+
+def reversed_oracle(real):
+    def oracle(wall):
+        ineq = real(wall)
+        return WallInequality(ineq.minus, ineq.plus)
+
+    return oracle
+
+
+def with_case_ii(value):
+    kind_a = {"i": Counter({2: 1}), "ii": Counter({value: 1}), "iii": Counter({4: 1})}
+    return biperm_table(kind_a=kind_a)
+
+
+def each_n(message, ns):
+    return [message.format(m=m) for m in ns]
+
+
+# One planted defect per check leg: (suite, n, owner, attribute, stub made
+# from the real attribute, the exact failures reported).
+PLANTED_DEFECTS = [
+    pytest.param(
+        "combinatorics", 2, cli, "enumerate_bipermutations", one_short,
+        each_n("combinatorics: bipermutation count at n={m} differs from (2n)!/2^n", (1, 2)),
+        id="combinatorics-count",
+    ),
+    pytest.param(
+        "combinatorics", 2, cli, "count_bipermutations_recursively", answers(0),
+        each_n("combinatorics: recursive count at n={m} differs from (2n)!/2^n", (1, 2)),
+        id="combinatorics-recursive",
+    ),
+    pytest.param(
+        "combinatorics", 2, cli, "bieulerian_by_descents",
+        answers(polynomials.IntPolynomial((1, 2))),
+        each_n("combinatorics: descent histogram at n={m} is not palindromic", (1, 2)),
+        id="combinatorics-palindrome",
+    ),
+    pytest.param(
+        "invariants", 2, cli, "f_vector_bruteforce", answers([0]),
+        each_n("invariants: f-vector formula and brute force differ at n={m}", (1, 2)),
+        id="invariants-fvector",
+    ),
+    pytest.param(
+        "invariants", 2, cli, "bieulerian_by_ehrhart",
+        answers(polynomials.IntPolynomial((2,))),
+        each_n("invariants: biEulerian routes disagree at n={m}", (1, 2)),
+        id="invariants-routes",
+    ),
+    pytest.param(
+        "invariants", 2, cli, "bipermutation_count", answers(0),
+        each_n("invariants: B_n(1) differs from (2n)!/2^n at n={m}", (1, 2)),
+        id="invariants-value-at-one",
+    ),
+    pytest.param(
+        "invariants", 2, cli, "real_root_check", answers("not real-rooted"),
+        each_n("invariants: B_n fails the real-rootedness certificate at n={m}", (1, 2)),
+        id="invariants-real-roots",
+    ),
+    pytest.param(
+        "invariants", 2, polynomials.IntPolynomial, "is_unimodal", answers(False),
+        each_n("invariants: B_n fails log-concavity/unimodality at n={m}", (1, 2)),
+        id="invariants-unimodal",
+    ),
+    pytest.param(
+        "invariants", 2, cli, "sweep_orientation_check", failing_report,
+        each_n("invariants: sweep indegrees differ from descents at n={m}", (1, 2)),
+        id="invariants-sweep",
+    ),
+    pytest.param(
+        "invariants", 2, cli, "f_generating_check", answers(False),
+        ["invariants: generating-function coefficients differ from the f-vector"],
+        id="invariants-generating-function",
+    ),
+    pytest.param(
+        "geometry", 3, cli, "facet_check", failing_report,
+        each_n("geometry: facet pairing bound fails at n={m}", (1, 2, 3)),
+        id="geometry-facets",
+    ),
+    pytest.param(
+        "geometry", 3, cli, "symmetry_checks",
+        lambda real: lambda m: dataclasses.replace(real(m), rays_swap_invariant=False),
+        each_n("geometry: relabeling/swap symmetry fails at n={m}", (1, 2, 3)),
+        id="geometry-symmetry",
+    ),
+    pytest.param(
+        "geometry", 3, cli, "symmetry_checks",
+        lambda real: lambda m: dataclasses.replace(real(m), negation_is_automorphism=True),
+        ["geometry: negation unexpectedly preserves the fan at n=3"],
+        id="geometry-negation",
+    ),
+    pytest.param(
+        "geometry", 3, cli, "hyperplane_face_counts", answers(SimpleNamespace(passed=False)),
+        ["geometry: hyperplane face counts differ from the closed forms"],
+        id="geometry-hyperplanes",
+    ),
+    pytest.param(
+        "triangulation", 2, cli, "pi1_lattice_check", answers(False),
+        ["triangulation: projection does not identify the two sublattices"],
+        id="triangulation-lattice",
+    ),
+    pytest.param(
+        "triangulation", 2, cli, "unimodularity_check", answers(False),
+        ["triangulation: some simplex has determinant other than +-1"],
+        id="triangulation-unimodular",
+    ),
+    pytest.param(
+        "triangulation", 2, cli, "cover_check",
+        lambda real: lambda *args: dataclasses.replace(
+            real(*args), passed=False, failures=("p1", "p2", "p3", "p4")
+        ),
+        ["triangulation: a sampled point received a negative barycentric "
+         "coefficient: p1; p2; p3"],
+        id="triangulation-cover",
+    ),
+    pytest.param(
+        "triangulation", 2, cli, "face_to_face_check", failing_report,
+        ["triangulation: two simplices fail to meet along a common face"],
+        id="triangulation-face-to-face",
+    ),
+    pytest.param(
+        "triangulation", 2, cli, "hstar_consistency", answers(False),
+        ["triangulation: triangulation h-vector differs from the Ehrhart route"],
+        id="triangulation-hstar",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "generic_wallcross_oracle", reversed_oracle,
+        ["deformation: closed-form inequality differs from the oracle at A:1|1|2|23"],
+        id="deformation-oracle",
+    ),
+    pytest.param(
+        "deformation", 3, cli, "wall_value_table", with_case_ii(3),
+        ["deformation: kind-A case ii values for the bipermutahedron differ"],
+        id="deformation-kind-a",
+    ),
+    pytest.param(
+        "deformation", 3, cli, "wall_value_table",
+        biperm_table(kind_b=Counter({Fraction(2): 1, Fraction(3): 1})),
+        ["deformation: a kind-B wall value for the bipermutahedron is below n"],
+        id="deformation-kind-b",
+    ),
+    pytest.param(
+        "deformation", 3, cli, "wall_value_table", harmonic_kind_b,
+        ["deformation: kind-B values for the harmonic polytope differ from 1"],
+        id="deformation-harmonic",
+    ),
+    pytest.param(
+        "deformation", 3, cli, "minkowski_quotient",
+        answers(QuotientResult("ok", Fraction(3), "A:1|1|2|23")),
+        ["deformation: the Minkowski quotient of the pair differs from 2"],
+        id="deformation-quotient",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("suite", "n", "owner", "attribute", "stub", "failures"), PLANTED_DEFECTS
+)
+def test_each_check_leg_reports_its_planted_defect(
+    capsys, monkeypatch, suite, n, owner, attribute, stub, failures
+):
+    monkeypatch.setattr(owner, attribute, stub(getattr(owner, attribute)))
+    code, out, err = run_cli(
+        capsys, "check", "--n", str(n), "--suite", suite, "--seed", "7"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out)["failures"] == failures
+
+
+def reversed_spine(real):
+    def tree(wall):
+        built = real(wall)
+        return dataclasses.replace(built, spine=built.spine[::-1])
+
+    return tree
+
+
+class TestSuiteGuards:
+    """A guard raised inside a suite is that suite's failure (exit 1), not
+    malformed input (exit 2) or a traceback."""
+
+    def test_an_oracle_guard_is_a_deformation_failure(self, capsys, monkeypatch):
+        def singular(rows):
+            raise ValueError("singular")
+
+        monkeypatch.setattr(deformation, "solve_unique", singular)
+        code, out, err = run_cli(capsys, "check", "--n", "3", "--suite", "deformation")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"] == [
+            "deformation: dependence at A:1|1|2|23 is not unique"
+        ]
+
+    def test_an_assertion_guard_is_a_deformation_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(deformation, "wall_tree", reversed_spine(deformation.wall_tree))
+        code, out, err = run_cli(
+            capsys, "check", "--n", "3", "--suite", "deformation", "--format", "text"
+        )
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1:] == [
+            "failed",
+            "deformation: the tree spine must consist of the switch splits in order",
+        ]
+
+    def test_the_later_suites_still_run(self, capsys, monkeypatch):
+        def overflow(m):
+            raise ArithmeticError("the recursive count overflowed")
+
+        monkeypatch.setattr(cli, "count_bipermutations_recursively", overflow)
+        monkeypatch.setattr(deformation, "wall_tree", reversed_spine(deformation.wall_tree))
+        code, out, err = run_cli(
+            capsys, "check", "--n", "2", "--suite", "all", "--seed", "7"
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["failures"] == [
+            "combinatorics: the recursive count overflowed",
+            "deformation: the tree spine must consist of the switch splits in order",
+        ]
+        assert report["volumes"] == {"2": "6"}
 
 
 class TestInfeasibleN:

@@ -31,9 +31,10 @@ from bipermutahedron.combinatorics import (
     parse_bipermutation,
     parse_bisequence,
     splits_of,
+    _kind_a_parts,
     validate_bisequence,
-    wall_kind,
 )
+from bipermutahedron.deformation import Wall
 
 # Frozen: (2n)!/2^n for n = 1..6.
 COUNTS = [1, 6, 90, 2520, 113400, 7484400]
@@ -245,9 +246,26 @@ def test_configuration_reading_satisfies_the_axioms(n):
 def test_wall_enumeration_counts_and_order():
     walls = list(enumerate_wall_bisequences(2))
     assert [str(w) for w in walls] == ["1|12", "12|1", "12|2", "2|12", "1|2", "2|1"]
-    kinds = [wall_kind(w) for w in enumerate_wall_bisequences(3)]
+    kinds = [Wall(w).kind for w in enumerate_wall_bisequences(3)]
     assert kinds == sorted(kinds)  # kind A streams strictly before kind B
     assert Counter(kinds) == Counter({"A": 144, "B": 36})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kind_a_parts_decode_the_pair_its_sides_and_the_once_element(n):
+    decoded = 0
+    for seq in enumerate_wall_bisequences(n):
+        if all(len(part) == 1 for part in seq.parts):
+            continue
+        pos, i, j, s, t, once = _kind_a_parts(seq)
+        assert seq.parts[pos] == {i, j} and i < j
+        assert s == frozenset().union(*seq.parts[:pos])
+        assert t == frozenset().union(*seq.parts[pos + 1 :])
+        assert seq.single_elements() == {once}
+        decoded += 1
+    assert decoded == {2: 4, 3: 144, 4: 6480}[n]
+    with pytest.raises(BisequenceError, match="pair part"):
+        _kind_a_parts(parse_bisequence("1|2", 2))
 
 
 def test_wall_bisequences_have_2n_minus_2_parts():

@@ -13,6 +13,7 @@ import pytest
 
 from bipermutahedron import deformation
 from bipermutahedron.combinatorics import (
+    Bisequence,
     ElementMissing,
     EmptyPart,
     NoSingleOccurrence,
@@ -53,8 +54,8 @@ from bipermutahedron.deformation import (
 WALL_COUNTS = {2: 6, 3: 180, 4: 7560}
 
 
-def wall_from(word: str, n: int, kind: str) -> Wall:
-    return Wall(parse_bisequence(word, n), kind)
+def wall_from(word: str, n: int) -> Wall:
+    return Wall(parse_bisequence(word, n))
 
 
 def terms(pairs) -> list[str]:
@@ -63,28 +64,33 @@ def terms(pairs) -> list[str]:
 
 class TestWallValidation:
     def test_kind_a_accepts_pair_among_singletons(self):
-        wall = wall_from("12|1", 2, "A")
+        wall = wall_from("12|1", 2)
         assert wall.kind == "A"
         assert str(wall) == "A:12|1"
 
     def test_kind_b_accepts_all_singletons(self):
-        assert str(wall_from("1|2", 2, "B")) == "B:1|2"
-
-    def test_kind_a_rejects_all_singletons(self):
-        with pytest.raises(KindMismatch):
-            wall_from("1|2", 2, "A")
-
-    def test_kind_b_rejects_pair_part(self):
-        with pytest.raises(KindMismatch):
-            wall_from("12|1", 2, "B")
+        wall = wall_from("1|2", 2)
+        assert wall.kind == "B"
+        assert str(wall) == "B:1|2"
 
     def test_wrong_part_count_rejected(self):
         with pytest.raises(ValueError, match="2 parts"):
-            wall_from("1|2|2", 2, "B")
+            wall_from("1|2|2", 2)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Wall(parse_bisequence("12|1", 2), "C")
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            pytest.param(({1, 2}, {1, 2}), id="two-pair-parts"),
+            pytest.param(({1}, {1}), id="singletons-no-once-element"),
+            pytest.param(({1, 2, 3}, {1}, {2}, {3}), id="triple-part"),
+        ],
+    )
+    def test_neither_kind_rejected(self, parts):
+        # Unvalidated bisequences: a validated one with 2n - 2 parts is
+        # always of one of the two kinds.
+        seq = Bisequence(tuple(map(frozenset, parts)), len(parts) // 2 + 1)
+        with pytest.raises(KindMismatch, match="kind A"):
+            Wall(seq)
 
 
 class TestEnumeration:
@@ -113,11 +119,11 @@ class TestEnumeration:
 
 class TestRefinements:
     def test_kind_a_splits_the_pair(self):
-        wall = wall_from("1|12", 2, "A")
+        wall = wall_from("1|12", 2)
         assert [str(b) for b in wall_refinements(wall)] == ["1|1|2", "1|2|1"]
 
     def test_kind_b_doubles_each_once_element(self):
-        wall = wall_from("1|2", 2, "B")
+        wall = wall_from("1|2", 2)
         assert [str(b) for b in wall_refinements(wall)] == ["1|1|2", "1|2|2"]
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -129,12 +135,12 @@ class TestRefinements:
 
 class TestClosedFormInequalities:
     def test_supermodular_drops_degenerate_terms(self):
-        ineq = supermodular_inequality(wall_from("12|1", 2, "A"))
+        ineq = supermodular_inequality(wall_from("12|1", 2))
         assert terms(ineq.plus) == ["12|1"]
         assert terms(ineq.minus) == ["1|12", "2|1"]
 
     def test_updown_small_case(self):
-        ineq = updown_inequality(wall_from("1|2", 2, "B"))
+        ineq = updown_inequality(wall_from("1|2", 2))
         assert terms(ineq.plus) == ["1|2"]
         assert terms(ineq.minus) == ["1|12", "12|2"]
 
@@ -146,14 +152,14 @@ class TestClosedFormInequalities:
             assert len(ineq.minus) == len(ineq.plus) + 1
 
     def test_supermodular_worked_example(self):
-        wall = wall_from("7|2|3|4|2|14|5|1|5|6|6|7", 7, "A")
+        wall = wall_from("7|2|3|4|2|14|5|1|5|6|6|7", 7)
         ineq = wall_inequality(wall)
         assert terms(ineq.plus) == ["2347|14567", "12347|1567"]
         assert terms(ineq.minus) == ["12347|14567", "2347|1567"]
         assert all(c == 1 for _, c in ineq.plus + ineq.minus)
 
     def test_updown_worked_example(self):
-        wall = wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7, "B")
+        wall = wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7)
         ineq = wall_inequality(wall)
         assert terms(ineq.plus) == ["237|124567", "2347|1567", "123457|67"]
         assert terms(ineq.minus) == [
@@ -166,8 +172,8 @@ class TestClosedFormInequalities:
     def test_worked_example_values(self):
         biperm = named_support("biperm", 7)
         harmonic = named_support("harmonic", 7)
-        super_ineq = wall_inequality(wall_from("7|2|3|4|2|14|5|1|5|6|6|7", 7, "A"))
-        updown_ineq = wall_inequality(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7, "B"))
+        super_ineq = wall_inequality(wall_from("7|2|3|4|2|14|5|1|5|6|6|7", 7))
+        updown_ineq = wall_inequality(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7))
         assert super_ineq.evaluate(biperm) == 2
         assert super_ineq.evaluate(harmonic) == 0
         assert updown_ineq.evaluate(biperm) == 25
@@ -186,7 +192,7 @@ class TestClosedFormInequalities:
 
 class TestWallTree:
     def test_worked_example_tree(self):
-        tree = wall_tree(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7, "B"))
+        tree = wall_tree(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7))
         assert [frozenset(s) for s in tree.top] == [
             frozenset(map(int, label))
             for label in ("7", "27", "237", "2347", "23457", "123457", "1234567")
@@ -227,15 +233,15 @@ class TestWallTree:
 
         monkeypatch.setattr(deformation, "wall_tree", reversed_spine)
         with pytest.raises(AssertionError, match="spine must consist of the switch"):
-            updown_inequality(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7, "B"))
+            updown_inequality(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7))
 
 
 class TestSegmentEvaluation:
     def test_small_case_value(self):
-        assert updown_value_by_segments(wall_from("1|2", 2, "B")) == 2
+        assert updown_value_by_segments(wall_from("1|2", 2)) == 2
 
     def test_worked_example_value(self):
-        assert updown_value_by_segments(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7, "B")) == 25
+        assert updown_value_by_segments(wall_from("7|2|3|4|2|4|5|1|5|6|6|7", 7)) == 25
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_term_sum(self, n):
@@ -253,7 +259,7 @@ class TestOracleAgreement:
             assert same_inequality(wall_inequality(wall), generic_wallcross_oracle(wall))
 
     def test_same_inequality_ignores_positive_scale(self):
-        ineq = wall_inequality(wall_from("12|1", 2, "A"))
+        ineq = wall_inequality(wall_from("12|1", 2))
         scaled = WallInequality(
             plus=tuple((b, 3 * c) for b, c in ineq.plus),
             minus=tuple((b, 3 * c) for b, c in ineq.minus),
@@ -261,12 +267,12 @@ class TestOracleAgreement:
         assert same_inequality(ineq, scaled)
 
     def test_same_inequality_detects_sign_flip(self):
-        ineq = wall_inequality(wall_from("12|1", 2, "A"))
+        ineq = wall_inequality(wall_from("12|1", 2))
         flipped = WallInequality(plus=ineq.minus, minus=ineq.plus)
         assert not same_inequality(ineq, flipped)
 
     def test_same_inequality_compares_primitive_forms(self):
-        ineq = wall_inequality(wall_from("12|1", 2, "A"))
+        ineq = wall_inequality(wall_from("12|1", 2))
 
         def times(k):
             return WallInequality(
@@ -295,14 +301,14 @@ class TestOracleAgreement:
             assert all(type(c) is int and c == 1 for c in coefficients), wall
 
     def test_oracle_refuses_a_repeated_chamber(self, monkeypatch):
-        wall = wall_from("12|1", 2, "A")
+        wall = wall_from("12|1", 2)
         chamber, _ = wall_refinements(wall)
         monkeypatch.setattr(deformation, "wall_refinements", lambda w: (chamber, chamber))
         with pytest.raises(DependenceNotUnique, match="must be positive, got -1"):
             generic_wallcross_oracle(wall)
 
     def test_oracle_refuses_a_chamber_off_the_wall(self, monkeypatch):
-        wall = wall_from("1|12|2|3", 3, "A")
+        wall = wall_from("1|12|2|3", 3)
         chamber, _ = wall_refinements(wall)
         other = next(
             bp for bp in enumerate_bipermutations(3) if bp not in wall_refinements(wall)
@@ -315,7 +321,7 @@ class TestOracleAgreement:
     def test_oracle_refuses_a_singular_system(self, monkeypatch):
         # Giving both chamber rays the row of a wall ray makes two columns
         # of the system equal.
-        wall = wall_from("1|12|2|3", 3, "A")
+        wall = wall_from("1|12|2|3", 3)
         wall_rays = splits_of(wall.bisequence)
         table = dict(deformation._ray_rows(3))
         for chamber in wall_refinements(wall):
@@ -340,13 +346,13 @@ class TestOracleAgreement:
 
 class TestCaseClassification:
     def test_once_element_inside_pair(self):
-        assert kind_a_case(wall_from("1|13|2|2", 3, "A")) == "iii"
+        assert kind_a_case(wall_from("1|13|2|2", 3)) == "iii"
 
     def test_pair_elements_reappear_same_side(self):
-        assert kind_a_case(wall_from("3|12|1|2", 3, "A")) == "i"
+        assert kind_a_case(wall_from("3|12|1|2", 3)) == "i"
 
     def test_pair_elements_reappear_opposite_sides(self):
-        assert kind_a_case(wall_from("1|12|2|3", 3, "A")) == "ii"
+        assert kind_a_case(wall_from("1|12|2|3", 3)) == "ii"
 
     def test_n2_only_has_case_iii(self):
         cases = {kind_a_case(w) for w in enumerate_walls(2) if w.kind == "A"}
@@ -676,14 +682,13 @@ def test_n5_table_is_generated_without_walking(monkeypatch):
     monkeypatch.setattr(deformation, "enumerate_walls", walk)
     monkeypatch.setattr(deformation, "enumerate_wall_bisequences", walk)
     table = list(_inequality_table(5))
-    kinds = Counter(e.kind for e in table)
+    kinds = Counter(e.wall.kind for e in table)
     assert kinds == {"A": 2120, "B": 3450}
     assert sum(e.walls for e in table) == multigraph_count(9, 5) == 453_600
     index = {bs: k for k, bs in enumerate(all_bisubsets(5))}
     for e in table:
         ineq = wall_inequality(e.wall)
-        case = kind_a_case(e.wall) if e.kind == "A" else None
-        assert (e.kind, case) == (e.wall.kind, e.case)
+        assert e.case == (kind_a_case(e.wall) if e.wall.kind == "A" else None)
         assert tuple(index[b] for b, _ in ineq.plus) == e.plus
         assert tuple(index[b] for b, _ in ineq.minus) == e.minus
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipermutahedron import geometry
+from bipermutahedron import deformation, geometry
 from bipermutahedron.combinatorics import (
     all_bisubsets,
     bisubset,
@@ -110,6 +110,31 @@ def test_support_function_requires_exact_cover():
     with pytest.raises(ValueError):
         SupportFunction(2, missing)
     SupportFunction(2, values)  # complete table is accepted
+
+
+def test_support_function_keeps_a_read_only_copy_of_its_table():
+    values = {bs: Fraction(k, 3) for k, bs in enumerate(all_bisubsets(3))}
+    h = SupportFunction(3, values)
+    bs = all_bisubsets(3)[5]
+    with pytest.raises(TypeError):
+        h.values[bs] = "x"
+    with pytest.raises(TypeError):
+        del h.values[bs]
+    values[bs] = Fraction(-7)
+    del values[all_bisubsets(3)[0]]
+    assert h[bs] == Fraction(5, 3)
+    assert len(h.values) == 24
+    assert geometry.biperm_support_function(3) != h
+    assert deformation.is_nef(h, 3).passed is False
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", True, None], ids=repr)
+def test_support_values_must_be_ints_or_fractions(bad):
+    values = {bs: 1 for bs in all_bisubsets(2)}
+    SupportFunction(2, values)  # int values are accepted
+    values[all_bisubsets(2)[3]] = bad
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        SupportFunction(2, values)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,13 +1,18 @@
 """Tooling checks: the benchmark's span tracer names only functions the
 package still has, and the routes call the kernel under those names; the
-package imports nothing it does not use and has no ``assert`` statement;
-every public function has a caller outside the tests; the README's command
-line tour prints what it shows, and its Python blocks run."""
+benchmark's workloads build and pass their own checks, and every package
+attribute they read resolves; the package imports nothing it does not use
+and has no ``assert`` statement; every public function has a caller outside
+the tests; the README's command line tour prints what it shows, and its
+Python blocks run."""
 
 import ast
 import importlib
+import importlib.util
+import random
 import re
 import shlex
+import sys
 from pathlib import Path
 
 from bipermutahedron import cli, deformation, geometry
@@ -63,6 +68,48 @@ def test_routes_call_the_traced_kernel_names(monkeypatch):
         deformation.generic_wallcross_oracle(wall)
     assert geometry.hyperplane_face_counts(3).passed
     assert calls == {"solve_unique": 180, "nullspace_normal": 180}
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_every_workload_kind_runs_and_passes_its_check(monkeypatch, tmp_path):
+    # oracle-n4 (about 1.4 s) is left out: the names it reads are checked
+    # below, and the oracle itself by test_closed_forms_match_dependence_solver.
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    ran = []
+    for name, build in workloads.BATCHES.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        kinds = set()
+        for op in build(random.Random(23), str(workdir)):
+            if op.kind in kinds or op.kind == "oracle-n4":
+                continue
+            kinds.add(op.kind)
+            assert op.check(op.run()) is None, op.kind
+        ran.append(len(kinds))
+    assert ran == [6, 7, 5]
+
+
+def test_every_package_attribute_a_workload_reads_resolves():
+    modules = ("cli", "deformation", "geometry", "invariants", "triangulation")
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {module for module, _ in read} == set(modules)
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute in sorted(read)
+        if not hasattr(importlib.import_module(f"bipermutahedron.{module}"), attribute)
+    ]
+    assert missing == []
 
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipermutahedron"
