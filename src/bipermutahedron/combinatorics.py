@@ -13,6 +13,14 @@ singletons is a *bipermutation*: a word of length ``2n - 1`` over E in
 which one letter (called ``k``) occurs once and every other letter occurs
 twice.  There are ``(2n)!/2**n`` bipermutations of E.
 
+The bisequences are the faces of the bipermutahedral fan: one with p parts
+is a (p - 1)-dimensional cone modulo lineality.  One search, ``_faces``,
+produces the bisequences with a given number of parts and of letters.  The
+chambers (:func:`enumerate_bipermutations`) are the faces with 2n - 1
+parts, the walls (:func:`enumerate_wall_bisequences`) those with 2n - 2,
+and :func:`enumerate_bisequences` runs through all of them by number of
+parts, then of letters, then lexicographically.
+
 The *barred word* of a bipermutation marks each letter's second occurrence
 with a bar and treats the single letter k as an adjacent pair "k kbar",
 giving a word of length 2n (:func:`doubled_word`).  The vertex of the
@@ -259,37 +267,62 @@ def parse_bipermutation(text: str, n: int | None = None) -> Bipermutation:
     return bp
 
 
-def enumerate_bipermutation_words(n: int) -> Iterator[tuple[int, ...]]:
-    """All bipermutation words of {1..n} in lexicographic order.
+def _faces(n: int, parts: int, letters: int) -> Iterator[tuple[frozenset[int], ...]]:
+    """The part tuples of every bisequence of {1..n} with ``parts`` parts
+    holding ``letters`` letters in all, in lexicographic order of their
+    tuples of sorted parts.
 
-    Depth-first search over words of length 2n-1 with letter multiplicity
-    at most two; the length constraint forces exactly one single letter, so
-    every word produced is a bipermutation.  ``n = 0`` yields nothing.
+    Depth-first search over the parts of at most ``letters - parts + 1``
+    elements, in lexicographic order, keeping the elements placed at least
+    once (``seen``) and those placed twice (``twice``) as bitmasks.  A part
+    fits when it holds no element placed twice, leaves a letter for each
+    later part, and leaves a letter for each element not yet placed; the
+    last part takes the letters that are left.  So each tuple covers 1..n
+    and places no element three times, and with fewer than 2n letters it
+    places some element once: every tuple is a bisequence.  Yields nothing
+    when ``parts <= 0`` or ``letters >= 2n``.
     """
-    if n <= 0:
+    if parts <= 0 or letters >= 2 * n:
         return
-    length = 2 * n - 1
-    word = [0] * length
-    counts = [0] * (n + 1)
+    candidates = [
+        (sum(1 << e for e in part), frozenset(part), len(part))
+        for part in sorted(
+            part
+            for size in range(1, letters - parts + 2)
+            for part in itertools.combinations(range(1, n + 1), size)
+        )
+    ]
+    chosen: list[frozenset[int]] = []
 
-    def fill(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(word)
-            return
-        for e in range(1, n + 1):
-            if counts[e] < 2:
-                counts[e] += 1
-                word[pos] = e
-                yield from fill(pos + 1)
-                counts[e] -= 1
+    def search(
+        seen: int, twice: int, slots: int, left: int
+    ) -> Iterator[tuple[frozenset[int], ...]]:
+        widest = left - slots + 1
+        # Letters not owed to an element yet to be placed: the most a part
+        # may spend on elements placed before.
+        spare = left - n + seen.bit_count()
+        for mask, part, size in candidates:
+            if mask & twice or size > widest or (mask & seen).bit_count() > spare:
+                continue
+            chosen.append(part)
+            if slots > 1:
+                yield from search(
+                    seen | mask, twice | (seen & mask), slots - 1, left - size
+                )
+            elif size == left:
+                yield tuple(chosen)
+            chosen.pop()
 
-    yield from fill(0)
+    yield from search(0, 0, parts, letters)
 
 
 def enumerate_bipermutations(n: int) -> Iterator[Bipermutation]:
-    """All bipermutations of {1..n} in lexicographic order of their words."""
-    for word in enumerate_bipermutation_words(n):
-        yield Bipermutation(word)
+    """All bipermutations of {1..n} in lexicographic order of their words:
+    the faces with 2n - 1 parts, all singletons."""
+    for parts in _faces(n, 2 * n - 1, 2 * n - 1):
+        # From a list, so the word is allocated at its length (a tuple
+        # built from an iterator is allocated larger and shrunk).
+        yield Bipermutation(tuple([e for (e,) in parts]))
 
 
 def bipermutation_count(n: int) -> int:
@@ -446,99 +479,39 @@ def _kind_a_parts(
 
 
 def enumerate_wall_bisequences(n: int) -> Iterator[Bisequence]:
-    """The bisequences indexing walls (codimension-1 cones) of the fan.
+    """The bisequences indexing walls (codimension-1 cones) of the fan: the
+    faces with 2n - 2 parts.
 
-    A wall bisequence has 2n - 2 parts and comes in two kinds.  Kind A has
-    one part of size two and 2n - 3 singletons, so 2n - 1 letters and one
-    once-element.  Kind B has all parts singletons, so 2n - 2 letters and
-    two once-elements.  Kind A streams first, each kind in lexicographic
-    order of its tuple of (sorted) parts.
+    They come in two kinds.  Kind A has one part of size two and 2n - 3
+    singletons, so 2n - 1 letters and one once-element.  Kind B has all
+    parts singletons, so 2n - 2 letters and two once-elements.  Kind A
+    streams first, each kind in lexicographic order of its tuple of (sorted)
+    parts.
 
     >>> [str(s) for s in enumerate_wall_bisequences(2)]
     ['1|12', '12|1', '12|2', '2|12', '1|2', '2|1']
     """
-    if n < 2:
-        return
-    yield from _wall_search(n, want_pair=True)
-    yield from _wall_search(n, want_pair=False)
-
-
-def _wall_search(n: int, want_pair: bool) -> Iterator[Bisequence]:
-    num_parts = 2 * n - 2
-    counts = [0] * (n + 1)
-    parts: list[frozenset[int]] = []
-
-    def search(pair_used: bool, missing: int) -> Iterator[Bisequence]:
-        slots = num_parts - len(parts)
-        if slots == 0:
-            if missing == 0 and pair_used == want_pair:
-                yield Bisequence(tuple(parts), n)
-            return
-        # Each remaining slot introduces at most one new element, plus one
-        # more if the pair part is still pending.
-        if missing > slots + (1 if want_pair and not pair_used else 0):
-            return
-        for a in range(1, n + 1):
-            if counts[a] == 2:
-                continue
-            counts[a] += 1
-            parts.append(frozenset((a,)))
-            yield from search(pair_used, missing - (counts[a] == 1))
-            parts.pop()
-            counts[a] -= 1
-            if want_pair and not pair_used:
-                for b in range(a + 1, n + 1):
-                    if counts[b] == 2:
-                        continue
-                    counts[a] += 1
-                    counts[b] += 1
-                    parts.append(frozenset((a, b)))
-                    drop = (counts[a] == 1) + (counts[b] == 1)
-                    yield from search(True, missing - drop)
-                    parts.pop()
-                    counts[a] -= 1
-                    counts[b] -= 1
-
-    yield from search(False, n)
+    for letters in (2 * n - 1, 2 * n - 2):
+        for parts in _faces(n, 2 * n - 2, letters):
+            yield Bisequence(parts, n)
 
 
 def enumerate_bisequences(n: int) -> Iterator[Bisequence]:
-    """All bisequences of {1..n}.
+    """All bisequences of {1..n}, the faces of the fan: by number of parts,
+    then by number of letters, then in lexicographic order of the tuple of
+    (sorted) parts.
 
-    Exhaustive depth-first search over part tuples; intended for small n
-    (the total count grows like the face count of the bipermutahedron).
+    The only caller, the bijection leg of ``check --suite invariants``
+    (``cli._bijection_failures``), counts them by number of parts, so it
+    does not depend on the order.  There are as many as the fan has faces
+    (2,244,361 at n = 5), so this is for small n.
     """
-    ground = list(range(1, n + 1))
-    nonempty_subsets = [
-        frozenset(c)
-        for size in range(1, n + 1)
-        for c in itertools.combinations(ground, size)
-    ]
-    parts: list[frozenset[int]] = []
-    counts = {e: 0 for e in ground}
-
-    def emit_ok() -> bool:
-        return all(counts[e] >= 1 for e in ground) and any(
-            counts[e] == 1 for e in ground
-        )
-
-    def search() -> Iterator[Bisequence]:
-        if parts and emit_ok():
-            yield Bisequence(tuple(parts), n)
-        if len(parts) >= 2 * n - 1:
-            return
-        for part in nonempty_subsets:
-            if any(counts[e] >= 2 for e in part):
-                continue
-            for e in part:
-                counts[e] += 1
-            parts.append(part)
-            yield from search()
-            parts.pop()
-            for e in part:
-                counts[e] -= 1
-
-    yield from search()
+    # A face covers 1..n with at least one letter per part and fewer than
+    # 2n letters.
+    for parts in range(1, 2 * n):
+        for letters in range(max(parts, n), 2 * n):
+            for seq in _faces(n, parts, letters):
+                yield Bisequence(seq, n)
 
 
 @dataclass(frozen=True)

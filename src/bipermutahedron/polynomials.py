@@ -124,10 +124,6 @@ class IntPolynomial:
         if self.coefficients and self.coefficients[-1] == 0:
             raise ValueError("coefficients must be trimmed")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coefficients):

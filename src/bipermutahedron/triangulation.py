@@ -115,9 +115,6 @@ class LocatedPoint:
     c: Fraction
     lambdas: tuple[tuple[Bisubset, Fraction], ...]
 
-    def coefficients(self) -> list[Fraction]:
-        return [self.a, self.b, self.c] + [lam for _, lam in self.lambdas]
-
 
 def cover_locate(p: Table) -> LocatedPoint:
     """Locate a rational point of Delta^n in the triangulation.

@@ -1,5 +1,6 @@
 """Bipermutations, bisequences, descents, and their enumeration."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +36,7 @@ from bipermutahedron.combinatorics import (
     validate_bisequence,
 )
 from bipermutahedron.deformation import Wall
+from bipermutahedron.invariants import f_vector_formula
 
 # Frozen: (2n)!/2^n for n = 1..6.
 COUNTS = [1, 6, 90, 2520, 113400, 7484400]
@@ -63,6 +65,33 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     words = [bp.letters for bp in enumerate_bipermutations(3)]
     assert words == sorted(words)
     assert len(set(words)) == len(words)
+    # Against brute force: the distinct orderings of each multiset with one
+    # letter k once and every other letter twice, sorted.
+    for n in range(1, 5):
+        brute = set()
+        for k in range(1, n + 1):
+            multiset = [e for e in range(1, n + 1) for _ in range(1 + (e != k))]
+            brute.update(itertools.permutations(multiset))
+        assert [bp.letters for bp in enumerate_bipermutations(n)] == sorted(brute)
+
+
+def validated_part_tuples(n, length):
+    """Every tuple of ``length`` nonempty subsets of 1..n that passes
+    ``validate_bisequence``, from the full product."""
+    subsets = [
+        part
+        for size in range(1, n + 1)
+        for part in itertools.combinations(range(1, n + 1), size)
+    ]
+    for parts in itertools.product(subsets, repeat=length):
+        try:
+            yield validate_bisequence(parts, n)
+        except BisequenceError:
+            continue
+
+
+def sorted_parts(seq):
+    return tuple(tuple(sorted(part)) for part in seq.parts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -212,6 +241,21 @@ def test_multigraph_round_trip(n):
         assert multigraph_to_bisequence(graph) == seq
 
 
+def test_bisequences_are_every_validated_part_tuple():
+    for n in range(1, 4):
+        faces = list(enumerate_bisequences(n))
+        assert len(set(faces)) == len(faces)
+        brute = {
+            seq
+            for length in range(1, 2 * n)
+            for seq in validated_part_tuples(n, length)
+        }
+        assert set(faces) == brute
+    for n in range(1, 5):
+        by_parts = Counter(len(seq.parts) for seq in enumerate_bisequences(n))
+        assert [by_parts[p] for p in range(1, 2 * n)] == f_vector_formula(n)
+
+
 @pytest.mark.parametrize(
     "edges",
     [((1, 3), (1, 3)), ((1, 2), (1, 2))],
@@ -249,6 +293,15 @@ def test_wall_enumeration_counts_and_order():
     kinds = [Wall(w).kind for w in enumerate_wall_bisequences(3)]
     assert kinds == sorted(kinds)  # kind A streams strictly before kind B
     assert Counter(kinds) == Counter({"A": 144, "B": 36})
+    # Against brute force: the validated tuples of 2n - 2 nonempty subsets
+    # (7**4 = 2,401 of them at n = 3), kind A (a part of size two) first,
+    # then by sorted parts.
+    for n in range(1, 4):
+        brute = sorted(
+            validated_part_tuples(n, 2 * n - 2),
+            key=lambda seq: (all(len(p) == 1 for p in seq.parts), sorted_parts(seq)),
+        )
+        assert list(enumerate_wall_bisequences(n)) == brute
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -122,7 +122,7 @@ def test_ehrhart_and_h_from_f_agree_through_n12():
 def test_ehrhart_at_the_cli_bound():
     # n = 200 is the largest n that bieulerian --method ehrhart accepts.
     poly = bieulerian_by_ehrhart(200)
-    assert poly.degree == 398
+    assert len(poly.coefficients) - 1 == 398
     assert poly.is_palindromic()
     assert poly.evaluate(1) == bipermutation_count(200)
 
@@ -150,7 +150,7 @@ def test_ehrhart_guard_catches_a_wrong_lattice_point_count(monkeypatch, a, messa
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bieulerian_evaluations_and_shape(n):
     poly = bieulerian_by_ehrhart(n)
-    assert poly.degree == max(2 * n - 2, 0)
+    assert len(poly.coefficients) - 1 == max(2 * n - 2, 0)
     assert poly.evaluate(1) == bipermutation_count(n)
     assert poly.is_palindromic()
     assert poly.is_log_concave()

@@ -67,7 +67,7 @@ def test_int_polynomial_requires_trimmed_integers():
 
 def test_int_polynomial_evaluate_and_degree():
     p = IntPolynomial((1, 4, 1))
-    assert p.degree == 2
+    assert len(p.coefficients) - 1 == 2
     assert p.evaluate(1) == 6
     assert p.evaluate(-1) == -2
 
