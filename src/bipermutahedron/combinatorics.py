@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class BisequenceError(ValueError):
@@ -96,9 +97,12 @@ class Bisequence:
         )
 
 
-@dataclass(frozen=True)
-class Bisubset:
-    """A two-part bisequence S|T: S and T nonempty, S != T, S union T = E."""
+class Bisubset(NamedTuple):
+    """A two-part bisequence S|T: S and T nonempty, S != T, S union T = E.
+
+    A named tuple, so equality and hashing run in C: it equals and hashes
+    as the plain tuple ``(left, right, n)``.
+    """
 
     left: frozenset[int]
     right: frozenset[int]
@@ -167,10 +171,18 @@ def all_bisubsets(n: int) -> list[Bisubset]:
 def _covering_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """All 3**n pairs (S, T) with S union T = {1..n}, in lexicographic order
     of the codes 0 (in both), 1 (S only), 2 (T only) of the elements 1..n."""
-    for codes in itertools.product((0, 1, 2), repeat=n):
-        left = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 1))
-        right = frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 2))
-        yield left, right
+    # Every subset of 1..n once, at the index of its mask (bit i - 1 for i).
+    subsets = [frozenset()]
+    for i in range(1, n + 1):
+        subsets += [s | {i} for s in subsets]
+    # The masks of S and of T for the codes of 1..i, in order, each extended
+    # by the three codes of i + 1.
+    lefts, rights = [0], [0]
+    for i in range(n):
+        bit = 1 << i
+        lefts = [m + x for m in lefts for x in (bit, bit, 0)]
+        rights = [m + x for m in rights for x in (bit, 0, bit)]
+    return zip(map(subsets.__getitem__, lefts), map(subsets.__getitem__, rights))
 
 
 @cache
@@ -427,6 +439,38 @@ def descents(bp: Bipermutation) -> int:
     )
 
 
+class _SplitTable(dict):
+    """The bisubsets of {1..n} met so far, keyed by the bitmasks (bit e for
+    element e) of S and of T; a pair not met before is built on lookup."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key: tuple[int, int]) -> Bisubset:
+        left, right = (
+            frozenset(e for e in range(1, self.n + 1) if mask >> e & 1) for mask in key
+        )
+        bs = self[key] = Bisubset(left, right, self.n)
+        return bs
+
+
+@cache
+def _split_table(n: int) -> _SplitTable:
+    """The one split table of {1..n}: every split built by
+    :func:`bisubsets_of` and :func:`splits_of` is shared through it."""
+    return _SplitTable(n)
+
+
+def _split_keys(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """The (S, T) mask pairs of the splits of a sequence of part masks:
+    split j joins the first j parts into S and the rest into T, by one
+    running OR from each end."""
+    rights = list(itertools.accumulate(reversed(masks[1:]), or_))
+    rights.reverse()
+    return list(zip(itertools.accumulate(masks[:-1], or_), rights))
+
+
 def bisubsets_of(bp: Bipermutation) -> tuple[Bisubset, ...]:
     """The 2n-2 prefix/suffix bisubsets of a bipermutation, in word order.
 
@@ -435,13 +479,9 @@ def bisubsets_of(bp: Bipermutation) -> tuple[Bisubset, ...]:
     >>> [str(b) for b in bisubsets_of(parse_bipermutation("1|3|2|1|3"))]
     ['1|123', '13|123', '123|13', '123|3']
     """
-    letters = bp.letters
-    out = []
-    for j in range(1, len(letters)):
-        left = frozenset(letters[:j])
-        right = frozenset(letters[j:])
-        out.append(Bisubset(left, right, bp.n))
-    return tuple(out)
+    # A part of a word is one letter e, whose mask is 1 << e.
+    keys = _split_keys(tuple(map((1).__lshift__, bp.letters)))
+    return tuple(map(_split_table(bp.n).__getitem__, keys))
 
 
 def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
@@ -452,11 +492,10 @@ def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
     >>> [str(b) for b in splits_of(parse_bisequence("2|13|1|3", 3))]
     ['2|13', '123|13', '123|3']
     """
-    lefts = list(itertools.accumulate(seq.parts[:-1], frozenset.union))
-    rights = list(itertools.accumulate(reversed(seq.parts[1:]), frozenset.union))[::-1]
-    if any(left == right for left, right in zip(lefts, rights)):
+    keys = _split_keys([sum(map((1).__lshift__, part)) for part in seq.parts])
+    if any(left == right for left, right in keys):
         raise AssertionError("a split of a bisequence cannot repeat a part set")
-    return tuple(Bisubset(left, right, seq.n) for left, right in zip(lefts, rights))
+    return tuple(map(_split_table(seq.n).__getitem__, keys))
 
 
 def _kind_a_parts(

@@ -44,6 +44,7 @@ from .combinatorics import (
     doubled_word,
     enumerate_bipermutations,
 )
+from .geometry import _ray_rows
 from .invariants import bieulerian_by_ehrhart, f_vector_formula, h_from_f
 from .linalg import _scaled_integers, det_int
 from .polynomials import poly_mul
@@ -87,19 +88,19 @@ def unimodularity_check(n: int) -> bool:
 
     The 2n difference vectors from v_(E,E) to the other vertices are
     -e_E, -f_E, and e_S + f_T - e_E - f_E per bisubset; the integer
-    determinant must be +-1 for every bipermutation.
+    determinant must be +-1 for every bipermutation.  Each split's
+    difference vector is its ray row e_S + f_T plus the two cone rows -e_E
+    and -f_E, so the matrix with the ray rows (``geometry._ray_rows``) in
+    their place differs from it by an exact row operation and has the same
+    determinant; that matrix is the one computed.
 
     >>> unimodularity_check(2)
     True
     """
-    ground = range(1, n + 1)
+    ray_rows = _ray_rows(n)
     cone_rows = [[-1] * n + [0] * n, [0] * n + [-1] * n]
     for bp in enumerate_bipermutations(n):
-        matrix = cone_rows + [
-            [-(i not in bs.left) for i in ground]
-            + [-(i not in bs.right) for i in ground]
-            for bs in bisubsets_of(bp)
-        ]
+        matrix = cone_rows + [ray_rows[bs] for bs in bisubsets_of(bp)]
         if det_int(matrix) not in (1, -1):
             return False
     return True
@@ -144,9 +145,10 @@ def cover_locate(p: Table) -> LocatedPoint:
     numerators = [den - x for x in u] + [den - x for x in v]
     reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:
-        raise TieOnBoundary(
-            f"configuration reads as {reading}, not a bipermutation"
-        )
+        # Digits run together up to n = 9, as format_bisequence writes them.
+        sep = "" if n <= 9 else ","
+        text = "|".join(sep.join(map(str, sorted(part))) for part in reading.parts)
+        raise TieOnBoundary(f"configuration reads as {text}, not a bipermutation")
     bp = Bipermutation(tuple(next(iter(part)) for part in reading.parts))
     splits = bisubsets_of(bp)
     coeffs = _barycentric(bp, numerators, den)

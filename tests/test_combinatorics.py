@@ -1,6 +1,7 @@
 """Bipermutations, bisequences, descents, and their enumeration."""
 
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,8 @@ from bipermutahedron.combinatorics import (
     parse_bipermutation,
     parse_bisequence,
     splits_of,
+    _bisubset_order,
+    _covering_pairs,
     _kind_a_parts,
     validate_bisequence,
 )
@@ -199,6 +202,53 @@ def test_splits_of_matches_brute_force_unions(n):
     words = [bp.to_bisequence() for bp in enumerate_bipermutations(n)]
     for seq in walls + words:
         assert splits_of(seq) == brute_force_splits(seq)
+
+
+def slice_splits(bp):
+    """Split j of a word: the set of its first j letters and of the rest."""
+    letters = bp.letters
+    return tuple(
+        Bisubset(frozenset(letters[:j]), frozenset(letters[j:]), bp.n)
+        for j in range(1, len(letters))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bisubsets_of_matches_slices_and_shares_splits(n):
+    for bp in enumerate_bipermutations(n):
+        splits = bisubsets_of(bp)
+        assert splits == slice_splits(bp)
+        # The same split of a chamber read as a bisequence is the same object.
+        assert all(map(operator.is_, splits, splits_of(bp.to_bisequence())))
+
+
+def test_bisubset_is_the_tuple_of_its_fields():
+    left, right = frozenset({1}), frozenset({1, 2})
+    bs = Bisubset(left, right, 2)
+    assert hash(bs) == hash((left, right, 2))
+    assert bs == (left, right, 2) and tuple(bs) == (left, right, 2)
+    assert repr(bs) == "Bisubset(left=frozenset({1}), right=frozenset({1, 2}), n=2)"
+    assert str(bs) == "1|12"
+
+
+def covering_pairs_by_product(n):
+    """The 3**n pairs (S, T), each built from its codes from scratch."""
+    return tuple(
+        (
+            frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 1)),
+            frozenset(i + 1 for i, c in enumerate(codes) if c in (0, 2)),
+        )
+        for codes in itertools.product((0, 1, 2), repeat=n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_covering_pairs_match_the_product_of_codes(n):
+    pairs = covering_pairs_by_product(n)
+    assert tuple(_covering_pairs(n)) == pairs
+    assert _bisubset_order(n) == tuple(
+        Bisubset(left, right, n) for left, right in pairs if left and right and left != right
+    )
 
 
 def test_splits_of_refuses_a_repeated_part_set():

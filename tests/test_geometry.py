@@ -22,7 +22,6 @@ from bipermutahedron.geometry import (
     harmonic_support,
     harmonic_support_function,
     hyperplane_face_counts,
-    pairing,
     ray_vector,
     symmetry_checks,
     vertex_of_bipermutation,
@@ -72,6 +71,11 @@ def test_vertex_guard_zero_row_sums(monkeypatch):
     monkeypatch.setattr(geometry, "doubled_word", shift_last)
     with pytest.raises(AssertionError, match="must sum to zero in each row"):
         vertex_of_bipermutation(parse_bipermutation("2|3|4|2|4|1|1"))
+
+
+def pairing(bs, point):
+    """(e_S + f_T) on a point: its dot product with the bisubset's ray row."""
+    return sum(a * b for a, b in zip(ray_vector(bs), point))
 
 
 def test_ray_vector_and_pairing():
@@ -137,12 +141,30 @@ def test_support_values_must_be_ints_or_fractions(bad):
         SupportFunction(2, values)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_facet_check(n):
     report = facet_check(n)
     assert report.passed, report.counterexample
-    assert report.vertices == [1, 6, 90][n - 1]
+    assert report.vertices == [1, 6, 90, 2520][n - 1]
     assert report.facets == 3**n - 3
+    assert report.comparisons == report.vertices * report.facets
+
+
+def test_facet_check_stops_at_the_first_failing_comparison(monkeypatch):
+    # Raise the right-hand side of 12|2 by one: it is a split of 1|2|2, the
+    # third vertex and the first whose split it is, so that vertex no longer
+    # attains it.
+    target = bisubset({1, 2}, {2}, 2)
+
+    def raised(bs):
+        return biperm_support(bs) + (bs == target)
+
+    monkeypatch.setattr(geometry, "biperm_support", raised)
+    report = facet_check(2)
+    order = all_bisubsets(2)
+    assert not report.passed
+    assert report.counterexample == "vertex 1|2|2, facet 12|2: -3 vs -2"
+    assert report.comparisons == 2 * len(order) + order.index(target) + 1
 
 
 def test_facet_check_vertex_and_facet_json_schema():

@@ -83,7 +83,7 @@ def test_shape_errors_are_value_errors():
 
 
 @pytest.mark.parametrize(
-    "bad", [Fraction(1, 2), Fraction(1), 1.0, "1"], ids=repr
+    "bad", [Fraction(1, 2), Fraction(1), 1.0, "1", True], ids=repr
 )
 def test_non_int_entries_are_type_errors(bad):
     # The kernel's floor divisions are exact only on integers: on the rows
@@ -97,16 +97,32 @@ def test_non_int_entries_are_type_errors(bad):
         solve_unique([[bad, 0, 1], [0, 1, 1]])
     with pytest.raises(TypeError, match="entries must be int"):
         solve_unique([[1, 0, 1], [0, 1, bad]])
+    with pytest.raises(TypeError, match=f"entries must be int, got {type(bad).__name__}$"):
+        det_int([[1, 0], [0, bad]])
 
 
 @pytest.mark.parametrize(
-    "matrix", [[[Fraction(1, 2), 1], [1, 3]], [[1.5, 1], [1, 3]]], ids=repr
+    "matrix",
+    [
+        [[Fraction(1, 2), 1], [1, 3]],
+        [[1.5, 1], [1, 3]],
+        [[True, 1], [1, 3]],
+        [[1, 1], [1, Fraction(3)]],
+    ],
+    ids=repr,
 )
 def test_det_int_rejects_non_int_entries(matrix):
     # Unchecked, these came back as 0 (the determinant is 1/2) and as 3.0
     # (it is 3.5).
     with pytest.raises(TypeError, match="entries must be int"):
         det_int(matrix)
+
+
+def test_type_error_names_the_first_offender_in_row_order():
+    with pytest.raises(TypeError, match="got float$"):
+        det_int([[1, 1.5], [Fraction(1, 2), 1]])
+    with pytest.raises(TypeError, match="got Fraction$"):
+        det_int([[1, 1], [Fraction(1, 2), 1.5]])
 
 
 # Seeded random systems with known answers.  Nonsingular matrices are built

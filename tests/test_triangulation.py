@@ -10,6 +10,7 @@ import pytest
 
 from bipermutahedron.combinatorics import (
     _covering_pairs,
+    _split_table,
     bipermutation_count,
     bisubsets_of,
     enumerate_bipermutations,
@@ -17,7 +18,7 @@ from bipermutahedron.combinatorics import (
 )
 from bipermutahedron import triangulation
 from bipermutahedron.invariants import bieulerian_by_ehrhart, h_from_f
-from bipermutahedron.linalg import solve_unique
+from bipermutahedron.linalg import det_int, solve_unique
 from bipermutahedron.triangulation import (
     TieOnBoundary,
     _barycentric,
@@ -422,6 +423,59 @@ def test_cover_locate_of_plain_int_tables():
     assert _coefficients(located) == [0, 0, 1]
     with pytest.raises(TieOnBoundary, match=r"reads as 2\|1, not a bipermutation"):
         cover_locate(((1, 0), (0, 1), (0, 0)))
+
+
+def test_cover_locate_names_a_tie_at_every_n():
+    # Every column (1/3, 1/3, 1/3): all ten elements lie on the line.
+    third = (F(1, 3),) * 10
+    with pytest.raises(
+        TieOnBoundary,
+        match=r"reads as 1,2,3,4,5,6,7,8,9,10, not a bipermutation",
+    ):
+        cover_locate((third, third, third))
+
+
+def test_split_table_stays_small_at_n_12():
+    # Entries over 2^61 - 1 make a tie on a wall all but impossible.
+    rng = random.Random(12)
+    den = 2**61 - 1
+    cuts = [sorted((rng.randint(0, den), rng.randint(0, den))) for _ in range(12)]
+    point = tuple(
+        tuple(F(value, den) for value in row)
+        for row in zip(*((x, y - x, den - y) for x, y in cuts))
+    )
+    _split_table.cache_clear()
+    located = cover_locate(point)
+    assert len(located.lambdas) == 22
+    assert len(_split_table(12)) <= 22
+
+
+def difference_vector_matrix(bp):
+    """The rows -e_E, -f_E and, for each split j of the word (S its first j
+    letters, T the rest), e_S + f_T - e_E - f_E."""
+    n, letters = bp.n, bp.letters
+    ground = range(1, n + 1)
+    return [[-1] * n + [0] * n, [0] * n + [-1] * n] + [
+        [int(i in letters[:j]) - 1 for i in ground]
+        + [int(i in letters[j:]) - 1 for i in ground]
+        for j in range(1, len(letters))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unimodularity_check_determinants_are_the_difference_vectors(n, monkeypatch):
+    matrices = []
+
+    def recording_det(matrix):
+        matrices.append(matrix)
+        return det_int(matrix)
+
+    monkeypatch.setattr(triangulation, "det_int", recording_det)
+    assert unimodularity_check(n)
+    bps = list(enumerate_bipermutations(n))
+    assert len(matrices) == len(bps)
+    for bp, matrix in zip(bps, matrices):
+        assert det_int(matrix) == det_int(difference_vector_matrix(bp))
 
 
 def test_unimodularity_check_fails_on_a_repeated_split(monkeypatch):
