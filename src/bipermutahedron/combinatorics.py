@@ -87,14 +87,13 @@ class Bisequence:
     def __str__(self) -> str:
         return format_bisequence(self)
 
-    def multiplicity(self, element: int) -> int:
-        return sum(1 for part in self.parts if element in part)
-
     def single_elements(self) -> frozenset[int]:
-        """The elements appearing in exactly one part."""
-        return frozenset(
-            e for e in range(1, self.n + 1) if self.multiplicity(e) == 1
-        )
+        """The elements appearing in exactly one part, in one pass."""
+        seen, twice = set(), set()
+        for part in self.parts:
+            twice |= seen & part
+            seen |= part
+        return frozenset(seen - twice)
 
 
 class Bisubset(NamedTuple):
@@ -168,28 +167,35 @@ def all_bisubsets(n: int) -> list[Bisubset]:
     return list(_bisubset_order(n))
 
 
-def _covering_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    """All 3**n pairs (S, T) with S union T = {1..n}, in lexicographic order
-    of the codes 0 (in both), 1 (S only), 2 (T only) of the elements 1..n."""
-    # Every subset of 1..n once, at the index of its mask (bit i - 1 for i).
-    subsets = [frozenset()]
-    for i in range(1, n + 1):
-        subsets += [s | {i} for s in subsets]
-    # The masks of S and of T for the codes of 1..i, in order, each extended
-    # by the three codes of i + 1.
+def _mask(elements: Iterable[int]) -> int:
+    """The bitmask of a set of elements, with bit e for element e."""
+    return sum(map((1).__lshift__, elements))
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    """The ascending elements of a bitmask, inverse to :func:`_mask`."""
+    return tuple(e for e in range(1, mask.bit_length()) if mask >> e & 1)
+
+
+def _covering_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The masks of the 3**n pairs (S, T) with S union T = {1..n}, ordered
+    lexicographically by the codes 0 (both), 1 (S only), 2 (T only) of 1..n."""
+    # The masks of S and of T for the codes of 1..e - 1, in order, each
+    # extended by the three codes of e.
     lefts, rights = [0], [0]
-    for i in range(n):
-        bit = 1 << i
+    for e in range(1, n + 1):
+        bit = 1 << e
         lefts = [m + x for m in lefts for x in (bit, bit, 0)]
         rights = [m + x for m in rights for x in (bit, 0, bit)]
-    return zip(map(subsets.__getitem__, lefts), map(subsets.__getitem__, rights))
+    return zip(lefts, rights)
 
 
 @cache
 def _bisubset_order(n: int) -> tuple[Bisubset, ...]:
-    """The tuple behind :func:`all_bisubsets`, built once per n."""
+    """The tuple behind :func:`all_bisubsets`: the split table's objects."""
+    table = _split_table(n)
     return tuple(
-        Bisubset(left, right, n)
+        table[left, right]
         for left, right in _covering_pairs(n)
         if left and right and left != right
     )
@@ -202,10 +208,15 @@ def _bisubset_index(n: int) -> dict[Bisubset, int]:
 
 
 def format_bisequence(seq: Bisequence) -> str:
-    """Render parts as ascending digit strings joined by "|" (n <= 9)."""
-    if seq.n > 9:
-        raise ValueError("text encoding is single-digit and needs n <= 9")
-    return "|".join("".join(str(e) for e in sorted(part)) for part in seq.parts)
+    """Render parts as ascending element lists joined by "|": digits run
+    together up to n = 9, as :func:`parse_bisequence` reads them, and
+    comma-joined above.
+
+    >>> format_bisequence(Bisequence((frozenset({10}), frozenset({1, 10})), 10))
+    '10|1,10'
+    """
+    sep = "" if seq.n <= 9 else ","
+    return "|".join(sep.join(map(str, sorted(part))) for part in seq.parts)
 
 
 def parse_bisequence(text: str, n: int) -> Bisequence:
@@ -297,7 +308,7 @@ def _faces(n: int, parts: int, letters: int) -> Iterator[tuple[frozenset[int], .
     if parts <= 0 or letters >= 2 * n:
         return
     candidates = [
-        (sum(1 << e for e in part), frozenset(part), len(part))
+        (_mask(part), frozenset(part), len(part))
         for part in sorted(
             part
             for size in range(1, letters - parts + 2)
@@ -448,17 +459,15 @@ class _SplitTable(dict):
         self.n = n
 
     def __missing__(self, key: tuple[int, int]) -> Bisubset:
-        left, right = (
-            frozenset(e for e in range(1, self.n + 1) if mask >> e & 1) for mask in key
-        )
+        left, right = (frozenset(_elements(mask)) for mask in key)
         bs = self[key] = Bisubset(left, right, self.n)
         return bs
 
 
 @cache
 def _split_table(n: int) -> _SplitTable:
-    """The one split table of {1..n}: every split built by
-    :func:`bisubsets_of` and :func:`splits_of` is shared through it."""
+    """The one split table of {1..n}: every ``Bisubset`` the package hands
+    out for a split, a wall term or a tree edge is shared through it."""
     return _SplitTable(n)
 
 
@@ -492,17 +501,16 @@ def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
     >>> [str(b) for b in splits_of(parse_bisequence("2|13|1|3", 3))]
     ['2|13', '123|13', '123|3']
     """
-    keys = _split_keys([sum(map((1).__lshift__, part)) for part in seq.parts])
+    keys = _split_keys(list(map(_mask, seq.parts)))
     if any(left == right for left, right in keys):
         raise AssertionError("a split of a bisequence cannot repeat a part set")
     return tuple(map(_split_table(seq.n).__getitem__, keys))
 
 
-def _kind_a_parts(
-    seq: Bisequence,
-) -> tuple[int, int, int, frozenset[int], frozenset[int], int]:
-    """A kind-A wall's pair position, its pair i < j, the prefix set S and
-    the suffix set T around the pair, and its once-element.
+def _kind_a_parts(seq: Bisequence) -> tuple[int, int, int, int, int, int]:
+    """A kind-A wall's pair position, its pair i < j, the masks of the
+    prefix set S and the suffix set T around the pair, and its
+    once-element.
 
     Every other element occurs twice, so the once-element is n(n + 1) minus
     the sum of the letters.
@@ -510,8 +518,8 @@ def _kind_a_parts(
     for pos, part in enumerate(seq.parts):
         if len(part) == 2:
             i, j = sorted(part)
-            s = frozenset().union(*seq.parts[:pos])
-            t = frozenset().union(*seq.parts[pos + 1 :])
+            s = _mask(frozenset().union(*seq.parts[:pos]))
+            t = _mask(frozenset().union(*seq.parts[pos + 1 :]))
             once = seq.n * (seq.n + 1) - sum(map(sum, seq.parts))
             return pos, i, j, s, t, once
     raise BisequenceError("a kind-A wall needs a pair part")

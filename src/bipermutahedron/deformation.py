@@ -63,10 +63,10 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial, gcd
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 from .combinatorics import (
     Bipermutation,
@@ -75,7 +75,11 @@ from .combinatorics import (
     Bisubset,
     _bisubset_index,
     _bisubset_order,
+    _elements,
     _kind_a_parts,
+    _mask,
+    _split_keys,
+    _split_table,
     bisubset,
     bisubsets_of,
     doubled_word,
@@ -137,6 +141,8 @@ class Wall:
 
     ``kind`` is read off the parts at validation: "A" for one pair part
     among singletons, "B" for all singletons with two once-elements.
+    ``kind_a_parts`` or ``kind_b_word``, the decode of its kind, is built on
+    first use and kept, so each wall is decoded at most once.
     """
 
     bisequence: Bisequence
@@ -163,6 +169,20 @@ class Wall:
     def __str__(self) -> str:
         return f"{self.kind}:{self.bisequence}"
 
+    @cached_property
+    def kind_a_parts(self) -> tuple[int, int, int, int, int, int]:
+        """A kind-A wall's decode (see ``combinatorics._kind_a_parts``)."""
+        return _kind_a_parts(self.bisequence)
+
+    @cached_property
+    def kind_b_word(self) -> tuple[tuple[int, bool], ...]:
+        """A kind-B wall's doubled word, both once-elements doubled."""
+        if self.kind != "B":
+            raise KindMismatch("doubled words belong to kind B walls")
+        seq = self.bisequence
+        letters = tuple(next(iter(p)) for p in seq.parts)
+        return doubled_word(letters, seq.single_elements())
+
 
 def enumerate_walls(n: int) -> Iterator[Wall]:
     """All walls, kind A first, each kind in lexicographic order.
@@ -172,13 +192,6 @@ def enumerate_walls(n: int) -> Iterator[Wall]:
     """
     for seq in enumerate_wall_bisequences(n):
         yield Wall(seq)
-
-
-def _kind_b_word(seq: Bisequence) -> tuple[tuple[int, bool], ...]:
-    """A kind-B wall's doubled word: both once-elements doubled in place,
-    second occurrences barred."""
-    letters = tuple(next(iter(p)) for p in seq.parts)
-    return doubled_word(letters, seq.single_elements())
 
 
 def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
@@ -192,7 +205,7 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
     """
     seq = wall.bisequence
     if wall.kind == "A":
-        pos, i, j, *_ = _kind_a_parts(seq)
+        pos, i, j, *_ = wall.kind_a_parts
         head = tuple(next(iter(p)) for p in seq.parts[:pos])
         tail = tuple(next(iter(p)) for p in seq.parts[pos + 1 :])
         return (
@@ -244,11 +257,11 @@ def same_inequality(a: WallInequality, b: WallInequality) -> bool:
     return _primitive_form(a) == _primitive_form(b)
 
 
-def _term(left: frozenset[int], right: frozenset[int], n: int) -> Bisubset | None:
-    """A bisubset term, or None when it degenerates to lineality."""
+def _term(left: int, right: int, n: int) -> Bisubset | None:
+    """The bisubset of the masks of S and T, or None on lineality."""
     if not left or not right or left == right:
         return None
-    return Bisubset(left, right, n)
+    return _split_table(n)[left, right]
 
 
 def supermodular_inequality(wall: Wall) -> WallInequality:
@@ -263,10 +276,10 @@ def supermodular_inequality(wall: Wall) -> WallInequality:
     if wall.kind != "A":
         raise KindMismatch("supermodular inequalities belong to kind A walls")
     n = wall.n
-    _, i, j, s, t, _ = _kind_a_parts(wall.bisequence)
-    ij = frozenset((i, j))
-    plus = [_term(s, ij | t, n), _term(s | ij, t, n)]
-    minus = [_term(s | {i}, t | {j}, n), _term(s | {j}, t | {i}, n)]
+    _, i, j, s, t, _ = wall.kind_a_parts
+    bit_i, bit_j = 1 << i, 1 << j
+    plus = [_term(s, bit_i | bit_j | t, n), _term(s | bit_i | bit_j, t, n)]
+    minus = [_term(s | bit_i, t | bit_j, n), _term(s | bit_j, t | bit_i, n)]
     return WallInequality(
         tuple((bs, 1) for bs in plus if bs is not None),
         tuple((bs, 1) for bs in minus if bs is not None),
@@ -277,7 +290,7 @@ def _switches(wall: Wall) -> list[tuple[int, bool]]:
     """The switch positions m of a kind-B wall's doubled word, where the bar
     flag changes between letters m and m + 1, each tagged True when the
     switch goes unbarred to barred (the negative side)."""
-    flags = [barred for _, barred in _kind_b_word(wall.bisequence)]
+    flags = [barred for _, barred in wall.kind_b_word]
     return [(m, flags[m]) for m in range(1, len(flags)) if flags[m - 1] != flags[m]]
 
 
@@ -296,7 +309,7 @@ def updown_inequality(wall: Wall) -> WallInequality:
     if wall.kind != "B":
         raise KindMismatch("up-down inequalities belong to kind B walls")
     tree = wall_tree(wall)
-    splits = [(Bisubset(*tree.edges[m - 1], wall.n), up) for m, up in _switches(wall)]
+    splits = [(tree.edges[m - 1], up) for m, up in _switches(wall)]
     plus = tuple((bs, 1) for bs, up in splits if not up)
     minus = tuple((bs, 1) for bs, up in splits if up)
     if len(minus) != len(plus) + 1:
@@ -320,16 +333,17 @@ class WallTree:
     """The bipartite graph of a kind-B wall's splits.
 
     Vertices are the distinct prefix sets (top) and suffix sets (bottom)
-    of the doubled word; each of the 2n - 1 splits is an edge.  The graph
-    is a tree on 2n vertices, and the path between the two full-set
-    vertices (the spine) consists exactly of the switch splits; its
-    alternating ray sum is e_E + f_E, which vanishes in the quotient.
+    of the doubled word; each of the 2n - 1 splits is an edge, the split
+    table's ``Bisubset`` joining ``edge[0]`` to ``edge[1]``.  The graph is
+    a tree on 2n vertices, and the path between the two full-set vertices
+    (the spine) consists exactly of the switch splits; its alternating ray
+    sum is e_E + f_E, which vanishes in the quotient.
     """
 
     n: int
     top: tuple[frozenset[int], ...]
     bottom: tuple[frozenset[int], ...]
-    edges: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    edges: tuple[Bisubset, ...]
     spine: tuple[Bisubset, ...]
 
 
@@ -338,14 +352,11 @@ def wall_tree(wall: Wall) -> WallTree:
     if wall.kind != "B":
         raise KindMismatch("wall trees belong to kind B walls")
     n = wall.n
-    word = _kind_b_word(wall.bisequence)
     ground = frozenset(range(1, n + 1))
-    edges = tuple(
-        (frozenset(e for e, _ in word[:m]), frozenset(e for e, _ in word[m:]))
-        for m in range(1, 2 * n)
-    )
-    top = tuple(dict.fromkeys(left for left, _ in edges))
-    bottom = tuple(dict.fromkeys(right for _, right in edges))
+    keys = _split_keys([1 << e for e, _ in wall.kind_b_word])
+    edges = tuple(map(_split_table(n).__getitem__, keys))
+    top = tuple(dict.fromkeys(edge.left for edge in edges))
+    bottom = tuple(dict.fromkeys(edge.right for edge in edges))
     if len(top) != n or len(bottom) != n or len(set(edges)) != 2 * n - 1:
         raise AssertionError("wall tree must have 2n vertices and 2n-1 edges")
 
@@ -372,7 +383,7 @@ def wall_tree(wall: Wall) -> WallTree:
     spine = []
     side, edge = 1, via[1][ground]
     while edge is not None:
-        spine.append(Bisubset(*edge, n))
+        spine.append(edge)
         side = 1 - side
         edge = via[side][edge[side]]
 
@@ -490,24 +501,6 @@ class _TableEntry:
         return sum([v[k] for k in self.plus]) - sum([v[k] for k in self.minus])
 
 
-def _mask(elements: Iterable[int]) -> int:
-    """The bitmask of a set of elements; element e is bit e - 1."""
-    return sum(1 << (e - 1) for e in elements)
-
-
-def _elements(mask: int) -> tuple[int, ...]:
-    """The ascending elements of a bitmask."""
-    return tuple(e + 1 for e in range(mask.bit_length()) if mask >> e & 1)
-
-
-def _split_index(n: int) -> dict[tuple[int, int], int]:
-    """all_bisubsets(n) positions, keyed by the masks of the two sides."""
-    return {
-        (_mask(bs.left), _mask(bs.right)): k
-        for k, bs in enumerate(_bisubset_order(n))
-    }
-
-
 @cache
 def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
     """The distinct kind-A inequalities, generated from region maps.
@@ -522,16 +515,17 @@ def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
     the sorted prefix, ij, the sorted suffix, and the walls number
     |pre|!/2^d * |suf|!/2^d', d and d' counting the doubled elements.
     Region maps whose inequalities agree, degenerate terms dropped, are
-    merged.
+    merged.  A set is its split table key, bit e for element e, and a term
+    is its bisubset's position in ``all_bisubsets(n)``.
     """
-    index = _split_index(n)
+    index, table = _bisubset_index(n), _split_table(n)
 
     def term(left: int, right: int) -> tuple[int, ...]:
-        return (index[left, right],) if left and right and left != right else ()
+        return (index[table[left, right]],) if left and right and left != right else ()
 
     found: dict[tuple, list] = {}
     for i, j in combinations(range(1, n + 1), 2):
-        bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
+        bit_i, bit_j = 1 << i, 1 << j
         others = [e for e in range(1, n + 1) if e != i and e != j]
         for regions in product("STB", repeat=n - 2):
             s_only = [e for e, r in zip(others, regions) if r == "S"]
@@ -595,8 +589,8 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
     the walls number, summed over pin choices, the product over runs of
     (|U_k| - pinned)! (|B_k| - pinned)!.
     """
-    index = _split_index(n)
-    full = (1 << n) - 1
+    index, table = _bisubset_index(n), _split_table(n)
+    full = (1 << n + 1) - 2
     entries: list[_TableEntry] = []
     runs: list[tuple[int, int]] = []
     plus: list[int] = []
@@ -607,7 +601,7 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
         """(letters unpinned, least letters pinned or None, walls unpinned,
         walls pinned summed over the pins) of one run."""
         ulist, blist = _elements(u), _elements(b)
-        pins = [p for p in ulist if b >> (p - 1) & 1]
+        pins = [p for p in ulist if b >> p & 1]
         pinned = min(
             (
                 tuple(e for e in ulist if e != p) + (p,)
@@ -655,7 +649,7 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
             c = seen | u
             # A first run holding all of E would be the only run.
             if c != full or done:
-                minus.append(index[c, full & ~done])
+                minus.append(index[table[c, full & ~done]])
                 pending = c & ~done
                 b = pending
                 while b:
@@ -664,7 +658,7 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
                     if d == full:
                         emit()
                     elif c != full:
-                        plus.append(index[c, full & ~d])
+                        plus.append(index[table[c, full & ~d]])
                         extend(c, d)
                         plus.pop()
                     runs.pop()
@@ -778,10 +772,10 @@ def kind_a_case(wall: Wall) -> str:
     """
     if wall.kind != "A":
         raise KindMismatch("cases classify kind A walls")
-    _, i, j, s, _, once = _kind_a_parts(wall.bisequence)
+    _, i, j, s, _, once = wall.kind_a_parts
     if once in (i, j):
         return "iii"
-    return "i" if (i in s) == (j in s) else "ii"
+    return "i" if (s >> i & 1) == (s >> j & 1) else "ii"
 
 
 @dataclass(frozen=True)

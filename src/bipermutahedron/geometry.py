@@ -451,16 +451,16 @@ def structural_wall_type(seq: Bisequence) -> tuple[int, tuple[int, ...]]:
         if len(singles) != 2:
             raise AssertionError("kind B wall needs exactly two once-elements")
         return 1, singles
-    # A pair element is barred when it occurred before the pair part, in S.
+    # A pair element is barred when it occurred before the pair part, in S,
+    # whose mask s has bit e for element e.
     _, a, b, s, _, k = _kind_a_parts(seq)
     if k in (a, b):
         partner = a + b - k
-        return (3 if partner in s else 2), tuple(sorted((partner, k)))
-    if a not in s and b not in s:
-        return 2, (a, b)
-    if a in s and b in s:
-        return 3, (a, b)
-    unbarred, barred = (a, b) if b in s else (b, a)
+        return (3 if s >> partner & 1 else 2), tuple(sorted((partner, k)))
+    a_barred, b_barred = s >> a & 1, s >> b & 1
+    if a_barred == b_barred:
+        return (3 if a_barred else 2), (a, b)
+    unbarred, barred = (a, b) if b_barred else (b, a)
     return 4, (unbarred, barred, k)
 
 

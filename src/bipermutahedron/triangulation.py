@@ -145,10 +145,7 @@ def cover_locate(p: Table) -> LocatedPoint:
     numerators = [den - x for x in u] + [den - x for x in v]
     reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:
-        # Digits run together up to n = 9, as format_bisequence writes them.
-        sep = "" if n <= 9 else ","
-        text = "|".join(sep.join(map(str, sorted(part))) for part in reading.parts)
-        raise TieOnBoundary(f"configuration reads as {text}, not a bipermutation")
+        raise TieOnBoundary(f"configuration reads as {reading}, not a bipermutation")
     bp = Bipermutation(tuple(next(iter(part)) for part in reading.parts))
     splits = bisubsets_of(bp)
     coeffs = _barycentric(bp, numerators, den)

@@ -35,7 +35,10 @@ from bipermutahedron.combinatorics import (
     splits_of,
     _bisubset_order,
     _covering_pairs,
+    _elements,
     _kind_a_parts,
+    _mask,
+    _split_table,
     validate_bisequence,
 )
 from bipermutahedron.deformation import Wall
@@ -245,10 +248,31 @@ def covering_pairs_by_product(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_covering_pairs_match_the_product_of_codes(n):
     pairs = covering_pairs_by_product(n)
-    assert tuple(_covering_pairs(n)) == pairs
+    decoded = tuple(
+        (frozenset(_elements(left)), frozenset(_elements(right)))
+        for left, right in _covering_pairs(n)
+    )
+    assert decoded == pairs
     assert _bisubset_order(n) == tuple(
         Bisubset(left, right, n) for left, right in pairs if left and right and left != right
     )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bisubset_order_hands_out_the_split_tables_objects(n):
+    keys = [(s, t) for s, t in _covering_pairs(n) if s and t and s != t]
+    order = _bisubset_order(n)
+    assert len(order) == len(keys) == 3**n - 3
+    assert all(bs is _split_table(n)[key] for bs, key in zip(order, keys))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_mask_sets_bit_e_for_element_e(n):
+    for size in range(n + 1):
+        for elements in itertools.combinations(range(1, n + 1), size):
+            mask = _mask(elements)
+            assert mask == sum(2**e for e in elements) and not mask & 1
+            assert _elements(mask) == elements
 
 
 def test_splits_of_refuses_a_repeated_part_set():
@@ -362,8 +386,8 @@ def test_kind_a_parts_decode_the_pair_its_sides_and_the_once_element(n):
             continue
         pos, i, j, s, t, once = _kind_a_parts(seq)
         assert seq.parts[pos] == {i, j} and i < j
-        assert s == frozenset().union(*seq.parts[:pos])
-        assert t == frozenset().union(*seq.parts[pos + 1 :])
+        assert frozenset(_elements(s)) == frozenset().union(*seq.parts[:pos])
+        assert frozenset(_elements(t)) == frozenset().union(*seq.parts[pos + 1 :])
         assert seq.single_elements() == {once}
         decoded += 1
     assert decoded == {2: 4, 3: 144, 4: 6480}[n]

@@ -13,6 +13,8 @@ import pytest
 
 from bipermutahedron import deformation
 from bipermutahedron.combinatorics import (
+    _mask,
+    _split_table,
     Bisequence,
     ElementMissing,
     EmptyPart,
@@ -482,6 +484,14 @@ class TestSupportCsv:
         with pytest.raises(ValueError, match="duplicate"):
             parse_support_csv(text + "\n" + first, 2)
 
+    def test_duplicate_line_is_named_at_n_10(self):
+        line = "10;1,2,3,4,5,6,7,8,9,10;0\n"
+        with pytest.raises(ValueError) as excinfo:
+            parse_support_csv(line + line, 10)
+        assert str(excinfo.value) == (
+            "line 2: duplicate bisubset 10|1,2,3,4,5,6,7,8,9,10"
+        )
+
     def test_incomplete_table_rejected(self):
         text = "\n".join(format_support_csv(named_support("biperm", 2)).splitlines()[:-1])
         with pytest.raises(ValueError):
@@ -647,6 +657,44 @@ def test_table_holds_the_distinct_inequalities_of_the_walk(n):
     assert [e.wall for e in table] == list(first.values())
     assert [e.walls for e in table] == [multiplicity[key] for key in first]
     assert sum(e.walls for e in table) == WALL_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_terms_and_tree_edges_are_the_split_tables_objects(n):
+    table = _split_table(n)
+
+    def shared(bs):
+        return bs is table[_mask(bs.left), _mask(bs.right)]
+
+    for wall in enumerate_walls(n):
+        ineq = wall_inequality(wall)
+        assert all(shared(bs) for bs, _ in ineq.plus + ineq.minus)
+        if wall.kind == "B":
+            tree = wall_tree(wall)
+            assert all(map(shared, tree.edges + tree.spine))
+
+
+def test_the_walk_decodes_each_wall_once(monkeypatch):
+    # Each inequality, case, tree and oracle reads the wall's one decode:
+    # the pair parts of a kind-A wall and the doubled word of a kind-B wall,
+    # both once-elements doubled (the refinements double one each).
+    calls = Counter()
+    real_parts, real_word = deformation._kind_a_parts, deformation.doubled_word
+
+    def kind_a_parts(seq):
+        calls["A"] += 1
+        return real_parts(seq)
+
+    def doubled_word(letters, doubled):
+        doubled = tuple(doubled)
+        calls["B"] += len(doubled) == 2
+        return real_word(letters, doubled)
+
+    monkeypatch.setattr(deformation, "_kind_a_parts", kind_a_parts)
+    monkeypatch.setattr(deformation, "doubled_word", doubled_word)
+    assert list(deformation.inequality_table_check(3)) == []
+    assert calls == Counter(wall.kind for wall in enumerate_walls(3))
+    assert calls == {"A": 144, "B": 36}
 
 
 def clear_tables():

@@ -141,6 +141,18 @@ def test_support_values_must_be_ints_or_fractions(bad):
         SupportFunction(2, values)
 
 
+def test_support_type_error_names_its_bisubset_at_n_10():
+    # Past n = 9 the elements of a part are comma-joined.
+    values = dict.fromkeys(all_bisubsets(10), 0)
+    values[bisubset({10}, range(1, 11), 10)] = 0.5
+    with pytest.raises(TypeError) as excinfo:
+        SupportFunction(10, values)
+    assert str(excinfo.value) == (
+        "support value at 10|1,2,3,4,5,6,7,8,9,10 must be an int or a Fraction, "
+        "got 0.5"
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_facet_check(n):
     report = facet_check(n)

@@ -2,9 +2,10 @@
 package still has, and the routes call the kernel under those names; the
 benchmark's workloads build and pass their own checks, and every package
 attribute they read resolves; the package imports nothing it does not use
-and has no ``assert`` statement; every public function and method has a
-caller outside the tests; the README's command line tour prints what it
-shows, and its Python blocks run."""
+and has no ``assert`` statement; a ``Bisubset`` is built in three places
+only; every public function and method has a caller outside the tests;
+the README's command line tour prints what it shows, and its Python blocks
+run."""
 
 import ast
 import importlib
@@ -163,6 +164,40 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def call_sites(path, callee):
+    """The qualified name of the def around each call of ``callee`` in a
+    module, or "<module>" for a call outside every def."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    sites.append(f"{path.stem}.{scope or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return sites
+
+
+def test_bisubsets_are_built_in_three_places():
+    # Every split the package hands out is the split table's object; besides
+    # the table itself, only a validated bisubset from outside input and the
+    # CSV parser's membership probe build one.
+    modules = sorted(PACKAGE.glob("*.py"))
+    sites = [site for path in modules for site in call_sites(path, "Bisubset")]
+    assert sorted(sites) == [
+        "combinatorics._SplitTable.__missing__",
+        "combinatorics.bisubset",
+        "deformation.parse_support_csv",
+    ]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

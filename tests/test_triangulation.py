@@ -10,6 +10,7 @@ import pytest
 
 from bipermutahedron.combinatorics import (
     _covering_pairs,
+    _elements,
     _split_table,
     bipermutation_count,
     bisubsets_of,
@@ -78,7 +79,10 @@ def test_delta_vertices_count(n):
     for bp in enumerate_bipermutations(n):
         used.update(_simplex_vertices(bp))
     assert len(used) == 3**n
-    assert used == set(_covering_pairs(n))
+    assert used == {
+        (frozenset(_elements(left)), frozenset(_elements(right)))
+        for left, right in _covering_pairs(n)
+    }
 
 
 def test_cone_point_projections():
@@ -363,6 +367,7 @@ def _digest_tables():
                 yield tuple(zip(*columns))
     for n in (1, 2):
         for left, right in _covering_pairs(n):
+            left, right = _elements(left), _elements(right)
             columns = [
                 (int(i not in left), int(i not in right), int(i in left and i in right))
                 for i in range(1, n + 1)
