@@ -452,15 +452,28 @@ def descents(bp: Bipermutation) -> int:
 
 class _SplitTable(dict):
     """The bisubsets of {1..n} met so far, keyed by the bitmasks (bit e for
-    element e) of S and of T; a pair not met before is built on lookup."""
+    element e) of S and of T; a pair not met before is built on lookup, from
+    one shared part set per mask, and a pair that is no bisubset of {1..n}
+    raises ``ValueError`` and is not stored."""
 
     def __init__(self, n: int) -> None:
         super().__init__()
         self.n = n
+        self.full = (1 << n + 1) - 2
+        self.parts: dict[int, frozenset[int]] = {}
 
     def __missing__(self, key: tuple[int, int]) -> Bisubset:
-        left, right = (frozenset(_elements(mask)) for mask in key)
-        bs = self[key] = Bisubset(left, right, self.n)
+        left, right = key
+        # S | T == full also rules out bit 0 and any bit above n.
+        if not (left and right and left != right and left | right == self.full):
+            raise ValueError(
+                f"masks S={left:#b}, T={right:#b} name no bisubset of 1..{self.n}"
+            )
+        parts = self.parts
+        for mask in key:
+            if mask not in parts:
+                parts[mask] = frozenset(_elements(mask))
+        bs = self[key] = Bisubset(parts[left], parts[right], self.n)
         return bs
 
 

@@ -8,10 +8,13 @@ other rays, normals of walls.  The matrices involved are tiny (at most
 One kernel does all the elimination: forward fraction-free elimination
 (Bareiss 1968) on integer rows, which clears below each pivot and never
 above it.  Every entry the kernel produces is an integer minor of its
-input, so no ``Fraction`` is built during elimination.  Each job has one
-entry, and every entry takes integer rows:
+input up to sign, so no ``Fraction`` is built during elimination.  Each
+pivot is made positive by negating its row, and the kernel keeps the parity
+of those negations, so ``d`` keeps its sign.  Each job has one entry, and
+every entry takes integer rows:
 
-- ``det_int`` needs only ``d``, the minor on the pivot rows and columns;
+- ``det_int`` needs only ``d``, the signed minor on the pivot rows and
+  columns;
 - ``solve_unique`` back-substitutes on the echelon form and returns the
   solution as integer numerators over ``d``; each row carries its
   right-hand side as its last entry;
@@ -57,36 +60,56 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     Returns ``(pivot_cols, d, sign)``.  Afterwards the first
     ``len(pivot_cols)`` rows form an echelon form: row ``r`` is zero before
     column ``pivot_cols[r]`` and holds there the leading minor of order
-    ``r + 1``, and the remaining rows are zero in the first ``ncols``
-    columns.  ``d`` is the minor on the pivot rows and columns (1 when there
-    is no pivot) and ``sign`` is -1 to the number of row swaps.  Later
-    columns (a right-hand side) are carried along.
+    ``r + 1`` up to sign, made positive, and the remaining rows are zero in
+    the first ``ncols`` columns.  ``d`` is the minor on the pivot rows and
+    columns, with its sign (1 when there is no pivot), and ``sign`` is -1 to
+    the number of row swaps.  Later columns (a right-hand side) are carried
+    along.
+
+    A negative pivot row is negated, which is negating an input row, so
+    every entry stays a minor up to sign and every division stays exact;
+    ``flip`` keeps the parity of those negations for ``d``.  A row with a
+    zero in the pivot column is then rewritten only when the pivot differs
+    from the one before, and a pivot of 1 after a pivot of 1 needs neither
+    the product nor the division.
     """
     rows = len(a)
     pivot_cols: list[int] = []
+    rank = 0
     prev = 1
+    flip = 1
     sign = 1
     for col in range(ncols):
-        rank = len(pivot_cols)
-        pivot = next((i for i in range(rank, rows) if a[i][col]), None)
-        if pivot is None:
+        for pivot in range(rank, rows):
+            if a[pivot][col]:
+                break
+        else:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
             sign = -sign
         top = a[rank]
         pv = top[col]
+        if pv < 0:
+            top = a[rank] = [-y for y in top]
+            pv = -pv
+            flip = -flip
+        unit = pv == 1 == prev
         for i in range(rank + 1, rows):
             row = a[i]
             f = row[col]
-            # Bareiss: every new entry is a minor, so the division is exact.
-            if f:
+            # Bareiss: every new entry is a minor up to sign, so the
+            # division is exact.
+            if f and unit:
+                a[i] = [x - f * y for x, y in zip(row, top)]
+            elif f:
                 a[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
             elif pv != prev:
                 a[i] = [x * pv // prev for x in row]
         prev = pv
         pivot_cols.append(col)
-    return pivot_cols, prev, sign
+        rank += 1
+    return pivot_cols, flip * prev, sign
 
 
 def _back_substitute(a: list[list[int]], pivot_cols: list[int], vec: list[int]) -> None:

@@ -266,6 +266,50 @@ def test_bisubset_order_hands_out_the_split_tables_objects(n):
     assert all(bs is _split_table(n)[key] for bs, key in zip(order, keys))
 
 
+# Mask pairs of n = 3 (bit e for element e, so {1, 2, 3} is 0b1110) that
+# name no bisubset.
+MALFORMED_KEYS = {
+    "empty S": (0, 0b1110),
+    "empty T": (0b1110, 0),
+    "S = T": (0b1110, 0b1110),
+    "bit 0 set": (0b0111, 0b1100),
+    "a bit above n": (0b10110, 0b1100),
+    "S and T miss 3": (0b0110, 0b0100),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_KEYS)
+def test_split_table_refuses_a_malformed_key(case):
+    left, right = MALFORMED_KEYS[case]
+    table = _split_table(3)
+    size = len(table)
+    with pytest.raises(ValueError, match=f"S={left:#b}, T={right:#b} name no bisubset of 1..3"):
+        table[left, right]
+    assert len(_split_table(3)) == size
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_table_refuses_bit_e_minus_1_masks(n):
+    # Masks with bit e - 1 for element e cover 1..n in bits 0..n - 1, so
+    # every such pair raises at the lookup and none is stored.
+    table = _split_table(n)
+    size = len(table)
+    for bs in _bisubset_order(n):
+        with pytest.raises(ValueError, match="name no bisubset"):
+            table[_mask(bs.left) >> 1, _mask(bs.right) >> 1]
+    assert len(table) == size
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_table_shares_one_part_set_per_mask(n):
+    # Every split whose S (or T) has a given mask holds the same set object.
+    by_mask = {}
+    for bs in _bisubset_order(n):
+        for part in (bs.left, bs.right):
+            assert by_mask.setdefault(_mask(part), part) is part
+    assert len(by_mask) == 2**n - 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
 def test_mask_sets_bit_e_for_element_e(n):
     for size in range(n + 1):

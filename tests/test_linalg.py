@@ -8,8 +8,9 @@ from math import gcd, prod
 
 import pytest
 
-from bipermutahedron import deformation, geometry
+from bipermutahedron import deformation, geometry, triangulation
 from bipermutahedron.linalg import (
+    _bareiss,
     _scaled_integers,
     det_int,
     nullspace_normal,
@@ -348,6 +349,64 @@ def test_kernel_matches_gauss_jordan_on_route_systems(monkeypatch):
         _assert_kernel_matches_reference(square=[row[:-1] for row in rows], solve=rows)
     for rows in normals:
         _assert_kernel_matches_reference(null=rows)
+
+
+# Matrices with every leading minor nonzero, so no row is swapped and the
+# pivot of step k is the leading minor of order k up to sign.  Each takes a
+# branch of the kernel: a negative pivot is negated, a pivot of 1 after a
+# pivot of 1 is a unit step, and a pivot unequal to the one before rescales
+# the rows with a zero below it.
+PIVOT_CASES = {
+    "negative first pivot": ([[-2, 1, 3], [4, 1, -1], [1, 5, 2]], [-2, -6, 34]),
+    "unit steps after negations": (
+        [[-1, 2, 1, 3], [-2, 3, 3, 4], [1, -5, 1, -8], [-1, 4, -3, 8]],
+        [-1, 1, -1, 1],
+    ),
+    "non-unit pivots over zero rows": (
+        [[2, 1, 0, 1], [0, 3, 1, 0], [0, 0, 5, 1], [0, 1, 1, 7]],
+        [2, 6, 30, 206],
+    ),
+    "negative non-unit pivot": ([[2, 1, 3], [4, -1, 1], [1, 2, 2]], [2, -6, 12]),
+    "unit pivot after a non-unit one": ([[2, 1, 0], [1, 1, 1], [0, 1, 3]], [2, 1, 1]),
+}
+
+
+def _leading_minors(matrix):
+    return [_leibniz_det([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)]
+
+
+@pytest.mark.parametrize("case", PIVOT_CASES)
+def test_pivots_are_made_positive_and_d_keeps_its_sign(case):
+    matrix, minors = PIVOT_CASES[case]
+    assert _leading_minors(matrix) == minors
+    m = len(matrix)
+    a = [list(row) for row in matrix]
+    pivot_cols, d, sign = _bareiss(a, m)
+    assert (pivot_cols, d, sign) == (list(range(m)), minors[-1], 1)
+    assert [a[r][r] for r in range(m)] == [abs(x) for x in minors]
+    assert all(a[r][:r] == [0] * r for r in range(m))
+    assert det_int(matrix) == minors[-1]
+    # The same rows with a right-hand side, and all negated: the leading
+    # minors change only in sign, so the pivots are the same.
+    for sense in (1, -1):
+        rows = [[sense * x for x in (*row, k - 2)] for k, row in enumerate(matrix)]
+        square = [row[:m] for row in rows]
+        _assert_kernel_matches_reference(square=square, solve=rows, null=rows)
+
+
+def test_unimodularity_determinants_match_the_reference(monkeypatch):
+    # Every matrix unimodularity_check(3) eliminates: one per bipermutation.
+    matrices = []
+
+    def recording_det(matrix):
+        matrices.append([list(row) for row in matrix])
+        return det_int(matrix)
+
+    monkeypatch.setattr(triangulation, "det_int", recording_det)
+    assert triangulation.unimodularity_check(3)
+    assert len(matrices) == 90
+    for matrix in matrices:
+        assert det_int(matrix) == _reference_det(matrix) in (1, -1)
 
 
 def _augmented(a, b):

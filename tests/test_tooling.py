@@ -3,9 +3,10 @@ package still has, and the routes call the kernel under those names; the
 benchmark's workloads build and pass their own checks, and every package
 attribute they read resolves; the package imports nothing it does not use
 and has no ``assert`` statement; a ``Bisubset`` is built in three places
-only; every public function and method has a caller outside the tests;
-the README's command line tour prints what it shows, and its Python blocks
-run."""
+only; each kernel entry checks that its entries are ints before it
+eliminates; every public function and method has a caller outside the
+tests; the README's command line tour prints what it shows, and its Python
+blocks run."""
 
 import ast
 import importlib
@@ -198,6 +199,33 @@ def test_bisubsets_are_built_in_three_places():
         "combinatorics.bisubset",
         "deformation.parse_support_csv",
     ]
+
+
+def test_kernel_entries_check_their_entries_before_eliminating():
+    # The kernel's floor divisions are exact only on ints, so each entry's
+    # body runs _require_ints as a statement of its own before the first
+    # statement that reaches _bareiss.
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    entries = {"det_int", "solve_unique", "nullspace_normal"}
+    guarded = set()
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in entries):
+            continue
+        for stmt in node.body:
+            if (
+                isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Call)
+                and getattr(stmt.value.func, "id", None) == "_require_ints"
+            ):
+                guarded.add(node.name)
+            if any(
+                isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_bareiss"
+                for child in ast.walk(stmt)
+            ):
+                break
+        else:
+            raise AssertionError(f"linalg.{node.name} never calls _bareiss")
+    assert guarded == entries
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
