@@ -131,18 +131,17 @@ def harmonic_support(bs: Bisubset) -> Fraction:
 
     With f(x) = x((x - n)/2 - 1/n) this is f(|S|) + f(|T|) + 1; the
     translation is chosen so that f(n) = -1, making the value vanish on the
-    two degenerate splits empty|E and E|empty.
+    two degenerate splits empty|E and E|empty.  Over the common denominator
+    2n, with a = |S| and b = |T|, the value is one ``Fraction``:
+
+        (n(a(a - n) + b(b - n)) - 2(a + b) + 2n) / 2n.
 
     >>> from bipermutahedron.combinatorics import bisubset
     >>> harmonic_support(bisubset({1}, {2}, 2))
     Fraction(-1, 1)
     """
-    n = bs.n
-
-    def f(x: int) -> Fraction:
-        return x * (Fraction(x - n, 2) - Fraction(1, n))
-
-    return f(len(bs.left)) + f(len(bs.right)) + 1
+    n, a, b = bs.n, len(bs.left), len(bs.right)
+    return Fraction(n * (a * (a - n) + b * (b - n)) - 2 * (a + b) + 2 * n, 2 * n)
 
 
 @dataclass(frozen=True)

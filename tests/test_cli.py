@@ -734,6 +734,7 @@ class TestInfeasibleN:
         monkeypatch.setattr(deformation, "enumerate_wall_bisequences", refuse)
         monkeypatch.setattr(combinatorics, "enumerate_wall_bisequences", refuse)
         monkeypatch.setattr(deformation, "_inequality_table", refuse)
+        monkeypatch.setattr(deformation, "_size_classes", refuse)
 
     @pytest.mark.parametrize(
         "argv",

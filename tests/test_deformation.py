@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -700,6 +701,8 @@ def test_the_walk_decodes_each_wall_once(monkeypatch):
 def clear_tables():
     deformation._kind_a_entries.cache_clear()
     deformation._kind_b_entries.cache_clear()
+    deformation._kind_a_classes.cache_clear()
+    deformation._kind_b_classes.cache_clear()
 
 
 def test_queries_never_walk(monkeypatch):
@@ -780,6 +783,164 @@ def test_table_queries_match_the_wall_walk(n):
     assert verdicts[False, False] and verdicts[False, True]
     assert verdicts[True, False] and verdicts[True, True]
     assert verdicts["not nef"] and verdicts["ok"] and verdicts["unbounded"]
+
+
+# ---------------------------------------------------------------- size classes
+#
+# A support that reads S|T only through (|S - T|, |T - S|) is evaluated once
+# per size class.  The table route, forced by making every support look
+# asymmetric, is the reference.
+
+CLASS_COUNTS = {2: 3, 3: 16, 4: 40, 5: 88}
+
+
+def size_pair(bs):
+    return len(bs.left - bs.right), len(bs.right - bs.left)
+
+
+def symmetric_supports(n, seed):
+    """biperm, harmonic, an aB + bH grid (a = 0 and negative b among it) and
+    seeded supports with one random value per size pair, read back from
+    their CSV, with small and with 61-bit denominators."""
+    biperm, harmonic = named_support("biperm", n), named_support("harmonic", n)
+    out = [biperm, harmonic]
+    for a, b in product((0, Fraction(3, 2)), (Fraction(-1, 3), 0, 2)):
+        out.append(SupportFunction.combine([(a, biperm), (b, harmonic)]))
+    rng = random.Random(seed)
+    for den in (12, P61):
+        by_pair = {}
+        values = {
+            bs: by_pair.setdefault(
+                size_pair(bs), Fraction(rng.randint(-9 * den, 9 * den), den)
+            )
+            for bs in all_bisubsets(n)
+        }
+        out.append(parse_support_csv(format_support_csv(SupportFunction(n, values)), n))
+    return out
+
+
+def outcome(query, *args):
+    """A query's result with its repr, or the type and message it raised."""
+    try:
+        result = query(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result, repr(result)
+
+
+def query_outcomes(n, supports, pairs):
+    queries = (is_nef, is_ample, wall_value_table)
+    out = [outcome(query, h, n) for h in supports for query in queries]
+    return out + [outcome(minkowski_quotient, p, q, n) for p, q in pairs]
+
+
+def by_both_routes(monkeypatch, n, supports, pairs):
+    """query_outcomes by the size classes and by the forced table route."""
+    by_classes = query_outcomes(n, supports, pairs)
+    with monkeypatch.context() as patch:
+        patch.setattr(deformation, "_class_values", lambda v, n: None)
+        by_table = query_outcomes(n, supports, pairs)
+    return by_classes, by_table
+
+
+def takes_class_route(h, n):
+    return deformation._class_values(deformation._scaled_support(h, n)[0], n) is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_route_matches_the_table_route(monkeypatch, n):
+    supports = symmetric_supports(n, seed=40 + n)
+    assert all(takes_class_route(h, n) for h in supports)
+    biperm, harmonic, seeded = supports[0], supports[1], supports[-1]
+    pairs = [(p, q) for p in supports for q in (harmonic, biperm, seeded)]
+    by_classes, by_table = by_both_routes(monkeypatch, n, supports, pairs)
+    assert by_classes == by_table
+    statuses = Counter(
+        result.status if isinstance(result, deformation.QuotientResult) else result
+        for result, _ in by_classes[3 * len(supports):]
+    )
+    if n == 1:
+        assert set(statuses) == {"unbounded"}
+    else:
+        assert statuses["ok"] and statuses["not-summand"] and statuses[ValueError]
+        assert any(
+            message.startswith("P is not nef: wall inequality at ")
+            for result, message in by_classes if result is ValueError
+        )
+        verdicts = {
+            (r.passed, r.witness_value == 0)
+            for r, _ in by_classes
+            if isinstance(r, deformation.NefVerdict)
+        }
+        assert verdicts == {(True, False), (False, True), (False, False)}
+
+
+def test_class_route_matches_the_table_route_at_n6_on_the_named_supports(monkeypatch):
+    n = 6
+    biperm, harmonic = named_support("biperm", n), named_support("harmonic", n)
+    pairs = [(biperm, harmonic), (harmonic, biperm)]
+    by_classes, by_table = by_both_routes(monkeypatch, n, [biperm, harmonic], pairs)
+    assert by_classes == by_table
+    assert [result.status for result, _ in by_classes[-2:]] == ["ok", "not-summand"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_value_off_symmetric_takes_the_table_route(monkeypatch, n):
+    # The last bisubset's size pair has an earlier bisubset, so a class
+    # route that kept the first value it saw per pair would not see the
+    # change.
+    supports = []
+    last = all_bisubsets(n)[-1]
+    assert size_pair(last) in {size_pair(bs) for bs in all_bisubsets(n)[:-1]}
+    for name in ("biperm", "harmonic"):
+        values = dict(named_support(name, n).values)
+        values[last] -= 100
+        supports.append(SupportFunction(n, values))
+    assert not any(takes_class_route(h, n) for h in supports)
+    biperm = named_support("biperm", n)
+    pairs = [(biperm, h) for h in supports] + [(h, biperm) for h in supports]
+    by_classes, by_table = by_both_routes(monkeypatch, n, supports, pairs)
+    assert by_classes == by_table
+    assert not any(result for result, _ in by_classes[:6:3])
+    if n <= 3:
+        walk = reference_walk(n)
+        for h, (verdict, _) in zip(supports, by_classes[::3]):
+            values = [(wall, ineq.evaluate(h)) for wall, _, ineq in walk]
+            expected = reference_cone_check(values, strict=False)
+            assert (verdict.passed, verdict.witness_wall, verdict.witness_value) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_size_classes_partition_the_table(n):
+    # Grouped here by size pairs alone: the case in the class key adds no
+    # class, and every group is case-pure.
+    order = all_bisubsets(n)
+    table = list(_inequality_table(n))
+    groups = {}
+    for k, entry in enumerate(table):
+        key = tuple(
+            tuple(sorted(size_pair(order[i]) for i in terms))
+            for terms in (entry.plus, entry.minus)
+        )
+        groups.setdefault(key, []).append(k)
+    classes = list(deformation._size_classes(n))
+    assert len(classes) == len(groups) == CLASS_COUNTS[n]
+    firsts = [table.index(cls.first) for cls in classes]
+    assert firsts == sorted(firsts) == [members[0] for members in groups.values()]
+    for cls, members in zip(classes, groups.values()):
+        assert {table[k].case for k in members} == {cls.case}
+        assert cls.walls == sum(table[k].walls for k in members)
+    assert sum(cls.walls for cls in classes) == f_vector_formula(n)[-2]
+
+
+def test_entries_of_two_cases_never_share_a_class():
+    first = next(_inequality_table(3))
+    twin = dataclasses.replace(first, case="i" if first.case != "i" else "ii")
+    classes = deformation._group_by_size((first, twin), 3)
+    assert [(cls.first, cls.case) for cls in classes] == [
+        (first, first.case),
+        (twin, twin.case),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,24 @@ def test_harmonic_support_values():
     assert h[full] == h[single]  # |S|,|T| swap symmetry
 
 
+def harmonic_by_f(bs):
+    """The harmonic support as f(|S|) + f(|T|) + 1, f(x) = x((x - n)/2 - 1/n)."""
+    n = bs.n
+
+    def f(x):
+        return x * (Fraction(x - n, 2) - Fraction(1, n))
+
+    return f(len(bs.left)) + f(len(bs.right)) + 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_harmonic_support_is_the_sum_of_fractions(n):
+    for bs in all_bisubsets(n):
+        value = harmonic_support(bs)
+        assert type(value) is Fraction
+        assert value == harmonic_by_f(bs)
+
+
 def test_support_function_requires_exact_cover():
     values = {bs: Fraction(0) for bs in all_bisubsets(2)}
     missing = dict(values)

@@ -6,7 +6,8 @@ and has no ``assert`` statement; a ``Bisubset`` is built in three places
 only; each kernel entry checks that its entries are ints before it
 eliminates; every public function and method has a caller outside the
 tests; the README's command line tour prints what it shows, and its Python
-blocks run."""
+blocks run; a support that reads S|T only through its size pair reaches no
+inequality table entry from the CLI."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import random
 import re
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from bipermutahedron import cli, deformation, geometry
@@ -354,3 +356,39 @@ def test_every_public_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_symmetric_supports_make_no_table_call(capsys, monkeypatch, tmp_path):
+    # A support that reads S|T only through its size pair is evaluated per
+    # size class, whether it is named or read from a CSV; one value off makes
+    # the queries read the inequality table.
+    calls = []
+    real = deformation._TableEntry.value
+
+    def counted(self, v):
+        calls.append(self)
+        return real(self, v)
+
+    monkeypatch.setattr(deformation._TableEntry, "value", counted)
+    for n in (3, 4):
+        text = deformation.format_support_csv(geometry.harmonic_support_function(n))
+        symmetric, off = tmp_path / f"harmonic-{n}.csv", tmp_path / f"off-{n}.csv"
+        symmetric.write_text(text, encoding="utf-8")
+        head, last = text.rstrip("\n").rsplit("\n", 1)
+        left, right, value = last.split(";")
+        off.write_text(f"{head}\n{left};{right};{Fraction(value) + 1}\n", encoding="utf-8")
+        for support in ("harmonic", symmetric, off):
+            outputs = []
+            for argv in (
+                ["nef-check", "--support", str(support)],
+                ["nef-check", "--support", str(support), "--ample"],
+                ["quotient", "--p", "biperm", "--q", str(support)],
+            ):
+                calls.clear()
+                code = cli.main([*argv, "--n", str(n), "--format", "text"])
+                outputs.append((code, *capsys.readouterr()))
+                assert bool(calls) == (support == off), (support, argv)
+            if support == "harmonic":
+                named = outputs
+            elif support == symmetric:
+                assert outputs == named
