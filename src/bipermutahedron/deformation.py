@@ -58,11 +58,13 @@ inequality with the oracle's and the walked table with the generated one.
 A support that reads S|T only through its size pair (|S - T|, |T - S|),
 as the bipermutahedron's, the harmonic polytope's and every aB + bH do,
 has one value on all the entries of one case whose terms have the same
-size pairs.  The queries decide by one pass over a support's values
-whether it is of this kind; if every support they take is, they walk
-these size classes (40 at n = 4, 88 at n = 5) in order of first entry, and
-otherwise the table entries.  Both routes give the same witnesses, values
-and counters, and the table stays the reference route.
+size pairs.  Such a size class is held as its first entry with the wall
+count of the whole class (40 classes at n = 4, 88 at n = 5).  The queries
+decide by one pass over a support's values whether it is of this kind; if
+every support they take is, they walk the classes, and otherwise the table.
+Either way each step is a table entry evaluated on the same scaled row, and
+both routes give the same witnesses, values and counters; the table stays
+the reference route.
 """
 
 from __future__ import annotations
@@ -70,12 +72,12 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial, gcd
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal
 
 from .combinatorics import (
     Bipermutation,
@@ -491,7 +493,8 @@ class _TableEntry:
     ``plus`` and ``minus`` index into ``all_bisubsets(n)``; ``parts`` holds
     the sorted parts of the first wall, in :func:`enumerate_walls` order,
     with this inequality and kind-A case (None for kind B), and ``walls``
-    counts the walls that share both.
+    counts the walls that share both.  A size class is its first entry with
+    ``walls`` summed over the class (see :func:`_group_by_size`).
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -599,7 +602,7 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
     (|U_k| - pinned)! (|B_k| - pinned)!.
     """
     index, table = _bisubset_index(n), _split_table(n)
-    full = (1 << n + 1) - 2
+    full = table.full
     entries: list[_TableEntry] = []
     runs: list[tuple[int, int]] = []
     plus: list[int] = []
@@ -702,47 +705,23 @@ def _size_pair_ids(n: int) -> tuple[int, ...]:
     )
 
 
-class _SizeClass(NamedTuple):
-    """The table entries of one case whose plus terms, and whose minus
-    terms, have the same size pairs.
-
-    ``plus`` and ``minus`` are those size pair ids, sorted; ``first`` is the
-    class's first entry in table order and ``walls`` sums its entries' wall
-    counts.  At a support that reads S|T only through its size pair, every
-    entry of a class has the value of ``first``.
-    """
-
-    first: _TableEntry
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-    walls: int
-
-    @property
-    def case(self) -> str | None:
-        return self.first.case
-
-    @property
-    def wall(self) -> Wall:
-        return self.first.wall
-
-    def value(self, values: list[int]) -> int:
-        """L * I(h) at every entry, for values = _class_values(v, n)."""
-        return sum(map(values.__getitem__, self.plus)) - sum(
-            map(values.__getitem__, self.minus)
-        )
-
-
-def _group_by_size(entries: tuple[_TableEntry, ...], n: int) -> tuple[_SizeClass, ...]:
-    """One pass over ``entries``: their size classes, in order of first
-    entry, keyed by the case and the multisets of the plus and of the minus
-    terms' size pairs.  A multiset is keyed as one int, the sum of a digit
-    1 << (width * id) per term; no side has 2n terms, so digits never carry.
+@cache
+def _group_by_size(
+    kind_entries: Callable[[int], tuple[_TableEntry, ...]], n: int
+) -> tuple[_TableEntry, ...]:
+    """The size classes of ``kind_entries(n)``, one kind's table entries:
+    one pass, keyed by the case and the multisets of the plus and of the
+    minus terms' size pairs, each class its first entry with the summed
+    wall count, in order of first entry.  A multiset is keyed as one int,
+    the sum of a digit 1 << (width * id) per term; no side has 2n terms, so
+    digits never carry.  At a support that reads S|T only through its size
+    pair, every entry of a class has the first entry's value.
     """
     ids = _size_pair_ids(n)
     width = (2 * n).bit_length()
     digit = [1 << width * k for k in ids]
     found: dict[tuple, list] = {}
-    for entry in entries:
+    for entry in kind_entries(n):
         key = (
             entry.case,
             sum(map(digit.__getitem__, entry.plus)),
@@ -753,27 +732,10 @@ def _group_by_size(entries: tuple[_TableEntry, ...], n: int) -> tuple[_SizeClass
             found[key] = [entry, entry.walls]
         else:
             seen[1] += entry.walls
-
-    def sizes(terms: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(map(ids.__getitem__, terms)))
-
-    return tuple(
-        _SizeClass(first, sizes(first.plus), sizes(first.minus), walls)
-        for first, walls in found.values()
-    )
+    return tuple(replace(first, walls=walls) for first, walls in found.values())
 
 
-@cache
-def _kind_a_classes(n: int) -> tuple[_SizeClass, ...]:
-    return _group_by_size(_kind_a_entries(n), n)
-
-
-@cache
-def _kind_b_classes(n: int) -> tuple[_SizeClass, ...]:
-    return _group_by_size(_kind_b_entries(n), n)
-
-
-def _size_classes(n: int) -> Iterator[_SizeClass]:
+def _size_classes(n: int) -> Iterator[_TableEntry]:
     """The size classes of the wall inequalities at n, in order of first
     entry.
 
@@ -782,8 +744,8 @@ def _size_classes(n: int) -> Iterator[_SizeClass]:
     over the table in table order, and the kind-B classes, like the kind-B
     entries, are built only when a query reads past the kind-A ones.
     """
-    yield from _kind_a_classes(n)
-    yield from _kind_b_classes(n)
+    yield from _group_by_size(_kind_a_entries, n)
+    yield from _group_by_size(_kind_b_entries, n)
 
 
 def inequality_table_check(n: int) -> Iterator[str]:
@@ -839,36 +801,16 @@ def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
     return _scaled_integers([h[bs] for bs in _bisubset_order(n)])
 
 
-def _class_values(v: list[int], n: int) -> list[int | None] | None:
-    """v's value at each size pair id, or None as soon as one size pair
-    carries two values.  Ids that name no bisubset stay None."""
-    values: list[int | None] = [None] * (n * n)
-    for k, x in zip(_size_pair_ids(n), v):
-        seen = values[k]
-        if seen is None:
-            values[k] = x
-        elif seen != x:
-            return None
-    return values
+def _symmetric(v: list[int], n: int) -> bool:
+    """Whether a scaled support is constant on size pairs.
 
-
-def _route(
-    n: int, *vs: list[int]
-) -> tuple[Iterable[_TableEntry | _SizeClass], Sequence[list]]:
-    """What a query walks, in order of first wall, and what to evaluate each
-    step's ``value`` on, one per scaled support in ``vs``.
-
-    When every support is constant on size pairs, the steps are the size
-    classes, evaluated on the supports' class values; otherwise they are
-    the table entries, evaluated on ``vs``.  All entries of a class share
+    Then a query walks the size classes: all entries of a class share
     their value, so the first class to fail, to attain a minimum (ties kept
-    by a strict <) or to give a new value holds the first entry that does:
-    witnesses and the order of the value counters are the table's.
+    by a strict <) or to give a new value holds the first entry that does,
+    and witnesses and the order of the value counters are the table's.
     """
-    values = [_class_values(v, n) for v in vs]
-    if None in values:
-        return _inequality_table(n), vs
-    return _size_classes(n), values
+    ids = _size_pair_ids(n)
+    return len(set(zip(ids, v))) == len(set(ids))
 
 
 @dataclass(frozen=True)
@@ -883,9 +825,9 @@ class NefVerdict:
 
 def _cone_check(h: SupportFunction, n: int, strict: bool) -> NefVerdict:
     v, scale = _scaled_support(h, n)
-    steps, (x,) = _route(n, v)
+    steps = _size_classes(n) if _symmetric(v, n) else _inequality_table(n)
     for step in steps:
-        value = step.value(x)
+        value = step.value(v)
         if value < 0 or (strict and value == 0):
             return NefVerdict(False, step.wall, Fraction(value, scale))
     return NefVerdict(True, None, None)
@@ -934,12 +876,12 @@ class WallValueTable:
 def wall_value_table(h: SupportFunction, n: int) -> WallValueTable:
     """Evaluate I(h) on every wall, grouped by kind and case."""
     v, scale = _scaled_support(h, n)
-    steps, (x,) = _route(n, v)
+    steps = _size_classes(n) if _symmetric(v, n) else _inequality_table(n)
     # The scaled values are counted as ints, and each distinct one is
     # divided by the scale once, in the order the values first occur.
     counts: dict[str | None, Counter] = {case: Counter() for case in ("i", "ii", "iii", None)}
     for step in steps:
-        counts[step.case][step.value(x)] += step.walls
+        counts[step.case][step.value(v)] += step.walls
     kind_a = {
         case: Counter({Fraction(value, scale): walls for value, walls in counter.items()})
         for case, counter in counts.items()
@@ -976,10 +918,10 @@ def minkowski_quotient(
     # The ratio at an entry is (ip / p_scale) / (iq / q_scale); the scales are
     # common to all entries, so ip / iq is compared by cross-multiplication.
     best: tuple[int, int] | None = None
-    witness: _TableEntry | _SizeClass | None = None
-    steps, (px, qx) = _route(n, pv, qv)
-    for step in steps:
-        ip, iq = step.value(px), step.value(qx)
+    witness: _TableEntry | None = None
+    symmetric = _symmetric(pv, n) and _symmetric(qv, n)
+    for step in _size_classes(n) if symmetric else _inequality_table(n):
+        ip, iq = step.value(pv), step.value(qv)
         if ip < 0:
             raise ValueError(
                 f"P is not nef: wall inequality at {step.wall} evaluates to "
@@ -1071,7 +1013,7 @@ def _too_many_digits(limit: int) -> ValueError:
 def parse_support_csv(text: str, n: int) -> SupportFunction:
     """Parse the CSV format; every bisubset must appear exactly once."""
     # No bisubset exists below n = 1; bisubset() then names the error.
-    known = _bisubset_index(max(n, 0))
+    known, order = _bisubset_index(max(n, 0)), _bisubset_order(max(n, 0))
     values: dict[Bisubset, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -1086,8 +1028,11 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
             value = _support_value(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        bs = Bisubset(frozenset(left), frozenset(right), n)
-        if bs not in known:
+        # A Bisubset equals and hashes as the plain tuple (S, T, n).
+        k = known.get((frozenset(left), frozenset(right), n))
+        if k is not None:
+            bs = order[k]
+        else:
             try:
                 bs = bisubset(left, right, n)
             except BisequenceError as exc:

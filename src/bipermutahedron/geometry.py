@@ -40,6 +40,7 @@ from .combinatorics import (
     _bisubset_index,
     _bisubset_order,
     _kind_a_parts,
+    _mask,
     all_bisubsets,
     bisubsets_of,
     doubled_word,
@@ -240,11 +241,13 @@ def facet_check(n: int) -> FacetReport:
     bottom ones over T are tabulated over all subsets once, so each
     comparison is X[S] + Y[T] against the facet's right-hand side.
     """
+    # Element e is at position e - 1 of a row, so a set's index into the
+    # subset sums is its mask (bit e for element e) shifted down one.
     facets = [
         (
             bs,
-            sum(1 << (i - 1) for i in bs.left),
-            sum(1 << (i - 1) for i in bs.right),
+            _mask(bs.left) >> 1,
+            _mask(bs.right) >> 1,
             biperm_support(bs),
         )
         for bs in all_bisubsets(n)

@@ -44,7 +44,7 @@ from .combinatorics import (
     doubled_word,
     enumerate_bipermutations,
 )
-from .geometry import _ray_rows
+from .geometry import _lineality_rows, _ray_rows
 from .invariants import bieulerian_by_ehrhart, f_vector_formula, h_from_f
 from .linalg import _scaled_integers, det_int
 from .polynomials import poly_mul
@@ -92,15 +92,16 @@ def unimodularity_check(n: int) -> bool:
     difference vector is its ray row e_S + f_T plus the two cone rows -e_E
     and -f_E, so the matrix with the ray rows (``geometry._ray_rows``) in
     their place differs from it by an exact row operation and has the same
-    determinant; that matrix is the one computed.
+    determinant.  Negating the two cone rows into the lineality rows e_E
+    and f_E (``geometry._lineality_rows``) leaves it unchanged again; that
+    matrix is the one computed.
 
     >>> unimodularity_check(2)
     True
     """
-    ray_rows = _ray_rows(n)
-    cone_rows = [[-1] * n + [0] * n, [0] * n + [-1] * n]
+    ray_rows, lineality_rows = _ray_rows(n), _lineality_rows(n)
     for bp in enumerate_bipermutations(n):
-        matrix = cone_rows + [ray_rows[bs] for bs in bisubsets_of(bp)]
+        matrix = lineality_rows + [ray_rows[bs] for bs in bisubsets_of(bp)]
         if det_int(matrix) not in (1, -1):
             return False
     return True

@@ -701,8 +701,7 @@ def test_the_walk_decodes_each_wall_once(monkeypatch):
 def clear_tables():
     deformation._kind_a_entries.cache_clear()
     deformation._kind_b_entries.cache_clear()
-    deformation._kind_a_classes.cache_clear()
-    deformation._kind_b_classes.cache_clear()
+    deformation._group_by_size.cache_clear()
 
 
 def test_queries_never_walk(monkeypatch):
@@ -838,13 +837,13 @@ def by_both_routes(monkeypatch, n, supports, pairs):
     """query_outcomes by the size classes and by the forced table route."""
     by_classes = query_outcomes(n, supports, pairs)
     with monkeypatch.context() as patch:
-        patch.setattr(deformation, "_class_values", lambda v, n: None)
+        patch.setattr(deformation, "_symmetric", lambda v, n: False)
         by_table = query_outcomes(n, supports, pairs)
     return by_classes, by_table
 
 
 def takes_class_route(h, n):
-    return deformation._class_values(deformation._scaled_support(h, n)[0], n) is not None
+    return deformation._symmetric(deformation._scaled_support(h, n)[0], n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -923,24 +922,24 @@ def test_size_classes_partition_the_table(n):
             for terms in (entry.plus, entry.minus)
         )
         groups.setdefault(key, []).append(k)
+    # Each class is its group's first entry, terms and case included, with
+    # the group's summed wall count.
     classes = list(deformation._size_classes(n))
     assert len(classes) == len(groups) == CLASS_COUNTS[n]
-    firsts = [table.index(cls.first) for cls in classes]
-    assert firsts == sorted(firsts) == [members[0] for members in groups.values()]
+    assert classes == [
+        dataclasses.replace(table[members[0]], walls=sum(table[k].walls for k in members))
+        for members in groups.values()
+    ]
     for cls, members in zip(classes, groups.values()):
         assert {table[k].case for k in members} == {cls.case}
-        assert cls.walls == sum(table[k].walls for k in members)
     assert sum(cls.walls for cls in classes) == f_vector_formula(n)[-2]
 
 
 def test_entries_of_two_cases_never_share_a_class():
     first = next(_inequality_table(3))
     twin = dataclasses.replace(first, case="i" if first.case != "i" else "ii")
-    classes = deformation._group_by_size((first, twin), 3)
-    assert [(cls.first, cls.case) for cls in classes] == [
-        (first, first.case),
-        (twin, twin.case),
-    ]
+    classes = deformation._group_by_size(lambda n: (first, twin), 3)
+    assert classes == (first, twin)
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,13 @@
 package still has, and the routes call the kernel under those names; the
 benchmark's workloads build and pass their own checks, and every package
 attribute they read resolves; the package imports nothing it does not use
-and has no ``assert`` statement; a ``Bisubset`` is built in three places
+and has no ``assert`` statement; a ``Bisubset`` is built in two places
 only; each kernel entry checks that its entries are ints before it
 eliminates; every public function and method has a caller outside the
 tests; the README's command line tour prints what it shows, and its Python
-blocks run; a support that reads S|T only through its size pair reaches no
-inequality table entry from the CLI."""
+blocks run; a support that reads S|T only through its size pair never
+reads the inequality table from the CLI; every private function and class
+is referenced outside its own definition."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ import random
 import re
 import shlex
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -190,16 +192,16 @@ def call_sites(path, callee):
     return sites
 
 
-def test_bisubsets_are_built_in_three_places():
+def test_bisubsets_are_built_in_two_places():
     # Every split the package hands out is the split table's object; besides
-    # the table itself, only a validated bisubset from outside input and the
-    # CSV parser's membership probe build one.
+    # the table itself, only a validated bisubset from outside input builds
+    # one.  The CSV parser probes with a plain tuple, which a Bisubset
+    # equals and hashes as.
     modules = sorted(PACKAGE.glob("*.py"))
     sites = [site for path in modules for site in call_sites(path, "Bisubset")]
     assert sorted(sites) == [
         "combinatorics._SplitTable.__missing__",
         "combinatorics.bisubset",
-        "deformation.parse_support_csv",
     ]
 
 
@@ -270,26 +272,45 @@ def public_definitions(path):
                     yield f"{node.name}.{item.name}", item
 
 
+def private_definitions(path):
+    """(name, node) for each private def or class at a module's top level."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node.name, node
+
+
+def unreferenced(definitions):
+    """"module.qualified" for each (qualified name, node) of
+    ``definitions(path)`` over the package's modules whose name no Name or
+    Attribute node of the package or the benchmark reads outside the
+    definition itself.  Imports, __all__ strings and doctests are not
+    references."""
+    sources = sorted(PACKAGE.parent.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
+    references = defaultdict(list)
+    for path in sources:
+        for name, line in name_references(path):
+            references[name].append((path, line))
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, node in definitions(path):
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(where == path and line in own for where, line in references[node.name]):
+                yield f"{path.stem}.{qualified}"
+
+
 def test_every_public_function_has_a_caller():
     # A public def, class or method that only the tests reach is wired into
-    # a route or deleted.  Imports, __all__ strings and doctests are not
-    # callers, and neither is the definition itself.  A method is found by
-    # its name alone, so one that shares a name with another attribute (as
-    # LocatedPoint.coefficients did with IntPolynomial.coefficients) has to
-    # be checked by hand.
-    sources = sorted(PACKAGE.parent.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
-    references = [(path, name, line) for path in sources for name, line in name_references(path)]
-    uncalled = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, node in public_definitions(path):
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                name == node.name and not (where == path and line in own)
-                for where, name, line in references
-            ):
-                uncalled.append(f"{path.stem}.{qualified}")
+    # a route or deleted.  A method is found by its name alone, so one that
+    # shares a name with another attribute (as LocatedPoint.coefficients did
+    # with IntPolynomial.coefficients) has to be checked by hand.
+    uncalled = list(unreferenced(public_definitions))
     assert [name for name in uncalled if name not in CALLED_ONLY_BY_TESTS] == []
     assert sorted(uncalled) == sorted(CALLED_ONLY_BY_TESTS)
+
+
+def test_every_private_function_is_referenced():
+    # A private helper that a refactor leaves behind unused is deleted with
+    # the code that used it.
+    assert list(unreferenced(private_definitions)) == []
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -363,13 +384,13 @@ def test_symmetric_supports_make_no_table_call(capsys, monkeypatch, tmp_path):
     # size class, whether it is named or read from a CSV; one value off makes
     # the queries read the inequality table.
     calls = []
-    real = deformation._TableEntry.value
+    real = deformation._inequality_table
 
-    def counted(self, v):
-        calls.append(self)
-        return real(self, v)
+    def counted(n):
+        calls.append(n)
+        return real(n)
 
-    monkeypatch.setattr(deformation._TableEntry, "value", counted)
+    monkeypatch.setattr(deformation, "_inequality_table", counted)
     for n in (3, 4):
         text = deformation.format_support_csv(geometry.harmonic_support_function(n))
         symmetric, off = tmp_path / f"harmonic-{n}.csv", tmp_path / f"off-{n}.csv"
