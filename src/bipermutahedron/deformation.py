@@ -209,7 +209,9 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
     """The two chambers adjacent to a wall.
 
     Kind A refines the pair part {i, j} into i|j or j|i; kind B doubles
-    the once-element i or the once-element j in place.
+    the once-element i or the once-element j in place, read off the wall's
+    one decode ``kind_b_word``: doubling i is that word with the second
+    copy of j removed.
 
     >>> [str(b) for b in wall_refinements(next(enumerate_walls(2)))]
     ['1|1|2', '1|2|1']
@@ -223,10 +225,11 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
             Bipermutation(head + (i, j) + tail),
             Bipermutation(head + (j, i) + tail),
         )
-    letters = tuple(next(iter(p)) for p in seq.parts)
+    i, j = sorted(seq.single_elements())
+    word = wall.kind_b_word
     return tuple(
-        Bipermutation(tuple(e for e, _ in doubled_word(letters, (once,))))
-        for once in sorted(seq.single_elements())
+        Bipermutation(tuple(e for e, barred in word if e != other or not barred))
+        for other in (j, i)
     )
 
 
@@ -398,13 +401,11 @@ def wall_tree(wall: Wall) -> WallTree:
         side = 1 - side
         edge = via[side][edge[side]]
 
+    rays = _ray_rows(n)
     vec = [0] * (2 * n)
     sign = -1  # the spine starts and ends with unbarred-to-barred switches
     for bs in spine:
-        for e in bs.left:
-            vec[e - 1] += sign
-        for e in bs.right:
-            vec[n + e - 1] += sign
+        vec = [x + sign * r for x, r in zip(vec, rays[bs])]
         sign = -sign
     if vec != [-1] * (2 * n):
         raise AssertionError(
@@ -584,6 +585,24 @@ def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
 
 
 @cache
+def _kind_b_run(u: int, b: int) -> tuple:
+    """(letters unpinned, least letters pinned or None, walls unpinned,
+    walls pinned summed over the pins) of one run U_k B_k, given as masks."""
+    ulist, blist = _elements(u), _elements(b)
+    pins = u & b
+    # Pin p = max(U_k & B_k): pinning a smaller q puts a larger letter where q stood.
+    p = pins.bit_length() - 1
+    return (
+        ulist + blist,
+        tuple(e for e in ulist if e != p) + (p,) + tuple(e for e in blist if e != p)
+        if pins
+        else None,
+        factorial(len(ulist)) * factorial(len(blist)),
+        pins.bit_count() * factorial(len(ulist) - 1) * factorial(len(blist) - 1),
+    )
+
+
+@cache
 def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
     """The distinct kind-B inequalities, generated from chains of runs.
 
@@ -608,29 +627,8 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
     plus: list[int] = []
     minus: list[int] = []
 
-    @cache
-    def run(u: int, b: int) -> tuple:
-        """(letters unpinned, least letters pinned or None, walls unpinned,
-        walls pinned summed over the pins) of one run."""
-        ulist, blist = _elements(u), _elements(b)
-        pins = [p for p in ulist if b >> p & 1]
-        pinned = min(
-            (
-                tuple(e for e in ulist if e != p) + (p,)
-                + tuple(e for e in blist if e != p)
-                for p in pins
-            ),
-            default=None,
-        )
-        return (
-            ulist + blist,
-            pinned,
-            factorial(len(ulist)) * factorial(len(blist)),
-            len(pins) * factorial(len(ulist) - 1) * factorial(len(blist) - 1),
-        )
-
     def emit() -> None:
-        data = [run(u, b) for u, b in runs]
+        data = [_kind_b_run(u, b) for u, b in runs]
         pinnable = [k for k, (_, pinned, _, _) in enumerate(data) if pinned is not None]
         first = None
         walls = 0

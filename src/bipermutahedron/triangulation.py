@@ -22,6 +22,8 @@ then the splits of B, so the cone points sit at positions 0, 1 and 2.
 The affine projection pi1 sends a table (u, v, w) to (1 - u, 1 - v),
 mapping v_(S,T) to e_S + f_T and the three cone points into the span of
 e_E and f_E; pi1 restricts to a bijection on the affine hull of Delta^n.
+``_pi1`` is its one implementation: ``cover_locate`` projects with it, and
+``pi1_lattice_check`` certifies it on the lattice of that hull.
 Points are located in these 2n coordinates, where barycentric coordinates
 in T_B have an integer closed form (see ``_barycentric``).  A location is
 certified by ``_rebuild``, which sums each coefficient over its vertex's
@@ -64,22 +66,42 @@ class NegativeCoefficient(ArithmeticError):
     contradicting the covering property of the triangulation."""
 
 
+def _pi1(u: Sequence[int], v: Sequence[int], one: int) -> list[int]:
+    """pi1 of the table rows u and v, with ``one`` standing for 1: the row
+    (one - u, one - v) of 2n ints.  ``one = 0`` gives its linear part."""
+    return [one - x for x in u] + [one - x for x in v]
+
+
 def pi1_lattice_check(n: int) -> bool:
     """pi1 maps the direction lattice of Delta^n's affine hull onto the
     2n-dimensional integer lattice with determinant +-1.
 
     The affine hull consists of tables with unit column sums; its direction
-    lattice has basis (per column) u - w and v - w, mapping under the
-    linear part of pi1 to -e_i and -f_i.
+    lattice has basis (per column i) u_i - w_i and v_i - w_i, the
+    differences of the vertex tables of v_(E - i, E) and of v_(E, E - i)
+    from that of v_(E, E).  Each direction is mapped through the linear
+    part of ``_pi1``, so the determinant certifies the projection that
+    ``cover_locate`` uses.
     """
+    ground = range(1, n + 1)
+
+    def vertex_table(s: set[int], t: set[int]) -> list[list[int]]:
+        return [
+            [int(e not in s) for e in ground],
+            [int(e not in t) for e in ground],
+            [int(e in s and e in t) for e in ground],
+        ]
+
+    full = set(ground)
+    base = vertex_table(full, full)
     images = []
-    for i in range(n):
-        for row in (0, 1):
-            # Direction: +1 in (row, i), -1 in (2, i); linear pi1 negates
-            # rows 0 and 1 and ignores row 2.
-            image = [0] * (2 * n)
-            image[row * n + i] = -1
-            images.append(image)
+    for i in ground:
+        for s, t in ((full - {i}, full), (full, full - {i})):
+            du, dv, _dw = (
+                [a - b for a, b in zip(row, base_row)]
+                for row, base_row in zip(vertex_table(s, t), base)
+            )
+            images.append(_pi1(du, dv, 0))
     return det_int(images) in (1, -1)
 
 
@@ -143,7 +165,7 @@ def cover_locate(p: Table) -> LocatedPoint:
     # Once every column sums to 1, the denominators of w divide the lcm of
     # those of u and v, so den is the lcm of the denominators of pi1(p).
     u, v, _w = rows
-    numerators = [den - x for x in u] + [den - x for x in v]
+    numerators = _pi1(u, v, den)
     reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:
         raise TieOnBoundary(f"configuration reads as {reading}, not a bipermutation")

@@ -14,6 +14,7 @@ import pytest
 
 from bipermutahedron import deformation
 from bipermutahedron.combinatorics import (
+    _elements,
     _mask,
     _split_table,
     Bisequence,
@@ -676,9 +677,10 @@ def test_closed_form_terms_and_tree_edges_are_the_split_tables_objects(n):
 
 
 def test_the_walk_decodes_each_wall_once(monkeypatch):
-    # Each inequality, case, tree and oracle reads the wall's one decode:
-    # the pair parts of a kind-A wall and the doubled word of a kind-B wall,
-    # both once-elements doubled (the refinements double one each).
+    # Each inequality, case, tree, refinement and oracle reads the wall's
+    # one decode: the pair parts of a kind-A wall and the doubled word of a
+    # kind-B wall, both once-elements doubled.  Every doubled_word call is
+    # counted, so the refinements' chambers decode nothing of their own.
     calls = Counter()
     real_parts, real_word = deformation._kind_a_parts, deformation.doubled_word
 
@@ -687,15 +689,33 @@ def test_the_walk_decodes_each_wall_once(monkeypatch):
         return real_parts(seq)
 
     def doubled_word(letters, doubled):
-        doubled = tuple(doubled)
-        calls["B"] += len(doubled) == 2
+        calls["B"] += 1
         return real_word(letters, doubled)
 
     monkeypatch.setattr(deformation, "_kind_a_parts", kind_a_parts)
     monkeypatch.setattr(deformation, "doubled_word", doubled_word)
-    assert list(deformation.inequality_table_check(3)) == []
-    assert calls == Counter(wall.kind for wall in enumerate_walls(3))
-    assert calls == {"A": 144, "B": 36}
+    for n, counts in ((3, {"A": 144, "B": 36}), (4, {"A": 6480, "B": 1080})):
+        calls.clear()
+        assert list(deformation.inequality_table_check(n)) == []
+        assert calls == Counter(wall.kind for wall in enumerate_walls(n))
+        assert calls == counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_runs_largest_pin_gives_its_least_letters(n):
+    # The pinned letters of a run (U, B) are U - p ascending, p, B - p
+    # ascending; the generator takes p = max(U & B) for the least of them.
+    # The even numbers up to full are the nonempty subsets of {1..n}.
+    full = sum(1 << e for e in range(1, n + 1))
+    for u, b in product(range(2, full + 1, 2), repeat=2):
+        if not u & b:
+            continue
+        ulist, blist = _elements(u), _elements(b)
+        least = min(
+            tuple(e for e in ulist if e != p) + (p,) + tuple(e for e in blist if e != p)
+            for p in _elements(u & b)
+        )
+        assert deformation._kind_b_run(u, b)[1] == least
 
 
 def clear_tables():

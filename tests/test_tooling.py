@@ -8,7 +8,8 @@ eliminates; every public function and method has a caller outside the
 tests; the README's command line tour prints what it shows, and its Python
 blocks run; a support that reads S|T only through its size pair never
 reads the inequality table from the CLI; every private function and class
-is referenced outside its own definition."""
+is referenced outside its own definition; pi1 and a kind-B wall's doubled
+word are each applied in one place."""
 
 import ast
 import importlib
@@ -203,6 +204,31 @@ def test_bisubsets_are_built_in_two_places():
         "combinatorics._SplitTable.__missing__",
         "combinatorics.bisubset",
     ]
+
+
+def test_each_projection_and_decode_has_one_home():
+    # pi1 is applied by the point location and by the lattice certificate
+    # alike; a kind-B wall's doubled word is decoded by its cached property
+    # only; the wall tree sums its spine from the ray rows, looping over no
+    # split's sets.
+    assert sorted(call_sites(PACKAGE / "triangulation.py", "_pi1")) == [
+        "triangulation.cover_locate",
+        "triangulation.pi1_lattice_check",
+    ]
+    deformation_py = PACKAGE / "deformation.py"
+    assert call_sites(deformation_py, "doubled_word") == ["deformation.Wall.kind_b_word"]
+    tree = ast.parse(deformation_py.read_text(encoding="utf-8"))
+    (wall_tree,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "wall_tree"
+    ]
+    loops = [
+        node.iter.attr
+        for node in ast.walk(wall_tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Attribute)
+    ]
+    assert not {"left", "right"} & set(loops)
 
 
 def test_kernel_entries_check_their_entries_before_eliminating():

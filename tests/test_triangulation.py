@@ -121,6 +121,27 @@ def test_pi1_identifies_lattices(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_pi1_sends_each_vertex_table_to_its_ray_row(n):
+    for masks in _covering_pairs(n):
+        left, right = map(_elements, masks)
+        u, v, _w = _vertex_table(left, right, n)
+        assert triangulation._pi1(u, v, 1) == _vertex_pi1(left, right, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pi1_lattice_check_applies_pi1(monkeypatch, n):
+    # The check maps its directions through _pi1: a projection that reads v
+    # as u collapses the lattice, while a unimodular shear v -> v + u keeps
+    # it, since the check certifies the lattice map and not the formula.
+    real = triangulation._pi1
+    monkeypatch.setattr(triangulation, "_pi1", lambda u, v, one: real(u, u, one))
+    assert not pi1_lattice_check(n)
+    sheared = lambda u, v, one: real(u, [a + b for a, b in zip(v, u)], one)
+    monkeypatch.setattr(triangulation, "_pi1", sheared)
+    assert pi1_lattice_check(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_unimodularity(n):
     assert unimodularity_check(n)
 
