@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -22,6 +23,7 @@ from .combinatorics import (
     bipermutation_count,
     bisequence_to_multigraph,
     count_bipermutations_recursively,
+    descents,
     enumerate_bipermutations,
     enumerate_bisequences,
     multigraph_to_bisequence,
@@ -70,9 +72,8 @@ from .triangulation import (
 # decides feasibility.  A key that is not here accepts every n.
 _FORMULA = (200, "is above 200, the largest n whose f-vector the formula route computes")
 _BRUTEFORCE = (7, "is above 7, the largest n whose f-vector the brute-force route computes")
-_DESCENTS = (5, "has more bipermutations than the 113400 at n = 5, the largest n "
-                "whose words the descent route visits; use --method hfromf or "
-                "--method ehrhart")
+_DESCENTS = (8, "is above 8, the largest n whose B_n the descent route computes; "
+                "use --method hfromf or --method ehrhart")
 _INEQUALITIES = (6, "has more walls than the 37422000 at n = 6, the largest n "
                     "whose wall inequalities can be generated")
 _N_BOUNDS = {
@@ -288,11 +289,15 @@ def _cmd_quotient(args) -> int:
 
 def _suite_combinatorics(n: int, samples: int, seed: int | None) -> Iterator[str]:
     for m in range(1, n + 1):
-        if sum(1 for _ in enumerate_bipermutations(m)) != bipermutation_count(m):
+        per_word = Counter(map(descents, enumerate_bipermutations(m)))
+        if per_word.total() != bipermutation_count(m):
             yield f"bipermutation count at n={m} differs from (2n)!/2^n"
         if count_bipermutations_recursively(m) != bipermutation_count(m):
             yield f"recursive count at n={m} differs from (2n)!/2^n"
-        if not bieulerian_by_descents(m).is_palindromic():
+        poly = bieulerian_by_descents(m)
+        if per_word != Counter(dict(enumerate(poly.coefficients))):
+            yield f"descent histogram at n={m} differs from per-word descents"
+        if not poly.is_palindromic():
             yield f"descent histogram at n={m} is not palindromic"
 
 

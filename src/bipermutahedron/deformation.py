@@ -183,6 +183,8 @@ class Wall:
     @cached_property
     def kind_a_parts(self) -> tuple[int, int, int, int, int, int]:
         """A kind-A wall's decode (see ``combinatorics._kind_a_parts``)."""
+        if self.kind != "A":
+            raise KindMismatch("pair parts belong to kind A walls")
         return _kind_a_parts(self.bisequence)
 
     @cached_property

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .combinatorics import (
@@ -220,46 +220,34 @@ def h_from_f(f: Sequence[int], d: int) -> IntPolynomial:
 def bieulerian_by_descents(n: int) -> IntPolynomial:
     """B_n(x) as the descent histogram over all bipermutations.
 
-    One depth-first walk per once-letter k places the 2n - 1 letters of
-    every word, k at most once and every other letter at most twice, so
-    each bipermutation with once-letter k is visited exactly once.  A
-    letter is barred when it is a second occurrence, which is known as it
-    is placed, and each placement adds the descent rule's value for the
-    pair (previous letter, new letter) to a running count.
+    A transfer matrix (Stanley, *EC1* 4.7) per once-letter k, building no
+    word: a state is the slots left per letter (base 3, letter e at digit
+    e - 1) and the last letter with its bar flag (0 before the first), and
+    holds the descent histogram of its prefixes.  A second copy of a letter
+    other than k is barred; each step adds the descent rule's value.
 
     >>> bieulerian_by_descents(2).coefficients
     (1, 4, 1)
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    histogram = [0] * (2 * n - 1)
-    last = 2 * n - 2
-    # Token 2e + bar stands for letter e with its bar flag; token 0 for the
-    # empty start, which adds no descent.
-    tokens = [(e, bar) for e in range(1, n + 1) for bar in (False, True)]
+    histogram = zero = (0,) * (2 * n - 1)
     for k in range(1, n + 1):
-        step = [[0] * (2 * n + 2) for _ in range(2 * n + 2)]
-        for a, abar in tokens:
-            for b, bbar in tokens:
-                step[2 * a + abar][2 * b + bbar] = _is_descent(a, abar, b, bbar, k)
-        left = [2] * (n + 1)
-        left[k] = 1
-
-        def walk(pos: int, prev: int, count: int) -> None:
-            row = step[prev]
-            for e in range(1, n + 1):
-                slots = left[e]
-                if slots:
-                    token = 2 * e + (slots == 1 and e != k)
-                    if pos == last:
-                        histogram[count + row[token]] += 1
-                        continue
-                    left[e] = slots - 1
-                    walk(pos + 1, token, count + row[token])
-                    left[e] = slots
-
-        walk(0, 0, 0)
-    return IntPolynomial(tuple(histogram))
+        states = {(3**n - 1 - 3 ** (k - 1), 0, False): [1, *zero[1:]]}
+        for _ in range(2 * n - 1):
+            grown: dict[tuple[int, int, bool], list[int]] = {}
+            for (left, a, abar), counts in states.items():
+                for b in range(1, n + 1):
+                    slots = left // 3 ** (b - 1) % 3
+                    if slots:
+                        bbar = slots == 1 and b != k
+                        descent = a and _is_descent(a, abar, b, bbar, k)
+                        # Add this histogram, moved up one if the step descends.
+                        row = grown.setdefault((left - 3 ** (b - 1), b, bbar), [*zero])
+                        row[descent:] = map(add, row[descent:], counts)
+            states = grown
+        histogram = tuple(map(sum, zip(histogram, *states.values())))
+    return IntPolynomial(histogram)
 
 
 def bieulerian_by_ehrhart(n: int) -> IntPolynomial:

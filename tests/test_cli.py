@@ -524,7 +524,12 @@ def each_n(message, ns):
 PLANTED_DEFECTS = [
     pytest.param(
         "combinatorics", 2, cli, "enumerate_bipermutations", one_short,
-        each_n("combinatorics: bipermutation count at n={m} differs from (2n)!/2^n", (1, 2)),
+        [
+            "combinatorics: bipermutation count at n=1 differs from (2n)!/2^n",
+            "combinatorics: descent histogram at n=1 differs from per-word descents",
+            "combinatorics: bipermutation count at n=2 differs from (2n)!/2^n",
+            "combinatorics: descent histogram at n=2 differs from per-word descents",
+        ],
         id="combinatorics-count",
     ),
     pytest.param(
@@ -533,9 +538,19 @@ PLANTED_DEFECTS = [
         id="combinatorics-recursive",
     ),
     pytest.param(
+        "combinatorics", 2, cli, "descents", answers(0),
+        ["combinatorics: descent histogram at n=2 differs from per-word descents"],
+        id="combinatorics-histogram",
+    ),
+    pytest.param(
         "combinatorics", 2, cli, "bieulerian_by_descents",
         answers(polynomials.IntPolynomial((1, 2))),
-        each_n("combinatorics: descent histogram at n={m} is not palindromic", (1, 2)),
+        [
+            "combinatorics: descent histogram at n=1 differs from per-word descents",
+            "combinatorics: descent histogram at n=1 is not palindromic",
+            "combinatorics: descent histogram at n=2 differs from per-word descents",
+            "combinatorics: descent histogram at n=2 is not palindromic",
+        ],
         id="combinatorics-palindrome",
     ),
     pytest.param(
@@ -797,15 +812,15 @@ class TestInfeasibleN:
 
     @pytest.fixture
     def no_bieulerian_route(self, monkeypatch):
-        # A missing guard then fails at once instead of walking the 7,484,400
-        # words at n = 6.
+        # A missing guard then fails at once instead of running a B_n route
+        # past its bound.
         def refuse(*args, **kwargs):
             raise RuntimeError("a B_n route ran")
 
         for name in ("bieulerian_by_descents", "bieulerian_by_ehrhart", "f_vector_formula"):
             monkeypatch.setattr(cli, name, refuse)
 
-    @pytest.mark.parametrize("n", ["6", "100000"])
+    @pytest.mark.parametrize("n", ["9", "100000"])
     @pytest.mark.parametrize(
         "method",
         [[], ["--method", "all"], ["--method", "descents"]],
@@ -817,9 +832,8 @@ class TestInfeasibleN:
         code, out, err = run_cli(capsys, "bieulerian", "--n", n, *method)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: n = {n} has more bipermutations than the 113400 at n = 5, "
-            "the largest n whose words the descent route visits; use --method "
-            "hfromf or --method ehrhart\n"
+            f"error: n = {n} is above 8, the largest n whose B_n the descent "
+            "route computes; use --method hfromf or --method ehrhart\n"
         )
 
     @pytest.mark.parametrize(
@@ -829,6 +843,8 @@ class TestInfeasibleN:
             ["--n", "5", "--method", "descents"],
             ["--n", "6", "--method", "hfromf"],
             ["--n", "200", "--method", "ehrhart"],
+            ["--n", "8"],
+            ["--n", "8", "--method", "descents"],
         ],
     )
     def test_bieulerian_routes_not_refused(self, no_bieulerian_route, argv):
@@ -848,13 +864,13 @@ class TestInfeasibleN:
 
     def test_bieulerian_refusal_has_no_traceback(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "bipermutahedron.cli", "bieulerian", "--n", "6"],
+            [sys.executable, "-m", "bipermutahedron.cli", "bieulerian", "--n", "9"],
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: n = 6 has more bipermutations")
+        assert proc.stderr.startswith("error: n = 9 is above 8")
         assert "Traceback" not in proc.stderr
 
     @pytest.fixture
@@ -1237,6 +1253,19 @@ def test_installed_console_script_runs():
         check=True,
     )
     assert result.stdout.splitlines() == ["# bipermutahedron 0.1.0 seed=none", "1,6,6"]
+
+
+def test_package_runs_as_a_module(capsys):
+    argv = ["bieulerian", "--n", "3", "--format", "text"]
+    result = subprocess.run(
+        [sys.executable, "-m", "bipermutahedron", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, err)
 
 
 def test_module_invocation_runs():

@@ -96,6 +96,13 @@ class TestWallValidation:
         with pytest.raises(KindMismatch, match="kind A"):
             Wall(seq)
 
+    def test_each_decode_refuses_the_other_kind(self):
+        # Both cached decodes raise KindMismatch on a wall of the other kind.
+        with pytest.raises(KindMismatch, match="kind A"):
+            wall_from("1|1|2|3", 3).kind_a_parts
+        with pytest.raises(KindMismatch, match="kind B"):
+            wall_from("12|1|2|3", 3).kind_b_word
+
 
 class TestEnumeration:
     def test_order_at_n2(self):

@@ -1,5 +1,7 @@
 """Face numbers, biEulerian polynomials, and the sweep orientation."""
 
+import ast
+import inspect
 import re
 from collections import Counter
 
@@ -112,6 +114,40 @@ def test_bieulerian_n5_cross_route_only():
     c = bieulerian_by_ehrhart(5)
     assert a == b == c
     assert a.evaluate(1) == bipermutation_count(5)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_descent_route_matches_ehrhart_up_to_its_bound(n):
+    # 7,484,400 words at n = 6 and 81,729,648,000 at n = 8: past the
+    # per-word check, the Ehrhart route and the Sturm certificate hold it.
+    poly = bieulerian_by_descents(n)
+    assert poly == bieulerian_by_ehrhart(n)
+    assert real_root_check(poly) == "real-rooted"
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_descent_route_steps_fewer_times_than_there_are_words(monkeypatch, n):
+    # One descent-rule call per step between states (1,224 at n = 4, 7,560
+    # at n = 5), fewer than the words; at n = 3 the 156 steps outnumber the
+    # 90 words.
+    real = invariants._is_descent
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "_is_descent", counted)
+    poly = bieulerian_by_descents.__wrapped__(n)
+    assert poly == bieulerian_by_ehrhart(n)
+    assert 0 < len(calls) < bipermutation_count(n)
+
+
+def test_descent_route_defines_no_walk():
+    # The route is one loop over states: no nested function, so no recursion.
+    route = ast.parse(inspect.getsource(bieulerian_by_descents.__wrapped__)).body[0]
+    functions = (ast.FunctionDef, ast.Lambda)
+    assert [node for node in ast.walk(route) if isinstance(node, functions)] == [route]
 
 
 def test_ehrhart_and_h_from_f_agree_through_n12():
