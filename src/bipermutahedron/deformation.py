@@ -512,7 +512,7 @@ class _TableEntry:
         return Wall(Bisequence(tuple(map(frozenset, self.parts)), n))
 
     def value(self, v: list[int]) -> int:
-        """L * I(h), for v, L = _scaled_support(h, n)."""
+        """L * I(h), for h's scaled row (v, L) from :func:`_scaled_walk`."""
         return sum(map(v.__getitem__, self.plus)) - sum(map(v.__getitem__, self.minus))
 
 
@@ -793,14 +793,6 @@ def inequality_table_check(n: int) -> Iterator[str]:
         yield "the generated wall inequalities differ from the wall walk"
 
 
-def _scaled_support(h: SupportFunction, n: int) -> tuple[list[int], int]:
-    """h's values in all_bisubsets(n) order as integers over L, and L, the
-    lcm of their denominators."""
-    if h.n != n:
-        raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
-    return _scaled_integers([h[bs] for bs in _bisubset_order(n)])
-
-
 def _symmetric(v: list[int], n: int) -> bool:
     """Whether a scaled support is constant on size pairs.
 
@@ -813,6 +805,19 @@ def _symmetric(v: list[int], n: int) -> bool:
     return len(set(zip(ids, v))) == len(set(ids))
 
 
+def _scaled_walk(*supports: SupportFunction) -> tuple[Iterator[_TableEntry], list]:
+    """The entries the queries walk, size classes if every support is constant
+    on size pairs and else the table, and each support's values in
+    all_bisubsets(n) order as ints v over L, the lcm of their denominators."""
+    n = supports[0].n
+    for h in supports:
+        if h.n != n:
+            raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
+    rows = [_scaled_integers([h[bs] for bs in _bisubset_order(n)]) for h in supports]
+    symmetric = all(_symmetric(v, n) for v, _ in rows)
+    return (_size_classes(n) if symmetric else _inequality_table(n)), rows
+
+
 @dataclass(frozen=True)
 class NefVerdict:
     passed: bool
@@ -823,9 +828,8 @@ class NefVerdict:
         return self.passed
 
 
-def _cone_check(h: SupportFunction, n: int, strict: bool) -> NefVerdict:
-    v, scale = _scaled_support(h, n)
-    steps = _size_classes(n) if _symmetric(v, n) else _inequality_table(n)
+def _cone_check(h: SupportFunction, strict: bool) -> NefVerdict:
+    steps, ((v, scale),) = _scaled_walk(h)
     for step in steps:
         value = step.value(v)
         if value < 0 or (strict and value == 0):
@@ -833,14 +837,14 @@ def _cone_check(h: SupportFunction, n: int, strict: bool) -> NefVerdict:
     return NefVerdict(True, None, None)
 
 
-def is_nef(h: SupportFunction, n: int) -> NefVerdict:
+def is_nef(h: SupportFunction) -> NefVerdict:
     """Weak wall-crossing inequalities: I(h) >= 0 on every wall."""
-    return _cone_check(h, n, strict=False)
+    return _cone_check(h, strict=False)
 
 
-def is_ample(h: SupportFunction, n: int) -> NefVerdict:
+def is_ample(h: SupportFunction) -> NefVerdict:
     """Strict wall-crossing inequalities: I(h) > 0 on every wall."""
-    return _cone_check(h, n, strict=True)
+    return _cone_check(h, strict=True)
 
 
 def kind_a_case(wall: Wall) -> str:
@@ -873,10 +877,9 @@ class WallValueTable:
         return min(self.kind_b)
 
 
-def wall_value_table(h: SupportFunction, n: int) -> WallValueTable:
+def wall_value_table(h: SupportFunction) -> WallValueTable:
     """Evaluate I(h) on every wall, grouped by kind and case."""
-    v, scale = _scaled_support(h, n)
-    steps = _size_classes(n) if _symmetric(v, n) else _inequality_table(n)
+    steps, ((v, scale),) = _scaled_walk(h)
     # The scaled values are counted as ints, and each distinct one is
     # divided by the scale once, in the order the values first occur.
     counts: dict[str | None, Counter] = {case: Counter() for case in ("i", "ii", "iii", None)}
@@ -887,7 +890,7 @@ def wall_value_table(h: SupportFunction, n: int) -> WallValueTable:
         for case, counter in counts.items()
     }
     kind_b = kind_a.pop(None)
-    return WallValueTable(n=n, kind_a=kind_a, kind_b=kind_b)
+    return WallValueTable(n=h.n, kind_a=kind_a, kind_b=kind_b)
 
 
 @dataclass(frozen=True)
@@ -904,23 +907,19 @@ class QuotientResult:
     witness: str | None
 
 
-def minkowski_quotient(
-    p: SupportFunction, q: SupportFunction, n: int
-) -> QuotientResult:
+def minkowski_quotient(p: SupportFunction, q: SupportFunction) -> QuotientResult:
     """The largest lambda such that lambda * Q is a Minkowski summand of P.
 
     P - lambda Q stays nef exactly while lambda <= I(P)/I(Q) on every wall
     with I(Q) > 0, so the quotient is the minimum of those ratios.  P must
-    be nef.
+    be nef, and P and Q supports for one n.
     """
-    pv, p_scale = _scaled_support(p, n)
-    qv, q_scale = _scaled_support(q, n)
+    steps, ((pv, p_scale), (qv, q_scale)) = _scaled_walk(p, q)
     # The ratio at an entry is (ip / p_scale) / (iq / q_scale); the scales are
     # common to all entries, so ip / iq is compared by cross-multiplication.
     best: tuple[int, int] | None = None
     witness: _TableEntry | None = None
-    symmetric = _symmetric(pv, n) and _symmetric(qv, n)
-    for step in _size_classes(n) if symmetric else _inequality_table(n):
+    for step in steps:
         ip, iq = step.value(pv), step.value(qv)
         if ip < 0:
             raise ValueError(

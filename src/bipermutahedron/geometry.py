@@ -31,7 +31,7 @@ from functools import cache
 from math import comb, factorial, gcd
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
     Bipermutation,
@@ -398,12 +398,13 @@ def symmetry_checks(n: int) -> SymmetryReport:
 HYPERPLANE_TYPES = (1, 2, 3, 4)
 
 
-def _wall_normal(splits: Iterable[Bisubset], n: int) -> tuple[int, ...]:
+def _wall_normal(splits: Sequence[Bisubset]) -> tuple[int, ...]:
+    n = splits[0].n
     table = _ray_rows(n)
     return tuple(nullspace_normal([table[bs] for bs in splits] + _lineality_rows(n)))
 
 
-def classify_wall_normal(normal: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
+def classify_wall_normal(normal: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Classify a primitive wall normal into one of the four hyperplane types.
 
     Returns (type, signature) where the signature pins down the hyperplane:
@@ -412,8 +413,10 @@ def classify_wall_normal(normal: Sequence[int], n: int) -> tuple[int, tuple[int,
     z_i - z_k = w_k - w_j.  Indices inside the signature are sorted for
     types 1-3 and ordered (i, j, k) for type 4.
     """
-    top = normal[:n]
-    bottom = normal[n:]
+    n, odd = divmod(len(normal), 2)
+    if odd:
+        raise ValueError(f"a wall normal has 2n entries, got {len(normal)}")
+    top, bottom = normal[:n], normal[n:]
     tp = [i + 1 for i in range(n) if top[i] > 0]
     tm = [i + 1 for i in range(n) if top[i] < 0]
     bp_ = [i + 1 for i in range(n) if bottom[i] > 0]
@@ -446,13 +449,12 @@ def structural_wall_type(seq: Bisequence) -> tuple[int, tuple[int, ...]]:
     barred gives w_a = w_b (type 3), and a unbarred with b barred gives
     z_a - z_k = w_k - w_b (type 4, signature (a, b, k)).  If k itself lies
     in the pair its own quantity is zero, so its partner's bar status picks
-    type 2 or type 3 with signature (partner, k).
+    type 2 or type 3 with signature (partner, k).  Non-walls raise ValueError.
     """
+    if len(seq.parts) != 2 * seq.n - 2:
+        raise ValueError(f"a wall bisequence needs {2 * seq.n - 2} parts")
     if all(len(part) == 1 for part in seq.parts):
-        singles = tuple(sorted(seq.single_elements()))
-        if len(singles) != 2:
-            raise AssertionError("kind B wall needs exactly two once-elements")
-        return 1, singles
+        return 1, tuple(sorted(seq.single_elements()))
     # A pair element is barred when it occurred before the pair part, in S,
     # whose mask s has bit e for element e.
     _, a, b, s, _, k = _kind_a_parts(seq)
@@ -510,7 +512,7 @@ def hyperplane_face_counts(n: int) -> HyperplaneCountReport:
     for seq in enumerate_wall_bisequences(n):
         total += 1
         label = structural_wall_type(seq)
-        if classify_wall_normal(_wall_normal(splits_of(seq), n), n) != label:
+        if classify_wall_normal(_wall_normal(splits_of(seq))) != label:
             agrees = False
         tally[label] += 1
     counts_by_type: dict[int, set[int]] = {t: set() for t in HYPERPLANE_TYPES}

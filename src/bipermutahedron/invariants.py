@@ -139,23 +139,20 @@ class TruncatedBiseries:
                 if value < 0:
                     raise ValueError("biseries counts must be nonnegative")
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        d, n = key
-        return self.counts[d][n]
 
-
-def _cone_count_biseries(max_d: int, max_n: int) -> TruncatedBiseries:
-    """Expand F(x, e^y) / e^x where F(a, b) = sum_d a^d b^C(d,2) / d!.
+def _cone_count_biseries(max_n: int) -> TruncatedBiseries:
+    """Expand F(x, e^y) / e^x where F(a, b) = sum_d a^d b^C(d,2) / d!,
+    through y^max_n and x^(2 max_n): n edges cover at most 2n vertices.
 
     F(x, e^y) has coefficient C(d,2)^j / (d! j!) at x^d y^j; dividing by
     e^x convolves with (-1)^i / i! along the x direction.
     """
     inner = [
         [Fraction(comb(d, 2) ** j, factorial(d) * factorial(j)) for j in range(max_n + 1)]
-        for d in range(max_d + 1)
+        for d in range(2 * max_n + 1)
     ]
     table = []
-    for d in range(max_d + 1):
+    for d in range(2 * max_n + 1):
         row = []
         for j in range(max_n + 1):
             value = sum(
@@ -176,20 +173,19 @@ def _cone_count_biseries(max_d: int, max_n: int) -> TruncatedBiseries:
     return TruncatedBiseries(tuple(table))
 
 
-def f_generating_check(max_n: int, max_d: int) -> bool:
+def f_generating_check(max_n: int) -> bool:
     """Verify that d! n! [x^d y^n] (F(x, e^y)/e^x) counts the fan's cones.
 
     The reference values are the multigraph counts, so together with
     :func:`f_vector_formula` this closes a three-way loop.
 
-    >>> f_generating_check(4, 8)
+    >>> f_generating_check(4)
     True
     """
-    series = _cone_count_biseries(max_d, max_n)
     return all(
-        series[d, j] == multigraph_count(d, j)
-        for d in range(max_d + 1)
-        for j in range(max_n + 1)
+        count == multigraph_count(d, j)
+        for d, row in enumerate(_cone_count_biseries(max_n).counts)
+        for j, count in enumerate(row)
     )
 
 

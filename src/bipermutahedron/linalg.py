@@ -30,7 +30,7 @@ All three entries raise ``TypeError`` on an entry that is not an ``int``
 and ``ValueError`` on rows of the wrong shape.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
-``deformation._scaled_support`` and ``triangulation.cover_locate`` call it
+``deformation._scaled_walk`` and ``triangulation.cover_locate`` call it
 to bring rational data onto integers before any integer code sees it.
 """
 

@@ -143,28 +143,30 @@ class LocatedPoint:
 def cover_locate(p: Table) -> LocatedPoint:
     """Locate a rational point of Delta^n in the triangulation.
 
-    The 3 x n table is checked and projected on integer numerators over
-    the lcm of its denominators.  Reads the candidate bipermutation off the
-    configuration pi1(p) and writes pi1(p) in the barycentric basis of its
-    simplex in closed form (see ``_barycentric``).  The answer is certified
-    by rebuilding pi1(p) from the coefficients and the splits of the
-    bipermutation in integers (see ``_rebuild``).
+    The table is checked to be 3 x n with n >= 1, then checked and projected
+    on integer numerators over the lcm of its denominators.  Reads the
+    candidate bipermutation off the configuration pi1(p) and writes pi1(p)
+    in the barycentric basis of its simplex in closed form (see
+    ``_barycentric``).  The answer is certified by rebuilding pi1(p) from
+    the coefficients and the splits of the bipermutation in integers (see
+    ``_rebuild``).
 
     Raises TieOnBoundary when the configuration reading is coarser than a
     bipermutation (the caller re-samples), and NegativeCoefficient if any
     barycentric coordinate is negative, which would disprove covering.
     """
-    n = len(p[0])
+    n = len(p[0]) if len(p) == 3 else 0
+    if not n or len(p[1]) != n or len(p[2]) != n:
+        raise ValueError("a point of Delta^n is a table of three rows of one length n >= 1")
     cells, den = _scaled_integers([x for row in p for x in row])
-    rows = [cells[r * n : (r + 1) * n] for r in range(len(p))]
-    for column in zip(*rows):
+    u, v, w = (cells[r * n : (r + 1) * n] for r in range(3))
+    for column in zip(u, v, w):
         if sum(column) != den:
             raise ValueError("columns of a point of Delta^n must sum to 1")
         if min(column) < 0:
             raise ValueError("points of Delta^n have nonnegative entries")
     # Once every column sums to 1, the denominators of w divide the lcm of
     # those of u and v, so den is the lcm of the denominators of pi1(p).
-    u, v, _w = rows
     numerators = _pi1(u, v, den)
     reading = bisequence_of_configuration(numerators[:n], numerators[n:])
     if len(reading.parts) != 2 * n - 1:

@@ -122,7 +122,7 @@ def test_criterion_03_sweep(verdict):
 
 def test_criterion_04_generating_function(verdict):
     def body():
-        assert f_generating_check(max_n=4, max_d=8)
+        assert f_generating_check(max_n=4)
 
     timed(verdict, 4, "exponential series matches face counts d<=8 n<=4", 5.0, body)
 
@@ -171,8 +171,8 @@ def test_criterion_08_wall_inequalities(verdict):
                     wall_inequality(wall), generic_wallcross_oracle(wall)
                 )
         for n in range(2, 5):
-            biperm = wall_value_table(named_support("biperm", n), n)
-            harmonic = wall_value_table(named_support("harmonic", n), n)
+            biperm = wall_value_table(named_support("biperm", n))
+            harmonic = wall_value_table(named_support("harmonic", n))
             expected_cases = {"iii"} if n == 2 else {"i", "ii", "iii"}
             for case, value in (("i", 2), ("ii", 2), ("iii", 4)):
                 observed = set(biperm.kind_a_values(case))
@@ -190,7 +190,7 @@ def test_criterion_09_minkowski_quotient(verdict):
     def body():
         for n in range(2, 5):
             result = minkowski_quotient(
-                named_support("biperm", n), named_support("harmonic", n), n
+                named_support("biperm", n), named_support("harmonic", n)
             )
             assert result.status == "ok"
             assert result.value == 2

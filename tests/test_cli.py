@@ -195,6 +195,18 @@ class TestCoefficientReports:
         assert (code, err) == (0, "")
         assert out == f"# bipermutahedron 0.1.0 seed=none\n{line}\n"
 
+    def test_bieulerian_route_disagreement_is_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            cli._BIEULERIAN_ROUTES, "hfromf", lambda n: polynomials.IntPolynomial((1, 5))
+        )
+        code, out, err = run_cli(capsys, "bieulerian", "--n", "2", "--method", "all")
+        assert (code, out) == (1, "")
+        assert err == (
+            "route disagreement: the descent, h-from-f, and Ehrhart routes must "
+            "all produce the same biEulerian polynomial, got descents=[1, 4, 1]; "
+            "hfromf=[1, 5]; ehrhart=[1, 4, 1]\n"
+        )
+
 
 class TestExitCodes:
     def test_ample_failure_is_exit_one(self, capsys):
@@ -483,10 +495,10 @@ def biperm_table(**changes):
     """wall_value_table, with ``changes`` made to the bipermutahedron's."""
 
     def stub(real):
-        def table(h, n):
-            if h == named_support("biperm", n):
-                return dataclasses.replace(real(h, n), **changes)
-            return real(h, n)
+        def table(h):
+            if h == named_support("biperm", h.n):
+                return dataclasses.replace(real(h), **changes)
+            return real(h)
 
         return table
 
@@ -494,10 +506,10 @@ def biperm_table(**changes):
 
 
 def harmonic_kind_b(real):
-    def table(h, n):
-        if h == named_support("harmonic", n):
-            return dataclasses.replace(real(h, n), kind_b=Counter({Fraction(2): 1}))
-        return real(h, n)
+    def table(h):
+        if h == named_support("harmonic", h.n):
+            return dataclasses.replace(real(h), kind_b=Counter({Fraction(2): 1}))
+        return real(h)
 
     return table
 
@@ -513,6 +525,19 @@ def reversed_oracle(real):
 def with_case_ii(value):
     kind_a = {"i": Counter({2: 1}), "ii": Counter({value: 1}), "iii": Counter({4: 1})}
     return biperm_table(kind_a=kind_a)
+
+
+def wrong_first_label(real):
+    """classify_wall_normal with the first wall's type changed, so that only
+    the two routes of hyperplane_face_counts disagree."""
+    calls = []
+
+    def classify(normal):
+        calls.append(normal)
+        kind, signature = real(normal)
+        return (kind % 4 + 1 if len(calls) == 1 else kind), signature
+
+    return classify
 
 
 def each_n(message, ns):
@@ -605,6 +630,11 @@ PLANTED_DEFECTS = [
         lambda real: lambda m: dataclasses.replace(real(m), negation_is_automorphism=True),
         ["geometry: negation unexpectedly preserves the fan at n=3"],
         id="geometry-negation",
+    ),
+    pytest.param(
+        "geometry", 3, geometry, "classify_wall_normal", wrong_first_label,
+        ["geometry: hyperplane face counts differ from the closed forms"],
+        id="geometry-hyperplane-routes",
     ),
     pytest.param(
         "geometry", 3, cli, "hyperplane_face_counts", answers(SimpleNamespace(passed=False)),

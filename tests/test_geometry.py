@@ -10,6 +10,7 @@ from bipermutahedron.combinatorics import (
     bisubset,
     enumerate_bipermutations,
     parse_bipermutation,
+    parse_bisequence,
 )
 from bipermutahedron.geometry import (
     SupportFunction,
@@ -17,12 +18,14 @@ from bipermutahedron.geometry import (
     biperm_support,
     biperm_support_function,
     canonical_ray,
+    classify_wall_normal,
     facet_check,
     facets_json,
     harmonic_support,
     harmonic_support_function,
     hyperplane_face_counts,
     ray_vector,
+    structural_wall_type,
     symmetry_checks,
     vertex_of_bipermutation,
     vertices_json,
@@ -147,7 +150,7 @@ def test_support_function_keeps_a_read_only_copy_of_its_table():
     assert h[bs] == Fraction(5, 3)
     assert len(h.values) == 24
     assert geometry.biperm_support_function(3) != h
-    assert deformation.is_nef(h, 3).passed is False
+    assert deformation.is_nef(h).passed is False
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", True, None], ids=repr)
@@ -276,6 +279,22 @@ def test_hyperplane_face_counts(n):
         report.per_hyperplane[t] * hyperplanes[t] for t in (1, 2, 3, 4)
     )
     assert total_walls == {2: 6, 3: 180}[n]
+
+
+@pytest.mark.parametrize(
+    ("word", "n", "parts"),
+    [("12|12|3", 3, 4), ("12|3|4|12|3", 4, 6), ("1|1|2", 2, 2), ("12", 2, 2)],
+)
+def test_structural_wall_type_refuses_a_face_that_is_not_a_wall(word, n, parts):
+    with pytest.raises(ValueError, match=f"^a wall bisequence needs {parts} parts$"):
+        structural_wall_type(parse_bisequence(word, n))
+
+
+def test_classify_wall_normal_reads_n_off_the_row():
+    assert classify_wall_normal((1, -1, 0, 0)) == (2, (1, 2))
+    assert classify_wall_normal((0, 0, 0, 1, 0, -1)) == (3, (1, 3))
+    with pytest.raises(ValueError, match="^a wall normal has 2n entries, got 5$"):
+        classify_wall_normal((1, -1, 0, 0, 0))
 
 
 def test_biperm_support_function_matches_vertex_minima():

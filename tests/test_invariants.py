@@ -72,7 +72,7 @@ def test_chamber_count_equals_bipermutations(n):
 
 
 def test_generating_function_reproduces_f_vectors():
-    assert f_generating_check(4, 8)
+    assert f_generating_check(4)
 
 
 def test_truncated_biseries_rejects_negative_counts():

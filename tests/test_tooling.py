@@ -9,11 +9,13 @@ tests; the README's command line tour prints what it shows, and its Python
 blocks run; a support that reads S|T only through its size pair never
 reads the inequality table from the CLI; every private function and class
 is referenced outside its own definition; pi1 and a kind-B wall's doubled
-word are each applied in one place."""
+word are each applied in one place, and a cone query's walk is chosen in
+one; no query takes an n that its inputs already fix."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import random
 import re
 import shlex
@@ -22,7 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from bipermutahedron import cli, deformation, geometry
+from bipermutahedron import cli, deformation, geometry, invariants
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -229,6 +231,34 @@ def test_each_projection_and_decode_has_one_home():
         and isinstance(node.iter, ast.Attribute)
     ]
     assert not {"left", "right"} & set(loops)
+    # The cone queries' shared helper picks their walk: the size classes are
+    # read only there, and the table there and by the walk that checks it.
+    assert call_sites(deformation_py, "_size_classes") == ["deformation._scaled_walk"]
+    assert sorted(call_sites(deformation_py, "_inequality_table")) == [
+        "deformation._scaled_walk",
+        "deformation.inequality_table_check",
+    ]
+
+
+def test_queries_take_no_n_their_inputs_fix():
+    # A support knows its n, a wall normal has 2n entries, and the series
+    # behind the generating-function check needs 2n vertices for n edges.
+    queries = (
+        deformation.is_nef,
+        deformation.is_ample,
+        deformation.wall_value_table,
+        deformation.minkowski_quotient,
+        geometry.classify_wall_normal,
+        invariants.f_generating_check,
+    )
+    assert {f.__name__: list(inspect.signature(f).parameters) for f in queries} == {
+        "is_nef": ["h"],
+        "is_ample": ["h"],
+        "wall_value_table": ["h"],
+        "minkowski_quotient": ["p", "q"],
+        "classify_wall_normal": ["normal"],
+        "f_generating_check": ["max_n"],
+    }
 
 
 def test_kernel_entries_check_their_entries_before_eliminating():

@@ -530,3 +530,69 @@ def test_cover_locate_reports_a_negative_coefficient(monkeypatch):
         "point in the chamber of 1|2|1 has barycentric coefficient -4/21 < 0; "
         "the simplices would not cover Delta^n"
     )
+
+
+SHAPE_MESSAGE = "a point of Delta^n is a table of three rows of one length n >= 1"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # rows of lengths 2, 3 and 1; the columns that zip keeps sum to 1
+        ((F(1, 5), F(2, 7)), (F(1, 3), F(3, 7), F(7, 15)), (F(2, 7),)),
+        # rows of lengths 3, 1 and 2, which re-slice into an empty third row
+        ((F(1, 2), F(0), F(1)), (F(1, 2),), (F(0), F(1))),
+        # the shape is checked before any entry is read
+        (("x",), ("y", "z"), ()),
+        ((), (), ()),
+        ((F(1),), (F(0),)),
+        ((F(1),), (F(0),), (F(0),), (F(0),)),
+        (),
+    ],
+)
+def test_cover_locate_refuses_a_table_that_is_not_three_by_n(table):
+    with pytest.raises(ValueError) as excinfo:
+        cover_locate(table)
+    assert excinfo.type is ValueError
+    assert str(excinfo.value) == SHAPE_MESSAGE
+
+
+def test_cover_check_stops_at_five_negative_coefficients(monkeypatch):
+    calls = []
+
+    def negative(p):
+        calls.append(p)
+        raise triangulation.NegativeCoefficient(f"negative at call {len(calls)}")
+
+    monkeypatch.setattr(triangulation, "cover_locate", negative)
+    report = cover_check(2, 100, seed=3)
+    assert (report.passed, report.located, report.resampled) == (False, 0, 0)
+    assert report.failures == tuple(f"negative at call {k}" for k in range(1, 6))
+    assert len(calls) == 5
+
+
+def test_face_to_face_reports_an_interior_point_in_another_simplex(monkeypatch):
+    # Coefficients made non-negative leave the shared-support samples, whose
+    # coefficients are already non-negative, as they were, and put every
+    # interior sample inside its target simplex.
+    def non_negative(bp, point, weight):
+        return [abs(x) for x in _barycentric(bp, point, weight)]
+
+    monkeypatch.setattr(triangulation, "_barycentric", non_negative)
+    report = face_to_face_check(2, 4, seed=3)
+    assert not report.passed
+    assert len(report.failures) == 5
+    assert all(
+        failure.startswith("interior point of ") and " also lies in " in failure
+        for failure in report.failures
+    )
+
+
+def test_hstar_consistency_fails_when_the_direct_count_differs(monkeypatch):
+    def off_by_one(n):
+        counts = triangulation_f_vector_direct(n)
+        counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(triangulation, "triangulation_f_vector_direct", off_by_one)
+    assert hstar_consistency(2) is False
