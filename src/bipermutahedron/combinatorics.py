@@ -274,9 +274,6 @@ class Bipermutation:
     def __str__(self) -> str:
         return "|".join(str(e) for e in self.letters)
 
-    def to_bisequence(self) -> Bisequence:
-        return Bisequence(tuple(frozenset((e,)) for e in self.letters), self.n)
-
 
 def parse_bipermutation(text: str, n: int | None = None) -> Bipermutation:
     """Parse "2|3|4|2|4|1|1" into a bipermutation."""

@@ -975,15 +975,19 @@ def _digit_bound(limit: int) -> int:
     return 10**limit
 
 
+# The interpreter's default digit limit, which bounds exponent forms where
+# no limit is set (before Python 3.10.7 the attribute is missing).
+_DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
 def _support_value(text: str) -> Fraction:
     """``Fraction(text)``, but refused when its numerator or denominator has
     more digits than ``sys.get_int_max_str_digits()``, so that every value
     read can be printed.  A value in exponent form past the limit is refused
-    before its power of ten is built.  Before Python 3.10.7 there is no
-    limit."""
+    before its power of ten is built; where the interpreter sets no limit
+    (before Python 3.10.7, or with the limit set to 0) the exponent form
+    keeps to the default limit, and plain digits are read as they stand."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return Fraction(text)
     match = _EXPONENT_FORM.fullmatch(text) if "e" in text.lower() else None
     if match is None:
         value = Fraction(text)
@@ -994,10 +998,11 @@ def _support_value(text: str) -> Fraction:
         # The numerator (e > 0) or the denominator (e < 0) is at least
         # 10**|e| over the mantissa's other part, which is below 2**bits.
         bits = mantissa.numerator.bit_length() + mantissa.denominator.bit_length()
-        if abs(exponent) >= limit + bits:
-            raise _too_many_digits(limit)
+        guard = limit or _DEFAULT_DIGITS
+        if abs(exponent) >= guard + bits:
+            raise _too_many_digits(guard)
         value = mantissa * Fraction(10) ** exponent
-    if max(abs(value.numerator), value.denominator) >= _digit_bound(limit):
+    if limit and max(abs(value.numerator), value.denominator) >= _digit_bound(limit):
         raise _too_many_digits(limit)
     return value
 
@@ -1009,10 +1014,22 @@ def _too_many_digits(limit: int) -> ValueError:
     )
 
 
+def _side(text: str) -> frozenset[int]:
+    """The set of elements a side field such as ``"1,2,3"`` lists."""
+    return frozenset({int(x) for x in text.split(",") if x})
+
+
 def parse_support_csv(text: str, n: int) -> SupportFunction:
-    """Parse the CSV format; every bisubset must appear exactly once."""
+    """Parse the CSV format; every bisubset must appear exactly once.
+
+    Each distinct side text and each distinct value text is read once per
+    call, in two dicts, since ``"3"`` is {3} as a side and 3 as a value;
+    a text that fails to read is not kept, so every line is checked alike.
+    """
     # No bisubset exists below n = 1; bisubset() then names the error.
     known, order = _bisubset_index(max(n, 0)), _bisubset_order(max(n, 0))
+    sides: dict[str, frozenset[int]] = {}
+    numbers: dict[str, Fraction] = {}
     values: dict[Bisubset, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -1021,14 +1038,21 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
         fields = line.split(";")
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'S;T;value', got {raw!r}")
+        s, t, v = fields
         try:
-            left = {int(x) for x in fields[0].split(",") if x}
-            right = {int(x) for x in fields[1].split(",") if x}
-            value = _support_value(fields[2])
+            left = sides.get(s)
+            if left is None:
+                left = sides[s] = _side(s)
+            right = sides.get(t)
+            if right is None:
+                right = sides[t] = _side(t)
+            value = numbers.get(v)
+            if value is None:
+                value = numbers[v] = _support_value(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         # A Bisubset equals and hashes as the plain tuple (S, T, n).
-        k = known.get((frozenset(left), frozenset(right), n))
+        k = known.get((left, right, n))
         if k is not None:
             bs = order[k]
         else:

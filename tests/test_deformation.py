@@ -590,6 +590,69 @@ class TestSupportCsv:
             if limit:
                 sys.set_int_max_str_digits(limit)
 
+    def test_no_digit_limit_still_bounds_exponent_forms(self, monkeypatch):
+        # Where the interpreter sets no limit, an exponent form keeps to the
+        # default one, so no value builds a power of ten past it.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert self.first_value_read("1e4299") == 10**4299
+        with pytest.raises(ValueError) as excinfo:
+            self.first_value_read("1e100000")
+        assert str(excinfo.value) == (
+            "line 1: the value's numerator or denominator exceeds the limit "
+            "(4300 digits) for integer string conversion"
+        )
+
+    def test_a_side_text_and_a_value_text_are_read_apart(self):
+        # "3" is the set {3} in a side field and the number 3 in the value
+        # field, on one line.
+        lines = format_support_csv(named_support("biperm", 3)).splitlines()
+        text = "\n".join("3;1,2,3;3" if x.startswith("3;1,2,3;") else x for x in lines)
+        assert parse_support_csv(text, 3)[bisubset({3}, {1, 2, 3}, 3)] == 3
+
+    def test_a_respelled_side_is_still_a_duplicate(self):
+        with pytest.raises(ValueError) as excinfo:
+            parse_support_csv("1,2;1;0\n2,1;1;0", 2)
+        assert str(excinfo.value) == "line 2: duplicate bisubset 12|1"
+
+    def test_a_repeated_bad_value_is_named_at_its_first_line(self):
+        lines = format_support_csv(named_support("biperm", 2)).splitlines()
+        for i in (1, 4):
+            lines[i] = lines[i].rpartition(";")[0] + ";half"
+        with pytest.raises(ValueError) as excinfo:
+            parse_support_csv("\n".join(lines), 2)
+        assert str(excinfo.value) == "line 2: Invalid literal for Fraction: 'half'"
+
+    def test_reordered_and_spaced_fields_read_as_the_canonical_file(self):
+        h = named_support("harmonic", 3)
+        lines = []
+        for line in format_support_csv(h).splitlines():
+            s, t, v = (field.split(",") for field in line.split(";"))
+            lines.append(f" {', '.join(s[::-1])} ; {' ,'.join(t[::-1])} ; {v[0]} ")
+        canonical = parse_support_csv(format_support_csv(h), 3)
+        assert parse_support_csv("\n".join(lines), 3) == canonical == h
+
+    def test_each_distinct_text_is_read_once(self, monkeypatch):
+        # The harmonic support depends on S|T only through its size pair,
+        # so its n = 4 file of 78 lines holds 7 distinct values; its side
+        # fields spell the 15 nonempty subsets of {1..4}.
+        calls = Counter()
+        real_side, real_value = deformation._side, deformation._support_value
+
+        def side(text):
+            calls["side"] += 1
+            return real_side(text)
+
+        def support_value(text):
+            calls["value"] += 1
+            return real_value(text)
+
+        monkeypatch.setattr(deformation, "_side", side)
+        monkeypatch.setattr(deformation, "_support_value", support_value)
+        text = format_support_csv(named_support("harmonic", 4))
+        assert parse_support_csv(text, 4) == named_support("harmonic", 4)
+        assert len({line.rpartition(";")[2] for line in text.splitlines()}) == 7
+        assert calls == {"side": 15, "value": 7}
+
 
 # ------------------------------------------------------------ compiled table
 #

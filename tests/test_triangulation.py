@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from bipermutahedron.combinatorics import (
+    Bisequence,
     _covering_pairs,
     _elements,
     _split_table,
@@ -522,7 +523,7 @@ def test_cover_locate_reports_a_negative_coefficient(monkeypatch):
     monkeypatch.setattr(
         triangulation,
         "bisequence_of_configuration",
-        lambda z, w: parse_bipermutation("1|2|1").to_bisequence(),
+        lambda z, w: Bisequence((frozenset({1}), frozenset({2}), frozenset({1})), 2),
     )
     with pytest.raises(triangulation.NegativeCoefficient) as excinfo:
         cover_locate(p)
