@@ -227,7 +227,7 @@ def _cmd_walls(args) -> int:
 def _load_support(spec_text: str, n: int) -> SupportFunction:
     if spec_text in _NAMED_SUPPORTS:
         return named_support(spec_text, n)
-    with open(spec_text, "r", encoding="utf-8") as handle:
+    with open(spec_text, "r", encoding="utf-8-sig") as handle:
         return parse_support_csv(handle.read(), n)
 
 

@@ -149,8 +149,6 @@ def validate_bisequence(parts: Sequence[Iterable[int]], n: int) -> Bisequence:
 def bisubset(left: Iterable[int], right: Iterable[int], n: int) -> Bisubset:
     """Validate and build the bisubset S|T."""
     seq = validate_bisequence([left, right], n)
-    if seq.parts[0] == seq.parts[1]:
-        raise BisequenceError("the two parts of a bisubset must differ")
     return Bisubset(seq.parts[0], seq.parts[1], n)
 
 

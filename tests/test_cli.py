@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,6 +258,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: line 1: part 1 is empty\n"
 
+    def test_support_file_zero_denominator_names_its_value(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("1,2;1;1/0\n")
+        code, out, err = run_cli(capsys, "nef-check", "--n", "2", "--support", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: the value '1/0' has a zero denominator\n"
+
+    def test_negative_samples_are_exit_two(self, capsys):
+        code, out, err = run_catching_exit(
+            capsys, ["check", "--n", "2", "--samples", "-1", "--seed", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert "must be nonnegative" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -294,6 +308,30 @@ class TestSupportFiles:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize(
+        ("support", "argv"),
+        [
+            ("biperm", ["nef-check", "--support"]),
+            ("harmonic", ["nef-check", "--ample", "--support"]),
+            ("biperm", ["quotient", "--p"]),
+            ("harmonic", ["quotient", "--q", "biperm", "--p"]),
+            ("bad", ["nef-check", "--support"]),
+        ],
+        ids=["nef", "ample-fails", "quotient", "not-summand", "malformed"],
+    )
+    def test_a_leading_byte_order_mark_is_ignored(self, capsys, tmp_path, support, argv):
+        # Spreadsheet "CSV UTF-8" exports begin with one.
+        if support == "bad":
+            text = "1,2,3;1;0\n1,2,3;2;half\n"
+        else:
+            text = format_support_csv(named_support(support, 3))
+        path = tmp_path / "support.csv"
+        runs = []
+        for mark in ("", "\ufeff"):
+            path.write_text(mark + text, encoding="utf-8")
+            runs.append(run_cli(capsys, *argv, str(path), "--n", "3"))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == {"biperm": 0, "harmonic": 1, "bad": 2}[support]
 
     def test_a_third_named_support_needs_one_table_entry(self, capsys, monkeypatch):
         def doubled_biperm(n):
@@ -522,6 +560,35 @@ def reversed_oracle(real):
     return oracle
 
 
+def repeated_first_key(real):
+    def keys(masks):
+        built = real(masks)
+        return built[:1] + built[:-1]
+
+    return keys
+
+
+class ForgetfulQueue(deque):
+    """A breadth-first queue that drops every vertex appended to it."""
+
+    def append(self, item):
+        pass
+
+
+def shifted_rays(real):
+    return lambda n: {bs: (row[0] + 1, *row[1:]) for bs, row in real(n).items()}
+
+
+def doubled_coefficients(real):
+    def inequality(wall):
+        ineq = real(wall)
+        return WallInequality(
+            *(tuple((bs, 2 * c) for bs, c in side) for side in (ineq.plus, ineq.minus))
+        )
+
+    return inequality
+
+
 def with_case_ii(value):
     kind_a = {"i": Counter({2: 1}), "ii": Counter({value: 1}), "iii": Counter({4: 1})}
     return biperm_table(kind_a=kind_a)
@@ -544,8 +611,9 @@ def each_n(message, ns):
     return [message.format(m=m) for m in ns]
 
 
-# One planted defect per check leg: (suite, n, owner, attribute, stub made
-# from the real attribute, the exact failures reported).
+# One planted defect per check leg and per guard of the deformation walk:
+# (suite, n, owner, attribute, stub made from the real attribute, the exact
+# failures reported).
 PLANTED_DEFECTS = [
     pytest.param(
         "combinatorics", 2, cli, "enumerate_bipermutations", one_short,
@@ -696,6 +764,35 @@ PLANTED_DEFECTS = [
         answers(QuotientResult("ok", Fraction(3), "A:1|1|2|23")),
         ["deformation: the Minkowski quotient of the pair differs from 2"],
         id="deformation-quotient",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "_split_keys", repeated_first_key,
+        ["deformation: wall tree must have 2n vertices and 2n-1 edges"],
+        id="deformation-tree-size",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "deque", lambda real: ForgetfulQueue,
+        ["deformation: wall tree must be connected"],
+        id="deformation-tree-connected",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "_ray_rows", shifted_rays,
+        [
+            "deformation: closed-form inequality differs from the oracle at A:1|1|2|23",
+            "deformation: alternating spine sum must equal -(e_E + f_E), got "
+            "[-2, -1, -1, -1, -1, -1]",
+        ],
+        id="deformation-spine-sum",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "_switches", one_short,
+        ["deformation: switches must alternate, ends up"],
+        id="deformation-switches",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "wall_inequality", doubled_coefficients,
+        ["deformation: closed-form coefficients at A:1|1|2|23 must be 1"],
+        id="deformation-unit-coefficients",
     ),
 ]
 

@@ -103,6 +103,29 @@ class TestWallValidation:
         with pytest.raises(KindMismatch, match="kind B"):
             wall_from("12|1|2|3", 3).kind_b_word
 
+    @pytest.mark.parametrize(
+        ("construction", "kind"),
+        [
+            (supermodular_inequality, "A"),
+            (kind_a_case, "A"),
+            (updown_inequality, "B"),
+            (wall_tree, "B"),
+            (updown_value_by_segments, "B"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_each_kind_specific_construction_refuses_the_other_kind(
+        self, construction, kind
+    ):
+        # Refused by the decode each reads before any other work.
+        other = wall_from("1|1|2|3" if kind == "A" else "12|1|2|3", 3)
+        with pytest.raises(KindMismatch, match=f"kind {kind}"):
+            construction(other)
+
+    def test_a_bisubset_with_equal_sides_is_refused_by_validation(self):
+        with pytest.raises(NoSingleOccurrence, match="every element appears twice"):
+            bisubset({1, 2}, {1, 2}, 2)
+
 
 class TestEnumeration:
     def test_order_at_n2(self):
@@ -569,6 +592,14 @@ class TestSupportCsv:
             self.first_value_read(at_limit + "9")
         assert str(excinfo.value).startswith(
             "line 1: the value's numerator or denominator exceeds the limit"
+        )
+
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0", " 1/0 "])
+    def test_a_zero_denominator_is_refused_by_name(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            self.first_value_read(value)
+        assert str(excinfo.value) == (
+            f"line 1: the value {value.strip()!r} has a zero denominator"
         )
 
     def test_zero_mantissa_builds_no_power_of_ten(self):

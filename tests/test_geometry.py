@@ -297,6 +297,24 @@ def test_classify_wall_normal_reads_n_off_the_row():
         classify_wall_normal((1, -1, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "normal",
+    [
+        pytest.param((2, -2, 0, 0), id="entry-above-one"),
+        pytest.param((1, 1, -1, -1), id="sign-pattern-of-no-type"),
+    ],
+)
+def test_classify_wall_normal_refuses_a_normal_of_no_type(normal):
+    with pytest.raises(ValueError) as excinfo:
+        classify_wall_normal(normal)
+    assert str(excinfo.value) == f"unrecognized wall normal {normal}"
+
+
+def test_hyperplane_face_counts_refuses_n1():
+    with pytest.raises(ValueError, match="^hyperplane classification needs n >= 2$"):
+        hyperplane_face_counts(1)
+
+
 def test_biperm_support_function_matches_vertex_minima():
     # the support value must be the minimum of the pairing over vertices
     n = 3

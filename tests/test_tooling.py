@@ -10,7 +10,8 @@ blocks run; a support that reads S|T only through its size pair never
 reads the inequality table from the CLI; every private function and class
 is referenced outside its own definition; pi1 and a kind-B wall's doubled
 word are each applied in one place, and a cone query's walk is chosen in
-one; no query takes an n that its inputs already fix."""
+one; a wall's kind is compared only where it is decoded or dispatched on;
+no query takes an n that its inputs already fix."""
 
 import ast
 import importlib
@@ -238,6 +239,33 @@ def test_each_projection_and_decode_has_one_home():
         "deformation._scaled_walk",
         "deformation.inequality_table_check",
     ]
+
+
+def test_a_walls_kind_is_compared_where_it_is_decoded_or_dispatched():
+    # Each decode refuses a wall of the other kind, so the kind-specific
+    # constructions that read it first check no kind of their own.
+    scopes = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "kind"
+                for side in (child.left, *child.comparators)
+            ):
+                scopes.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / "deformation.py").read_text(encoding="utf-8")), "")
+    assert scopes == {
+        "Wall.kind_a_parts",
+        "Wall.kind_b_word",
+        "wall_refinements",
+        "wall_inequality",
+        "inequality_table_check",
+    }
 
 
 def test_queries_take_no_n_their_inputs_fix():
