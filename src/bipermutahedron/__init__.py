@@ -13,6 +13,7 @@ from .combinatorics import (
     Bipermutation,
     Bisequence,
     Bisubset,
+    Wall,
     bipermutation_count,
     descents,
     enumerate_bipermutations,
@@ -20,7 +21,6 @@ from .combinatorics import (
     parse_bisequence,
 )
 from .deformation import (
-    Wall,
     enumerate_walls,
     is_ample,
     is_nef,

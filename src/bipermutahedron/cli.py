@@ -26,6 +26,7 @@ from .combinatorics import (
     descents,
     enumerate_bipermutations,
     enumerate_bisequences,
+    format_bisequence,
     multigraph_to_bisequence,
 )
 from .deformation import (
@@ -217,10 +218,10 @@ def _cmd_walls(args) -> int:
         "kind": args.kind,
         "count": len(walls),
         "walls": [
-            {"kind": w.kind, "bisequence": str(w.bisequence)} for w in walls
+            {"kind": w.kind, "bisequence": format_bisequence(w)} for w in walls
         ],
     }
-    _emit(data, args.format, None, (f"{w.kind} {w.bisequence}" for w in walls))
+    _emit(data, args.format, None, (f"{w.kind} {format_bisequence(w)}" for w in walls))
     return 0
 
 

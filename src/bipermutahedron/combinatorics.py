@@ -17,9 +17,10 @@ The bisequences are the faces of the bipermutahedral fan: one with p parts
 is a (p - 1)-dimensional cone modulo lineality.  One search, ``_faces``,
 produces the bisequences with a given number of parts and of letters.  The
 chambers (:func:`enumerate_bipermutations`) are the faces with 2n - 1
-parts, the walls (:func:`enumerate_wall_bisequences`) those with 2n - 2,
-and :func:`enumerate_bisequences` runs through all of them by number of
-parts, then of letters, then lexicographically.
+parts, the walls (:func:`enumerate_wall_bisequences`, each a :class:`Wall`
+of kind A or B) those with 2n - 2, and :func:`enumerate_bisequences` runs
+through all of them by number of parts, then of letters, then
+lexicographically.
 
 The *barred word* of a bipermutation marks each letter's second occurrence
 with a bar and treats the single letter k as an adjacent pair "k kbar",
@@ -47,10 +48,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 
 class BisequenceError(ValueError):
@@ -251,6 +252,8 @@ class Bipermutation:
 
     def __post_init__(self) -> None:
         letters = self.letters
+        if not isinstance(letters, tuple):
+            raise TypeError(f"letters must be a tuple, got {type(letters).__name__}")
         if len(letters) % 2 != 1:
             raise BisequenceError(f"word length {len(letters)} is not odd")
         n = (len(letters) + 1) // 2
@@ -523,19 +526,68 @@ def _kind_a_parts(seq: Bisequence) -> tuple[int, int, int, int, int, int]:
     Every other element occurs twice, so the once-element is n(n + 1) minus
     the sum of the letters.
     """
-    for pos, part in enumerate(seq.parts):
-        if len(part) == 2:
-            i, j = sorted(part)
-            s = _mask(frozenset().union(*seq.parts[:pos]))
-            t = _mask(frozenset().union(*seq.parts[pos + 1 :]))
-            once = seq.n * (seq.n + 1) - sum(map(sum, seq.parts))
-            return pos, i, j, s, t, once
-    raise BisequenceError("a kind-A wall needs a pair part")
+    pos = next(pos for pos, part in enumerate(seq.parts) if len(part) == 2)
+    i, j = sorted(seq.parts[pos])
+    s = _mask(frozenset().union(*seq.parts[:pos]))
+    t = _mask(frozenset().union(*seq.parts[pos + 1 :]))
+    once = seq.n * (seq.n + 1) - sum(map(sum, seq.parts))
+    return pos, i, j, s, t, once
 
 
-def enumerate_wall_bisequences(n: int) -> Iterator[Bisequence]:
-    """The bisequences indexing walls (codimension-1 cones) of the fan: the
-    faces with 2n - 2 parts.
+class KindMismatch(ValueError):
+    """A wall of neither kind, or a construction fed the other kind."""
+
+
+@dataclass(frozen=True)
+class Wall(Bisequence):
+    """A codimension-1 cone of the fan: a bisequence with 2n - 2 parts.
+
+    ``kind`` is read off the parts at validation: "A" for one pair part
+    among singletons, "B" for all singletons with two once-elements.
+    ``kind_a_parts`` or ``kind_b_word``, the decode of its kind, is built on
+    first use and kept, so each wall is decoded at most once; each refuses
+    a wall of the other kind.  Like a ``Bisequence``, the constructor does
+    not re-check the bisequence axioms.
+    """
+
+    kind: Literal["A", "B"] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if len(self.parts) != 2 * n - 2:
+            raise ValueError(f"a wall bisequence needs {2 * n - 2} parts")
+        sizes = [len(part) for part in self.parts]
+        singletons = sizes.count(1)
+        if singletons == 2 * n - 3 and 2 in sizes:
+            kind = "A"
+        elif singletons == 2 * n - 2 and len(self.single_elements()) == 2:
+            kind = "B"
+        else:
+            raise KindMismatch("a wall bisequence of neither kind A nor kind B")
+        object.__setattr__(self, "kind", kind)
+
+    def __str__(self) -> str:
+        return f"{self.kind}:{format_bisequence(self)}"
+
+    @cached_property
+    def kind_a_parts(self) -> tuple[int, int, int, int, int, int]:
+        """A kind-A wall's decode (see :func:`_kind_a_parts`)."""
+        if self.kind != "A":
+            raise KindMismatch("pair parts belong to kind A walls")
+        return _kind_a_parts(self)
+
+    @cached_property
+    def kind_b_word(self) -> tuple[tuple[int, bool], ...]:
+        """A kind-B wall's doubled word, both once-elements doubled."""
+        if self.kind != "B":
+            raise KindMismatch("doubled words belong to kind B walls")
+        letters = tuple(next(iter(part)) for part in self.parts)
+        return doubled_word(letters, self.single_elements())
+
+
+def enumerate_wall_bisequences(n: int) -> Iterator[Wall]:
+    """The walls (codimension-1 cones) of the fan: the faces with 2n - 2
+    parts.
 
     They come in two kinds.  Kind A has one part of size two and 2n - 3
     singletons, so 2n - 1 letters and one once-element.  Kind B has all
@@ -543,12 +595,12 @@ def enumerate_wall_bisequences(n: int) -> Iterator[Bisequence]:
     streams first, each kind in lexicographic order of its tuple of (sorted)
     parts.
 
-    >>> [str(s) for s in enumerate_wall_bisequences(2)]
-    ['1|12', '12|1', '12|2', '2|12', '1|2', '2|1']
+    >>> [str(w) for w in enumerate_wall_bisequences(2)]
+    ['A:1|12', 'A:12|1', 'A:12|2', 'A:2|12', 'B:1|2', 'B:2|1']
     """
     for letters in (2 * n - 1, 2 * n - 2):
         for parts in _faces(n, 2 * n - 2, letters):
-            yield Bisequence(parts, n)
+            yield Wall(parts, n)
 
 
 def enumerate_bisequences(n: int) -> Iterator[Bisequence]:

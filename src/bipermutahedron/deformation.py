@@ -72,28 +72,27 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, product
 from math import factorial, gcd
 from typing import Callable, Iterator, Literal
 
 from .combinatorics import (
     Bipermutation,
-    Bisequence,
     BisequenceError,
     Bisubset,
+    KindMismatch,
+    Wall,
     _bisubset_index,
     _bisubset_order,
     _elements,
-    _kind_a_parts,
     _mask,
     _split_keys,
     _split_table,
     bisubset,
     bisubsets_of,
-    doubled_word,
     enumerate_wall_bisequences,
     parse_bisequence,
     splits_of,
@@ -137,64 +136,9 @@ __all__ = [
 ]
 
 
-class KindMismatch(ValueError):
-    """A wall of neither kind, or a construction fed the other kind."""
-
-
 class DependenceNotUnique(ArithmeticError):
     """The rays around a wall admit no one-dimensional dependence space;
     the fan would fail to be simplicial there."""
-
-
-@dataclass(frozen=True)
-class Wall:
-    """A codimension-1 cone of the fan, indexed by its bisequence.
-
-    ``kind`` is read off the parts at validation: "A" for one pair part
-    among singletons, "B" for all singletons with two once-elements.
-    ``kind_a_parts`` or ``kind_b_word``, the decode of its kind, is built on
-    first use and kept, so each wall is decoded at most once.
-    """
-
-    bisequence: Bisequence
-    kind: Literal["A", "B"] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        seq = self.bisequence
-        n = seq.n
-        if len(seq.parts) != 2 * n - 2:
-            raise ValueError(f"a wall bisequence needs {2 * n - 2} parts")
-        sizes = sorted(len(p) for p in seq.parts)
-        if sizes == [1] * (2 * n - 3) + [2]:
-            kind = "A"
-        elif sizes == [1] * (2 * n - 2) and len(seq.single_elements()) == 2:
-            kind = "B"
-        else:
-            raise KindMismatch("a wall bisequence of neither kind A nor kind B")
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def n(self) -> int:
-        return self.bisequence.n
-
-    def __str__(self) -> str:
-        return f"{self.kind}:{self.bisequence}"
-
-    @cached_property
-    def kind_a_parts(self) -> tuple[int, int, int, int, int, int]:
-        """A kind-A wall's decode (see ``combinatorics._kind_a_parts``)."""
-        if self.kind != "A":
-            raise KindMismatch("pair parts belong to kind A walls")
-        return _kind_a_parts(self.bisequence)
-
-    @cached_property
-    def kind_b_word(self) -> tuple[tuple[int, bool], ...]:
-        """A kind-B wall's doubled word, both once-elements doubled."""
-        if self.kind != "B":
-            raise KindMismatch("doubled words belong to kind B walls")
-        seq = self.bisequence
-        letters = tuple(next(iter(p)) for p in seq.parts)
-        return doubled_word(letters, seq.single_elements())
 
 
 def enumerate_walls(n: int) -> Iterator[Wall]:
@@ -203,8 +147,7 @@ def enumerate_walls(n: int) -> Iterator[Wall]:
     >>> [str(w) for w in enumerate_walls(2)]
     ['A:1|12', 'A:12|1', 'A:12|2', 'A:2|12', 'B:1|2', 'B:2|1']
     """
-    for seq in enumerate_wall_bisequences(n):
-        yield Wall(seq)
+    yield from enumerate_wall_bisequences(n)
 
 
 def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
@@ -218,16 +161,15 @@ def wall_refinements(wall: Wall) -> tuple[Bipermutation, Bipermutation]:
     >>> [str(b) for b in wall_refinements(next(enumerate_walls(2)))]
     ['1|1|2', '1|2|1']
     """
-    seq = wall.bisequence
     if wall.kind == "A":
         pos, i, j, *_ = wall.kind_a_parts
-        head = tuple(next(iter(p)) for p in seq.parts[:pos])
-        tail = tuple(next(iter(p)) for p in seq.parts[pos + 1 :])
+        head = tuple(next(iter(p)) for p in wall.parts[:pos])
+        tail = tuple(next(iter(p)) for p in wall.parts[pos + 1 :])
         return (
             Bipermutation(head + (i, j) + tail),
             Bipermutation(head + (j, i) + tail),
         )
-    i, j = sorted(seq.single_elements())
+    i, j = sorted(wall.single_elements())
     word = wall.kind_b_word
     return tuple(
         Bipermutation(tuple(e for e, barred in word if e != other or not barred))
@@ -283,7 +225,7 @@ def _term(left: int, right: int, n: int) -> Bisubset | None:
 def supermodular_inequality(wall: Wall) -> WallInequality:
     """The closed-form inequality of a kind-A wall.
 
-    >>> ineq = supermodular_inequality(Wall(parse_bisequence("12|1", 2)))
+    >>> ineq = supermodular_inequality(Wall(parse_bisequence("12|1", 2).parts, 2))
     >>> sorted(str(bs) for bs, _ in ineq.minus)
     ['1|12', '2|1']
     >>> [str(bs) for bs, _ in ineq.plus]
@@ -316,7 +258,7 @@ def updown_inequality(wall: Wall) -> WallInequality:
     the doubled pairs i|i and j|j) enter negatively.  The associated tree
     invariants are re-validated on every call.
 
-    >>> ineq = updown_inequality(Wall(parse_bisequence("1|2", 2)))
+    >>> ineq = updown_inequality(Wall(parse_bisequence("1|2", 2).parts, 2))
     >>> [str(bs) for bs, _ in ineq.plus], [str(bs) for bs, _ in ineq.minus]
     (['1|2'], ['1|12', '12|2'])
     """
@@ -447,7 +389,7 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     independent oracle for the closed-form inequalities.
     """
     n = wall.n
-    wall_rays = splits_of(wall.bisequence)
+    wall_rays = splits_of(wall)
     wall_set = set(wall_rays)
     extras = [
         [bs for bs in bisubsets_of(chamber) if bs not in wall_set]
@@ -501,7 +443,7 @@ class _TableEntry:
     @property
     def wall(self) -> Wall:
         n = len(self.parts) // 2 + 1
-        return Wall(Bisequence(tuple(map(frozenset, self.parts)), n))
+        return Wall(tuple(map(frozenset, self.parts)), n)
 
     def value(self, v: list[int]) -> int:
         """L * I(h), for h's scaled row (v, L) from :func:`_scaled_walk`."""
@@ -526,6 +468,8 @@ def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
     is its bisubset's position in ``all_bisubsets(n)``.
     """
     index, table = _bisubset_index(n), _split_table(n)
+    # One shared tuple per singleton part: the table holds thousands.
+    single = [(e,) for e in range(n + 1)]
 
     def term(left: int, right: int) -> tuple[int, ...]:
         return (index[table[left, right]],) if left and right and left != right else ()
@@ -559,8 +503,8 @@ def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
                 for o in once:
                     head = sorted(pre + s_only + [e for e in s_only if e != o])
                     tail = sorted(suf + t_only + [e for e in t_only if e != o])
-                    parts = tuple((e,) for e in head) + ((i, j),)
-                    parts += tuple((e,) for e in tail)
+                    parts = tuple(map(single.__getitem__, head)) + ((i, j),)
+                    parts += tuple(map(single.__getitem__, tail))
                     doubled_s = len(s_only) - (o in s_only)
                     doubled_t = len(t_only) - (o in t_only)
                     walls = (factorial(len(head)) >> doubled_s) * (
@@ -616,6 +560,7 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
     """
     index, table = _bisubset_index(n), _split_table(n)
     full = table.full
+    single = [(e,) for e in range(n + 1)]
     entries: list[_TableEntry] = []
     runs: list[tuple[int, int]] = []
     plus: list[int] = []
@@ -639,11 +584,8 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
             walls += count
             if first is None or letters < first:
                 first = letters
-        entries.append(
-            _TableEntry(
-                tuple((e,) for e in first), None, tuple(plus), tuple(minus), walls
-            )
-        )
+        parts = tuple(map(single.__getitem__, first))
+        entries.append(_TableEntry(parts, None, tuple(plus), tuple(minus), walls))
 
     def extend(seen: int, done: int) -> None:
         """Append every run (U, B) to a chain with C = seen, D = done."""
@@ -775,7 +717,7 @@ def inequality_table_check(n: int) -> Iterator[str]:
         walls[key] += 1
     walked = [
         _TableEntry(
-            tuple(tuple(sorted(part)) for part in wall.bisequence.parts),
+            tuple(tuple(sorted(part)) for part in wall.parts),
             *key,
             walls[key],
         )
@@ -1020,8 +962,9 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
     call, in two dicts, since ``"3"`` is {3} as a side and 3 as a value;
     a text that fails to read is not kept, so every line is checked alike.
     """
-    # No bisubset exists below n = 1; bisubset() then names the error.
-    known, order = _bisubset_index(max(n, 0)), _bisubset_order(max(n, 0))
+    if n < 1:
+        raise ValueError(f"ground set size must be positive, got {n}")
+    known, order = _bisubset_index(n), _bisubset_order(n)
     sides: dict[str, frozenset[int]] = {}
     numbers: dict[str, Fraction] = {}
     values: dict[Bisubset, Fraction] = {}

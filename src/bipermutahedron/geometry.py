@@ -35,11 +35,10 @@ from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
     Bipermutation,
-    Bisequence,
     Bisubset,
+    Wall,
     _bisubset_index,
     _bisubset_order,
-    _kind_a_parts,
     _mask,
     all_bisubsets,
     bisubsets_of,
@@ -438,7 +437,7 @@ def classify_wall_normal(normal: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     raise ValueError(f"unrecognized wall normal {normal}")
 
 
-def structural_wall_type(seq: Bisequence) -> tuple[int, tuple[int, ...]]:
+def structural_wall_type(wall: Wall) -> tuple[int, tuple[int, ...]]:
     """Classify a wall by part shapes alone, with no linear algebra.
 
     Kind B (all singleton parts): the two once-elements i < j give type 1,
@@ -449,15 +448,13 @@ def structural_wall_type(seq: Bisequence) -> tuple[int, tuple[int, ...]]:
     barred gives w_a = w_b (type 3), and a unbarred with b barred gives
     z_a - z_k = w_k - w_b (type 4, signature (a, b, k)).  If k itself lies
     in the pair its own quantity is zero, so its partner's bar status picks
-    type 2 or type 3 with signature (partner, k).  Non-walls raise ValueError.
+    type 2 or type 3 with signature (partner, k).
     """
-    if len(seq.parts) != 2 * seq.n - 2:
-        raise ValueError(f"a wall bisequence needs {2 * seq.n - 2} parts")
-    if all(len(part) == 1 for part in seq.parts):
-        return 1, tuple(sorted(seq.single_elements()))
+    if wall.kind == "B":
+        return 1, tuple(sorted(wall.single_elements()))
     # A pair element is barred when it occurred before the pair part, in S,
     # whose mask s has bit e for element e.
-    _, a, b, s, _, k = _kind_a_parts(seq)
+    _, a, b, s, _, k = wall.kind_a_parts
     if k in (a, b):
         partner = a + b - k
         return (3 if s >> partner & 1 else 2), tuple(sorted((partner, k)))
@@ -509,10 +506,10 @@ def hyperplane_face_counts(n: int) -> HyperplaneCountReport:
     tally: Counter[tuple[int, tuple[int, ...]]] = Counter()
     agrees = True
     total = 0
-    for seq in enumerate_wall_bisequences(n):
+    for wall in enumerate_wall_bisequences(n):
         total += 1
-        label = structural_wall_type(seq)
-        if classify_wall_normal(_wall_normal(splits_of(seq))) != label:
+        label = structural_wall_type(wall)
+        if classify_wall_normal(_wall_normal(splits_of(wall))) != label:
             agrees = False
         tally[label] += 1
     counts_by_type: dict[int, set[int]] = {t: set() for t in HYPERPLANE_TYPES}

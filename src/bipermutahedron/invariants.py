@@ -34,7 +34,7 @@ from .combinatorics import (
     enumerate_bipermutations,
 )
 from .geometry import vertex_of_bipermutation
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, _trim
 
 __all__ = [
     "LengthMismatch",
@@ -206,10 +206,7 @@ def h_from_f(f: Sequence[int], d: int) -> IntPolynomial:
     for i, fi in enumerate(f):
         for j in range(d - i + 1):
             c[j] += fi * comb(d - i, j) * (-1) ** (d - i - j)
-    ascending = list(reversed(c))
-    while len(ascending) > 1 and ascending[-1] == 0:
-        ascending.pop()
-    return IntPolynomial(tuple(ascending))
+    return IntPolynomial(_trim(reversed(c)))
 
 
 @cache

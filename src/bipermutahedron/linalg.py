@@ -49,7 +49,13 @@ def _scaled_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     >>> _scaled_integers([Fraction(1, 2), Fraction(2, 3), 1])
     ([3, 4, 6], 6)
     """
-    den = lcm(*(x.denominator for x in values))
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise TypeError(
+            f"entries must be int or Fraction, got {type(bad).__name__}"
+        ) from None
     return [x.numerator * (den // x.denominator) for x in values], den
 
 

@@ -35,13 +35,12 @@ from bipermutahedron.combinatorics import (
     splits_of,
     _bisubset_order,
     _covering_pairs,
+    Wall,
     _elements,
-    _kind_a_parts,
     _mask,
     _split_table,
     validate_bisequence,
 )
-from bipermutahedron.deformation import Wall
 from bipermutahedron.invariants import f_vector_formula
 
 # Frozen: (2n)!/2^n for n = 1..6.
@@ -412,8 +411,10 @@ def test_configuration_reading_satisfies_the_axioms(n):
 
 def test_wall_enumeration_counts_and_order():
     walls = list(enumerate_wall_bisequences(2))
-    assert [str(w) for w in walls] == ["1|12", "12|1", "12|2", "2|12", "1|2", "2|1"]
-    kinds = [Wall(w).kind for w in enumerate_wall_bisequences(3)]
+    assert [format_bisequence(w) for w in walls] == [
+        "1|12", "12|1", "12|2", "2|12", "1|2", "2|1"
+    ]
+    kinds = [w.kind for w in enumerate_wall_bisequences(3)]
     assert kinds == sorted(kinds)  # kind A streams strictly before kind B
     assert Counter(kinds) == Counter({"A": 144, "B": 36})
     # Against brute force: the validated tuples of 2n - 2 nonempty subsets
@@ -421,7 +422,7 @@ def test_wall_enumeration_counts_and_order():
     # then by sorted parts.
     for n in range(1, 4):
         brute = sorted(
-            validated_part_tuples(n, 2 * n - 2),
+            (Wall(seq.parts, n) for seq in validated_part_tuples(n, 2 * n - 2)),
             key=lambda seq: (all(len(p) == 1 for p in seq.parts), sorted_parts(seq)),
         )
         assert list(enumerate_wall_bisequences(n)) == brute
@@ -433,15 +434,13 @@ def test_kind_a_parts_decode_the_pair_its_sides_and_the_once_element(n):
     for seq in enumerate_wall_bisequences(n):
         if all(len(part) == 1 for part in seq.parts):
             continue
-        pos, i, j, s, t, once = _kind_a_parts(seq)
+        pos, i, j, s, t, once = seq.kind_a_parts
         assert seq.parts[pos] == {i, j} and i < j
         assert frozenset(_elements(s)) == frozenset().union(*seq.parts[:pos])
         assert frozenset(_elements(t)) == frozenset().union(*seq.parts[pos + 1 :])
         assert seq.single_elements() == {once}
         decoded += 1
     assert decoded == {2: 4, 3: 144, 4: 6480}[n]
-    with pytest.raises(BisequenceError, match="pair part"):
-        _kind_a_parts(parse_bisequence("1|2", 2))
 
 
 def test_wall_bisequences_have_2n_minus_2_parts():
@@ -467,3 +466,13 @@ def test_once_letter_stays_out_of_repr_equality_and_hash():
     assert len({a, b}) == 1
     with pytest.raises(TypeError):
         Bipermutation((2, 1, 3, 1, 2), k=3)
+
+
+@pytest.mark.parametrize(
+    "letters", [[1, 2, 2], "122", range(3)], ids=["list", "str", "range"]
+)
+def test_a_bipermutation_refuses_letters_that_are_not_a_tuple(letters):
+    # A list would be kept as is, and the bipermutation could not be hashed.
+    name = type(letters).__name__
+    with pytest.raises(TypeError, match=f"^letters must be a tuple, got {name}$"):
+        Bipermutation(letters)

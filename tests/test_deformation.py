@@ -12,12 +12,11 @@ from itertools import product
 
 import pytest
 
-from bipermutahedron import deformation
+from bipermutahedron import combinatorics, deformation
 from bipermutahedron.combinatorics import (
     _elements,
     _mask,
     _split_table,
-    Bisequence,
     ElementMissing,
     EmptyPart,
     NoSingleOccurrence,
@@ -59,7 +58,7 @@ WALL_COUNTS = {2: 6, 3: 180, 4: 7560}
 
 
 def wall_from(word: str, n: int) -> Wall:
-    return Wall(parse_bisequence(word, n))
+    return Wall(parse_bisequence(word, n).parts, n)
 
 
 def terms(pairs) -> list[str]:
@@ -92,9 +91,16 @@ class TestWallValidation:
     def test_neither_kind_rejected(self, parts):
         # Unvalidated bisequences: a validated one with 2n - 2 parts is
         # always of one of the two kinds.
-        seq = Bisequence(tuple(map(frozenset, parts)), len(parts) // 2 + 1)
         with pytest.raises(KindMismatch, match="kind A"):
-            Wall(seq)
+            Wall(tuple(map(frozenset, parts)), len(parts) // 2 + 1)
+
+    @pytest.mark.parametrize(
+        ("word", "n", "parts"),
+        [("12|12|3", 3, 4), ("12|3|4|12|3", 4, 6), ("1|1|2", 2, 2), ("12", 2, 2)],
+    )
+    def test_a_face_that_is_not_a_wall_is_refused(self, word, n, parts):
+        with pytest.raises(ValueError, match=f"^a wall bisequence needs {parts} parts$"):
+            wall_from(word, n)
 
     def test_each_decode_refuses_the_other_kind(self):
         # Both cached decodes raise KindMismatch on a wall of the other kind.
@@ -356,7 +362,7 @@ class TestOracleAgreement:
         # Giving both chamber rays the row of a wall ray makes two columns
         # of the system equal.
         wall = wall_from("1|12|2|3", 3)
-        wall_rays = splits_of(wall.bisequence)
+        wall_rays = splits_of(wall)
         table = dict(deformation._ray_rows(3))
         for chamber in wall_refinements(wall):
             for bs in set(bisubsets_of(chamber)) - set(wall_rays):
@@ -497,6 +503,13 @@ class TestSupportCsv:
         h = named_support("biperm", 1)
         assert format_support_csv(h) == ""
         assert parse_support_csv(format_support_csv(h), 1) == h
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_a_ground_set_below_one_is_refused_before_any_line(self, n):
+        # Refused before the split table is looked up, which shifts by n.
+        message = f"^ground set size must be positive, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            parse_support_csv("", n)
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\n" + format_support_csv(named_support("biperm", 2))
@@ -797,7 +810,7 @@ def test_the_walk_decodes_each_wall_once(monkeypatch):
     # kind-B wall, both once-elements doubled.  Every doubled_word call is
     # counted, so the refinements' chambers decode nothing of their own.
     calls = Counter()
-    real_parts, real_word = deformation._kind_a_parts, deformation.doubled_word
+    real_parts, real_word = combinatorics._kind_a_parts, combinatorics.doubled_word
 
     def kind_a_parts(seq):
         calls["A"] += 1
@@ -807,8 +820,8 @@ def test_the_walk_decodes_each_wall_once(monkeypatch):
         calls["B"] += 1
         return real_word(letters, doubled)
 
-    monkeypatch.setattr(deformation, "_kind_a_parts", kind_a_parts)
-    monkeypatch.setattr(deformation, "doubled_word", doubled_word)
+    monkeypatch.setattr(combinatorics, "_kind_a_parts", kind_a_parts)
+    monkeypatch.setattr(combinatorics, "doubled_word", doubled_word)
     for n, counts in ((3, {"A": 144, "B": 36}), (4, {"A": 6480, "B": 1080})):
         calls.clear()
         assert list(deformation.inequality_table_check(n)) == []

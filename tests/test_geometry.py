@@ -10,7 +10,6 @@ from bipermutahedron.combinatorics import (
     bisubset,
     enumerate_bipermutations,
     parse_bipermutation,
-    parse_bisequence,
 )
 from bipermutahedron.geometry import (
     SupportFunction,
@@ -25,7 +24,6 @@ from bipermutahedron.geometry import (
     harmonic_support_function,
     hyperplane_face_counts,
     ray_vector,
-    structural_wall_type,
     symmetry_checks,
     vertex_of_bipermutation,
     vertices_json,
@@ -279,15 +277,6 @@ def test_hyperplane_face_counts(n):
         report.per_hyperplane[t] * hyperplanes[t] for t in (1, 2, 3, 4)
     )
     assert total_walls == {2: 6, 3: 180}[n]
-
-
-@pytest.mark.parametrize(
-    ("word", "n", "parts"),
-    [("12|12|3", 3, 4), ("12|3|4|12|3", 4, 6), ("1|1|2", 2, 2), ("12", 2, 2)],
-)
-def test_structural_wall_type_refuses_a_face_that_is_not_a_wall(word, n, parts):
-    with pytest.raises(ValueError, match=f"^a wall bisequence needs {parts} parts$"):
-        structural_wall_type(parse_bisequence(word, n))
 
 
 def test_classify_wall_normal_reads_n_off_the_row():

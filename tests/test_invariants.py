@@ -85,6 +85,11 @@ def test_h_from_f_simplex():
     assert h_from_f([1, 3, 3], 2).coefficients == (1, 1, 1)
 
 
+@pytest.mark.parametrize("f", [[0, 0], [0, 0, 0]])
+def test_h_from_f_of_a_zero_f_vector_is_the_zero_polynomial(f):
+    assert h_from_f(f, len(f) - 1) == IntPolynomial(())
+
+
 def test_h_from_f_length_mismatch():
     with pytest.raises(LengthMismatch):
         h_from_f([1, 3, 3], 3)

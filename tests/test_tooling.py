@@ -209,17 +209,33 @@ def test_bisubsets_are_built_in_two_places():
     ]
 
 
+# The modules that read walls: where they are built, walked and classified.
+WALL_MODULES = [
+    PACKAGE / f"{name}.py" for name in ("combinatorics", "deformation", "geometry")
+]
+
+
+def wall_module_call_sites(callee):
+    return sorted(site for path in WALL_MODULES for site in call_sites(path, callee))
+
+
 def test_each_projection_and_decode_has_one_home():
     # pi1 is applied by the point location and by the lattice certificate
-    # alike; a kind-B wall's doubled word is decoded by its cached property
-    # only; the wall tree sums its spine from the ray rows, looping over no
+    # alike; a wall is decoded by its cached properties only (the other
+    # doubled words are a bipermutation's: its descents and its vertex);
+    # the wall tree sums its spine from the ray rows, looping over no
     # split's sets.
     assert sorted(call_sites(PACKAGE / "triangulation.py", "_pi1")) == [
         "triangulation.cover_locate",
         "triangulation.pi1_lattice_check",
     ]
+    assert wall_module_call_sites("_kind_a_parts") == ["combinatorics.Wall.kind_a_parts"]
+    assert wall_module_call_sites("doubled_word") == [
+        "combinatorics.Wall.kind_b_word",
+        "combinatorics.descents",
+        "geometry.vertex_of_bipermutation",
+    ]
     deformation_py = PACKAGE / "deformation.py"
-    assert call_sites(deformation_py, "doubled_word") == ["deformation.Wall.kind_b_word"]
     tree = ast.parse(deformation_py.read_text(encoding="utf-8"))
     (wall_tree,) = [
         node for node in tree.body
@@ -258,13 +274,15 @@ def test_a_walls_kind_is_compared_where_it_is_decoded_or_dispatched():
                 scopes.add(scope or "<module>")
             visit(child, inner)
 
-    visit(ast.parse((PACKAGE / "deformation.py").read_text(encoding="utf-8")), "")
+    for path in WALL_MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert scopes == {
-        "Wall.kind_a_parts",
-        "Wall.kind_b_word",
-        "wall_refinements",
-        "wall_inequality",
-        "inequality_table_check",
+        "combinatorics.Wall.kind_a_parts",
+        "combinatorics.Wall.kind_b_word",
+        "deformation.wall_refinements",
+        "deformation.wall_inequality",
+        "deformation.inequality_table_check",
+        "geometry.structural_wall_type",
     }
 
 

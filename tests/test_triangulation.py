@@ -192,6 +192,14 @@ def test_cover_locate_validates_input():
         cover_locate(((F(2), F(0)), (F(-1), F(0)), (F(0), F(1))))
 
 
+def test_cover_locate_names_an_entry_that_is_no_int_or_fraction():
+    # A float has no denominator to scale by.
+    with pytest.raises(TypeError, match="^entries must be int or Fraction, got float$"):
+        cover_locate(((0.25, 0.5), (0.25, 0.25), (0.5, 0.25)))
+    with pytest.raises(TypeError, match="^entries must be int or Fraction, got str$"):
+        cover_locate(((F(1, 4), "1/2"), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 4))))
+
+
 def test_random_delta_point_distribution():
     rng = random.Random(11)
     p = random_delta_point(4, rng)
