@@ -79,11 +79,18 @@ class Bisequence:
     """An ordered tuple of parts satisfying the bisequence axioms.
 
     Build through :func:`validate_bisequence` (or :func:`parse_bisequence`);
-    the constructor itself does not re-check the axioms.
+    the constructor itself does not re-check the axioms.  Two bisequences
+    are equal when their parts and n are, whatever their class, so a
+    ``Wall`` equals the plain ``Bisequence`` of its parts.
     """
 
     parts: tuple[frozenset[int], ...]
     n: int
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Bisequence):
+            return NotImplemented
+        return self.parts == other.parts and self.n == other.n
 
     def __str__(self) -> str:
         return format_bisequence(self)
@@ -538,7 +545,7 @@ class KindMismatch(ValueError):
     """A wall of neither kind, or a construction fed the other kind."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wall(Bisequence):
     """A codimension-1 cone of the fan: a bisequence with 2n - 2 parts.
 
@@ -547,16 +554,22 @@ class Wall(Bisequence):
     ``kind_a_parts`` or ``kind_b_word``, the decode of its kind, is built on
     first use and kept, so each wall is decoded at most once; each refuses
     a wall of the other kind.  Like a ``Bisequence``, the constructor does
-    not re-check the bisequence axioms.
+    not re-check the bisequence axioms, but it refuses parts that are not a
+    tuple of frozensets, which would not hash.
     """
 
     kind: Literal["A", "B"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n
-        if len(self.parts) != 2 * n - 2:
+        n, parts = self.n, self.parts
+        if not isinstance(parts, tuple):
+            raise TypeError(f"parts must be a tuple, got {type(parts).__name__}")
+        sizes = [len(part) for part in parts if type(part) is frozenset]
+        if len(sizes) != len(parts):
+            bad = next(part for part in parts if type(part) is not frozenset)
+            raise TypeError(f"parts must be frozensets, got {type(bad).__name__}")
+        if len(sizes) != 2 * n - 2:
             raise ValueError(f"a wall bisequence needs {2 * n - 2} parts")
-        sizes = [len(part) for part in self.parts]
         singletons = sizes.count(1)
         if singletons == 2 * n - 3 and 2 in sizes:
             kind = "A"

@@ -314,6 +314,20 @@ class FaceToFaceReport:
     failures: tuple[str, ...]
 
 
+def _draw_weights(rng: random.Random, count: int) -> list[int]:
+    """``count`` weights ``rng.randint(1, 97)``, the same values drawn from the
+    same random stream: like CPython's ``randint``, each weight takes 7
+    random bits and draws again while they read 97 or more."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(7)
+        while r >= 97:
+            r = getrandbits(7)
+        out.append(r + 1)
+    return out
+
+
 def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
     """Sampled certification that simplices intersect along common faces.
 
@@ -330,56 +344,65 @@ def face_to_face_check(n: int, samples: int, seed: int) -> FaceToFaceReport:
 
     Together the two directions pin the intersection to exactly the convex
     hull of the shared vertices at every sampled point.
+
+    Each weight is ``rng.randint(1, 97)`` (drawn by ``_draw_weights``).  The
+    shared vertices' coefficient positions in the source and in the target
+    simplex are found once per ordered pair; each shared-support sample
+    places its weights at both and compares whole coefficient lists.
     """
     rng = random.Random(seed)
     bps = list(enumerate_bipermutations(n))
     splits = [bisubsets_of(bp) for bp in bps]
-    split_sets = [set(s) for s in splits]
+    positions = [{bs: 3 + j for j, bs in enumerate(s)} for s in splits]
     size = 2 * n + 1
     per_mode = max(1, samples // 4)
     failures: list[str] = []
     points = 0
 
-    def weights(indices: list[int]) -> tuple[list[int], int]:
-        raw = [rng.randint(1, 97) for _ in indices]
+    def placed(indices: list[int], raw: list[int]) -> list[int]:
         out = [0] * size
         for idx, value in zip(indices, raw):
             out[idx] = value
-        return out, sum(raw)
+        return out
 
     for i1, i2 in itertools.combinations(range(len(bps)), 2):
         for src, dst in ((i1, i2), (i2, i1)):
             source, target = bps[src], bps[dst]
             # The cone points are shared by every simplex, and never equal
             # a split vertex: a split has S and T nonempty with S != T.
-            shared_idx = [0, 1, 2] + [
-                3 + j for j, bs in enumerate(splits[src]) if bs in split_sets[dst]
-            ]
+            shared_idx, carried_to = [0, 1, 2], [0, 1, 2]
+            for bs, pos in positions[src].items():
+                if bs in positions[dst]:
+                    shared_idx.append(pos)
+                    carried_to.append(positions[dst][bs])
             for _ in range(per_mode):
                 # Shared-support sample: must live in both simplices.
-                coeffs, total = weights(shared_idx)
-                point = _rebuild(n, splits[src], coeffs)
+                raw = _draw_weights(rng, len(shared_idx))
+                total = sum(raw)
+                point = _rebuild(n, splits[src], placed(shared_idx, raw))
                 mus = _barycentric(target, point, total)
-                carried = dict(zip(splits[src], coeffs[3:]))
-                expected = coeffs[:3] + [carried.get(bs, 0) for bs in splits[dst]]
-                for pos, (mu, want) in enumerate(zip(mus, expected)):
-                    if mu != want:
-                        vertex = ",".join(
-                            "{" + ",".join(map(str, sorted(part))) + "}"
-                            for part in _vertex_pairs(n, splits[dst])[pos]
-                        )
-                        failures.append(
-                            f"{source} cap {target}: "
-                            f"shared-support point got {Fraction(mu, total)} "
-                            f"!= {Fraction(want, total)} at v({vertex})"
-                        )
-                        break
+                expected = placed(carried_to, raw)
+                if mus != expected:
+                    pos = next(
+                        pos for pos, (mu, want) in enumerate(zip(mus, expected))
+                        if mu != want
+                    )
+                    mu, want = mus[pos], expected[pos]
+                    vertex = ",".join(
+                        "{" + ",".join(map(str, sorted(part))) + "}"
+                        for part in _vertex_pairs(n, splits[dst])[pos]
+                    )
+                    failures.append(
+                        f"{source} cap {target}: "
+                        f"shared-support point got {Fraction(mu, total)} "
+                        f"!= {Fraction(want, total)} at v({vertex})"
+                    )
                 points += 1
                 # Interior sample: must stay out of every other simplex.
-                coeffs, total = weights(list(range(size)))
+                coeffs = _draw_weights(rng, size)
                 point = _rebuild(n, splits[src], coeffs)
-                mus = _barycentric(target, point, total)
-                if all(mu >= 0 for mu in mus):
+                mus = _barycentric(target, point, sum(coeffs))
+                if min(mus) >= 0:
                     failures.append(
                         f"interior point of {source} also lies in {target}"
                     )

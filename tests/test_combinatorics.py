@@ -422,7 +422,7 @@ def test_wall_enumeration_counts_and_order():
     # then by sorted parts.
     for n in range(1, 4):
         brute = sorted(
-            (Wall(seq.parts, n) for seq in validated_part_tuples(n, 2 * n - 2)),
+            validated_part_tuples(n, 2 * n - 2),
             key=lambda seq: (all(len(p) == 1 for p in seq.parts), sorted_parts(seq)),
         )
         assert list(enumerate_wall_bisequences(n)) == brute
@@ -476,3 +476,39 @@ def test_a_bipermutation_refuses_letters_that_are_not_a_tuple(letters):
     name = type(letters).__name__
     with pytest.raises(TypeError, match=f"^letters must be a tuple, got {name}$"):
         Bipermutation(letters)
+
+
+@pytest.mark.parametrize(
+    "parts, name",
+    [
+        (([1, 2], [1]), "list"),
+        ((frozenset({1, 2}), {1}), "set"),
+        ((frozenset({1}), (1, 2)), "tuple"),
+    ],
+)
+def test_a_wall_refuses_parts_that_are_not_frozensets(parts, name):
+    # A list or set part would be kept as is, and the wall could not be hashed.
+    with pytest.raises(TypeError, match=f"^parts must be frozensets, got {name}$"):
+        Wall(parts, 2)
+
+
+def test_a_wall_refuses_parts_that_are_not_a_tuple():
+    with pytest.raises(TypeError, match="^parts must be a tuple, got list$"):
+        Wall([frozenset({1, 2}), frozenset({1})], 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_wall_equals_the_bisequence_of_its_parts(n):
+    walls = list(enumerate_wall_bisequences(n))
+    plain = [validate_bisequence(w.parts, n) for w in walls]
+    for wall, seq in zip(walls, plain):
+        assert type(seq) is Bisequence
+        assert wall == seq and seq == wall
+        assert not (wall != seq or seq != wall)
+        assert hash(wall) == hash(seq)
+    assert set(walls) == set(plain)
+    # Parts or n that differ still tell them apart.
+    first, second = walls[0], plain[1]
+    assert first != second and second != first
+    assert first != Bisequence(first.parts, n + 1)
+    assert first != first.parts

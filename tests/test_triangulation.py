@@ -24,6 +24,7 @@ from bipermutahedron.linalg import det_int, solve_unique
 from bipermutahedron.triangulation import (
     TieOnBoundary,
     _barycentric,
+    _draw_weights,
     _rebuild,
     _vertex_pairs,
     cover_check,
@@ -345,6 +346,52 @@ def test_face_to_face_reports_a_wrong_coefficient(monkeypatch):
         report = face_to_face_check(2, 8, seed=3)
         assert (report.pairs, report.points, report.passed) == (15, 12, False)
         assert report.failures == failures
+
+
+# The failures of face_to_face_check(3, 4, seed=7) when the coefficient of
+# every target simplex's first split is off by one.  The fifth failure ends
+# the check after 10 points.
+SHIFTED_FACE_TO_FACE_FAILURES_N3 = (
+    "1|1|2|2|3 cap 1|1|2|3|2: shared-support point got 85/214 != 42/107 at v({1},{1,2,3})",
+    "1|1|2|3|2 cap 1|1|2|2|3: shared-support point got 55/167 != 54/167 at v({1},{1,2,3})",
+    "1|1|2|2|3 cap 1|1|2|3|3: shared-support point got 9/394 != 4/197 at v({1},{1,2,3})",
+    "1|1|2|3|3 cap 1|1|2|2|3: shared-support point got 17/273 != 16/273 at v({1},{1,2,3})",
+    "1|1|2|2|3 cap 1|1|3|2|2: shared-support point got 24/83 != 71/249 at v({1},{1,2,3})",
+)
+
+
+def _counted(original, calls, name):
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    return counted
+
+
+def test_face_to_face_reports_a_wrong_coefficient_at_n3(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(
+        triangulation,
+        "_barycentric",
+        _shift_one_lambda(_counted(_barycentric, calls, "barycentric")),
+    )
+    monkeypatch.setattr(triangulation, "_rebuild", _counted(_rebuild, calls, "rebuild"))
+    report = face_to_face_check(3, 4, seed=7)
+    assert (report.pairs, report.points, report.passed) == (4005, 10, False)
+    assert report.failures == SHIFTED_FACE_TO_FACE_FAILURES_N3
+    # Every point counted is a point rebuilt and located: none is skipped.
+    assert calls == {"barycentric": report.points, "rebuild": report.points}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11, 20261020])
+def test_draw_weights_are_the_draws_of_randint(seed):
+    # The recorded reports were drawn by rng.randint(1, 97); the helper must
+    # give the same values and leave the generator in the same state.
+    drawn, reference = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 7, 10_000):
+        weights = _draw_weights(drawn, count)
+        assert weights == [reference.randint(1, 97) for _ in range(count)]
+        assert drawn.getstate() == reference.getstate()
 
 
 # (pairs, points, passed, failures) of face_to_face_check(n, samples, seed).
