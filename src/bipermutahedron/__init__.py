@@ -30,9 +30,7 @@ from .deformation import (
 )
 from .geometry import (
     SupportFunction,
-    biperm_support_function,
     facet_check,
-    harmonic_support_function,
     vertex_of_bipermutation,
 )
 from .invariants import (
@@ -64,9 +62,7 @@ __all__ = [
     "named_support",
     "wall_inequality",
     "SupportFunction",
-    "biperm_support_function",
     "facet_check",
-    "harmonic_support_function",
     "vertex_of_bipermutation",
     "bieulerian_by_descents",
     "bieulerian_by_ehrhart",

@@ -160,17 +160,26 @@ def bisubset(left: Iterable[int], right: Iterable[int], n: int) -> Bisubset:
     return Bisubset(seq.parts[0], seq.parts[1], n)
 
 
-def all_bisubsets(n: int) -> list[Bisubset]:
-    """All 3**n - 3 bisubsets of {1..n}, in a fixed lexicographic order.
+@cache
+def all_bisubsets(n: int) -> tuple[Bisubset, ...]:
+    """All 3**n - 3 bisubsets of {1..n}, in a fixed lexicographic order: the
+    split table's objects, built once per n.
 
     Each element independently sits in S only, T only, or both; the two
     assignments putting every element in S (T = empty set) or every element
-    in both (S = T) are excluded.
+    in both (S = T) are excluded.  An n below 1 is refused.
 
     >>> len(all_bisubsets(2)), len(all_bisubsets(3))
     (6, 24)
     """
-    return list(_bisubset_order(n))
+    if n < 1:
+        raise ValueError(f"ground set size must be positive, got {n}")
+    table = _split_table(n)
+    return tuple(
+        table[left, right]
+        for left, right in _covering_pairs(n)
+        if left and right and left != right
+    )
 
 
 def _mask(elements: Iterable[int]) -> int:
@@ -197,20 +206,9 @@ def _covering_pairs(n: int) -> Iterator[tuple[int, int]]:
 
 
 @cache
-def _bisubset_order(n: int) -> tuple[Bisubset, ...]:
-    """The tuple behind :func:`all_bisubsets`: the split table's objects."""
-    table = _split_table(n)
-    return tuple(
-        table[left, right]
-        for left, right in _covering_pairs(n)
-        if left and right and left != right
-    )
-
-
-@cache
 def _bisubset_index(n: int) -> dict[Bisubset, int]:
     """Each bisubset's position in :func:`all_bisubsets` order (do not mutate)."""
-    return {bs: k for k, bs in enumerate(_bisubset_order(n))}
+    return {bs: k for k, bs in enumerate(all_bisubsets(n))}
 
 
 def format_bisequence(seq: Bisequence) -> str:

@@ -86,11 +86,11 @@ from .combinatorics import (
     KindMismatch,
     Wall,
     _bisubset_index,
-    _bisubset_order,
     _elements,
     _mask,
     _split_keys,
     _split_table,
+    all_bisubsets,
     bisubset,
     bisubsets_of,
     enumerate_wall_bisequences,
@@ -101,10 +101,10 @@ from .geometry import (
     SupportFunction,
     _lineality_rows,
     _ray_rows,
-    biperm_support_function,
-    harmonic_support_function,
+    biperm_support,
+    harmonic_support,
 )
-from .linalg import _scaled_integers, solve_unique
+from .linalg import solve_unique
 
 __all__ = [
     "KindMismatch",
@@ -193,9 +193,16 @@ class WallInequality:
                 raise TypeError(f"inequality coefficients must be ints: {coeff!r}")
 
     def evaluate(self, h: SupportFunction) -> Fraction:
-        return sum((c * h[bs] for bs, c in self.plus), Fraction(0)) - sum(
-            (c * h[bs] for bs, c in self.minus), Fraction(0)
+        """I(h), one int sum on h's row over its scale (0 with no terms)."""
+        terms = self.plus + self.minus
+        if terms and terms[0][0].n != h.n:
+            n = terms[0][0].n
+            raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
+        index, row = _bisubset_index(h.n), h.row
+        total = sum(c * row[index[bs]] for bs, c in self.plus) - sum(
+            c * row[index[bs]] for bs, c in self.minus
         )
+        return Fraction(total, h.scale)
 
 
 def _primitive_form(ineq: WallInequality) -> dict[Bisubset, int]:
@@ -445,8 +452,8 @@ class _TableEntry:
         n = len(self.parts) // 2 + 1
         return Wall(tuple(map(frozenset, self.parts)), n)
 
-    def value(self, v: list[int]) -> int:
-        """L * I(h), for h's scaled row (v, L) from :func:`_scaled_walk`."""
+    def value(self, v: tuple[int, ...]) -> int:
+        """L * I(h), for a support's ``row`` v over its ``scale`` L."""
         return sum(map(v.__getitem__, self.plus)) - sum(map(v.__getitem__, self.minus))
 
 
@@ -635,7 +642,7 @@ def _size_pair_ids(n: int) -> tuple[int, ...]:
     S and T cover {1..n}, so the pair also fixes |S| and |T|."""
     return tuple(
         len(bs.left - bs.right) * n + len(bs.right - bs.left)
-        for bs in _bisubset_order(n)
+        for bs in all_bisubsets(n)
     )
 
 
@@ -693,7 +700,7 @@ def inequality_table_check(n: int) -> Iterator[str]:
     with their wall counts, must equal the generated table.
     """
     index = _bisubset_index(n)
-    biperm = biperm_support_function(n)
+    biperm = named_support("biperm", n)
     first: dict[tuple, Wall] = {}
     walls: Counter = Counter()
     compare = True
@@ -727,7 +734,7 @@ def inequality_table_check(n: int) -> Iterator[str]:
         yield "the generated wall inequalities differ from the wall walk"
 
 
-def _symmetric(v: list[int], n: int) -> bool:
+def _symmetric(v: tuple[int, ...], n: int) -> bool:
     """Whether a scaled support is constant on size pairs.
 
     Then a query walks the size classes: all entries of a class share
@@ -739,17 +746,16 @@ def _symmetric(v: list[int], n: int) -> bool:
     return len(set(zip(ids, v))) == len(set(ids))
 
 
-def _scaled_walk(*supports: SupportFunction) -> tuple[Iterator[_TableEntry], list]:
-    """The entries the queries walk, size classes if every support is constant
-    on size pairs and else the table, and each support's values in
-    all_bisubsets(n) order as ints v over L, the lcm of their denominators."""
+def _walk(*supports: SupportFunction) -> Iterator[_TableEntry]:
+    """The entries the queries walk: size classes if every support is
+    constant on size pairs, and else the table.  The supports must share
+    one n."""
     n = supports[0].n
     for h in supports:
         if h.n != n:
             raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
-    rows = [_scaled_integers([h[bs] for bs in _bisubset_order(n)]) for h in supports]
-    symmetric = all(_symmetric(v, n) for v, _ in rows)
-    return (_size_classes(n) if symmetric else _inequality_table(n)), rows
+    symmetric = all(_symmetric(h.row, n) for h in supports)
+    return _size_classes(n) if symmetric else _inequality_table(n)
 
 
 @dataclass(frozen=True)
@@ -763,11 +769,11 @@ class NefVerdict:
 
 
 def _cone_check(h: SupportFunction, strict: bool) -> NefVerdict:
-    steps, ((v, scale),) = _scaled_walk(h)
-    for step in steps:
+    v = h.row
+    for step in _walk(h):
         value = step.value(v)
         if value < 0 or (strict and value == 0):
-            return NefVerdict(False, step.wall, Fraction(value, scale))
+            return NefVerdict(False, step.wall, Fraction(value, h.scale))
     return NefVerdict(True, None, None)
 
 
@@ -811,11 +817,11 @@ class WallValueTable:
 
 def wall_value_table(h: SupportFunction) -> WallValueTable:
     """Evaluate I(h) on every wall, grouped by kind and case."""
-    steps, ((v, scale),) = _scaled_walk(h)
+    v, scale = h.row, h.scale
     # The scaled values are counted as ints, and each distinct one is
     # divided by the scale once, in the order the values first occur.
     counts: dict[str | None, Counter] = {case: Counter() for case in ("i", "ii", "iii", None)}
-    for step in steps:
+    for step in _walk(h):
         counts[step.case][step.value(v)] += step.walls
     kind_a = {
         case: Counter({Fraction(value, scale): walls for value, walls in counter.items()})
@@ -846,17 +852,17 @@ def minkowski_quotient(p: SupportFunction, q: SupportFunction) -> QuotientResult
     with I(Q) > 0, so the quotient is the minimum of those ratios.  P must
     be nef, and P and Q supports for one n.
     """
-    steps, ((pv, p_scale), (qv, q_scale)) = _scaled_walk(p, q)
-    # The ratio at an entry is (ip / p_scale) / (iq / q_scale); the scales are
+    pv, qv = p.row, q.row
+    # The ratio at an entry is (ip / p.scale) / (iq / q.scale); the scales are
     # common to all entries, so ip / iq is compared by cross-multiplication.
     best: tuple[int, int] | None = None
     witness: _TableEntry | None = None
-    for step in steps:
+    for step in _walk(p, q):
         ip, iq = step.value(pv), step.value(qv)
         if ip < 0:
             raise ValueError(
                 f"P is not nef: wall inequality at {step.wall} evaluates to "
-                f"{Fraction(ip, p_scale)}"
+                f"{Fraction(ip, p.scale)}"
             )
         if iq > 0 and (best is None or ip * best[1] < best[0] * iq):
             best, witness = (ip, iq), step
@@ -865,32 +871,35 @@ def minkowski_quotient(p: SupportFunction, q: SupportFunction) -> QuotientResult
     if best[0] == 0:
         return QuotientResult("not-summand", Fraction(0), str(witness.wall))
     return QuotientResult(
-        "ok", Fraction(best[0] * q_scale, best[1] * p_scale), str(witness.wall)
+        "ok", Fraction(best[0] * q.scale, best[1] * p.scale), str(witness.wall)
     )
 
 
-# The built-in support functions by CLI-facing name, each a function of n.
+# The built-in support functions by CLI-facing name, each its value rule at
+# one bisubset.
 _NAMED_SUPPORTS = {
-    "biperm": biperm_support_function,
-    "harmonic": harmonic_support_function,
+    "biperm": biperm_support,
+    "harmonic": harmonic_support,
 }
 
 
 def named_support(name: str, n: int) -> SupportFunction:
-    """The built-in support functions, by CLI-facing name."""
+    """The built-in support functions, by CLI-facing name: the one builder
+    of each."""
     if name not in _NAMED_SUPPORTS:
         raise ValueError(f"unknown support function {name!r}")
-    return _NAMED_SUPPORTS[name](n)
+    order = all_bisubsets(n)
+    return SupportFunction(n, dict(zip(order, map(_NAMED_SUPPORTS[name], order))))
 
 
 def format_support_csv(h: SupportFunction) -> str:
     """Serialize as lines "S;T;value" with comma-joined sets, each line
     ending in a newline; the empty table (n = 1) is the empty string."""
     lines = []
-    for bs in _bisubset_order(h.n):
+    for bs, value in zip(all_bisubsets(h.n), h.row):
         left = ",".join(str(e) for e in sorted(bs.left))
         right = ",".join(str(e) for e in sorted(bs.right))
-        lines.append(f"{left};{right};{h[bs]}\n")
+        lines.append(f"{left};{right};{Fraction(value, h.scale)}\n")
     return "".join(lines)
 
 
@@ -962,9 +971,7 @@ def parse_support_csv(text: str, n: int) -> SupportFunction:
     call, in two dicts, since ``"3"`` is {3} as a side and 3 as a value;
     a text that fails to read is not kept, so every line is checked alike.
     """
-    if n < 1:
-        raise ValueError(f"ground set size must be positive, got {n}")
-    known, order = _bisubset_index(n), _bisubset_order(n)
+    known, order = _bisubset_index(n), all_bisubsets(n)
     sides: dict[str, frozenset[int]] = {}
     numbers: dict[str, Fraction] = {}
     values: dict[Bisubset, Fraction] = {}

@@ -25,12 +25,11 @@ Every point and every ray of the table space is one row of 2n ints: the x
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
-from operator import itemgetter
-from types import MappingProxyType
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
@@ -38,7 +37,6 @@ from .combinatorics import (
     Bisubset,
     Wall,
     _bisubset_index,
-    _bisubset_order,
     _mask,
     all_bisubsets,
     bisubsets_of,
@@ -47,7 +45,7 @@ from .combinatorics import (
     enumerate_wall_bisequences,
     splits_of,
 )
-from .linalg import nullspace_normal
+from .linalg import _scaled_integers, nullspace_normal
 
 Row = tuple[int, ...]
 
@@ -68,7 +66,7 @@ def ray_vector(bs: Bisubset) -> list[int]:
 def _ray_rows(n: int) -> dict[Bisubset, tuple[int, ...]]:
     """Each bisubset's :func:`ray_vector` row as a tuple, built once per n
     (do not mutate)."""
-    return {bs: tuple(ray_vector(bs)) for bs in _bisubset_order(n)}
+    return {bs: tuple(ray_vector(bs)) for bs in all_bisubsets(n)}
 
 
 def _lineality_rows(n: int) -> list[list[int]]:
@@ -146,17 +144,21 @@ def harmonic_support(bs: Bisubset) -> Fraction:
 
 @dataclass(frozen=True)
 class SupportFunction:
-    """A support function: one exact rational value per bisubset.
+    """A support function: one exact rational value per bisubset, held as
+    ``row``, the values in :func:`all_bisubsets` order as int numerators
+    over ``scale``, the lcm of their denominators.
 
-    ``values`` becomes a read-only copy of the table passed in, so neither
-    the caller nor a reader can change a validated support.
+    The table passed in is checked (n >= 1, each bisubset once, each value
+    an int or a Fraction) and scaled once, here; the row is a tuple, so a
+    support cannot change, and it hashes and compares by n, row and scale.
     """
 
     n: int
-    values: Mapping[Bisubset, int | Fraction]
+    values: InitVar[Mapping[Bisubset, int | Fraction]]
+    row: tuple[int, ...] = field(init=False)
+    scale: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        values = dict(self.values)
+    def __post_init__(self, values: Mapping[Bisubset, int | Fraction]) -> None:
         expected = _bisubset_index(self.n).keys()
         if values.keys() != expected:
             missing = len(expected - values.keys())
@@ -171,42 +173,29 @@ class SupportFunction:
                     f"support value at {bs} must be an int or a Fraction, "
                     f"got {value!r}"
                 )
-        object.__setattr__(self, "values", MappingProxyType(values))
+        row, scale = _scaled_integers([values[bs] for bs in all_bisubsets(self.n)])
+        object.__setattr__(self, "row", tuple(row))
+        object.__setattr__(self, "scale", scale)
 
-    def __getitem__(self, bs: Bisubset) -> int | Fraction:
-        return self.values[bs]
-
-    @staticmethod
-    def from_callable(
-        n: int, fn: Callable[[Bisubset], int | Fraction]
-    ) -> "SupportFunction":
-        return SupportFunction(n, {bs: Fraction(fn(bs)) for bs in _bisubset_order(n)})
+    def __getitem__(self, bs: Bisubset) -> Fraction:
+        return Fraction(self.row[_bisubset_index(self.n)[bs]], self.scale)
 
     @staticmethod
     def combine(
         terms: Sequence[tuple[int | Fraction, "SupportFunction"]]
     ) -> "SupportFunction":
-        """An exact linear combination sum(coeff * h)."""
+        """An exact linear combination sum(c * h), each c an int or a Fraction."""
         if not terms:
             raise ValueError("need at least one term")
         n = terms[0][1].n
         if any(h.n != n for _, h in terms):
             raise ValueError("support functions of different n")
-        return SupportFunction(
-            n,
-            {
-                bs: sum((Fraction(c) * h[bs] for c, h in terms), Fraction(0))
-                for bs in _bisubset_order(n)
-            },
-        )
-
-
-def biperm_support_function(n: int) -> SupportFunction:
-    return SupportFunction.from_callable(n, biperm_support)
-
-
-def harmonic_support_function(n: int) -> SupportFunction:
-    return SupportFunction.from_callable(n, harmonic_support)
+        for c, _ in terms:
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
+        weights = [Fraction(c, h.scale) for c, h in terms]
+        sums = (sum(map(mul, weights, col)) for col in zip(*(h.row for _, h in terms)))
+        return SupportFunction(n, dict(zip(all_bisubsets(n), sums)))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ All three entries raise ``TypeError`` on an entry that is not an ``int``
 and ``ValueError`` on rows of the wrong shape.
 
 ``_scaled_integers`` is the one rational-to-integer scaling of the package:
-``deformation._scaled_walk`` and ``triangulation.cover_locate`` call it
-to bring rational data onto integers before any integer code sees it.
+``geometry.SupportFunction``, once where a support is built, and
+``triangulation.cover_locate`` call it to bring rational data onto integers
+before any integer code sees it.
 """
 
 from __future__ import annotations

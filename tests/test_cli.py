@@ -34,7 +34,7 @@ from bipermutahedron.deformation import (
     named_support,
     parse_support_csv,
 )
-from bipermutahedron.geometry import SupportFunction
+from bipermutahedron.geometry import SupportFunction, biperm_support
 
 
 def run_cli(capsys, *argv):
@@ -334,8 +334,8 @@ class TestSupportFiles:
         assert runs[0][0] == {"biperm": 0, "harmonic": 1, "bad": 2}[support]
 
     def test_a_third_named_support_needs_one_table_entry(self, capsys, monkeypatch):
-        def doubled_biperm(n):
-            return SupportFunction.combine([(2, named_support("biperm", n))])
+        def doubled_biperm(bs):
+            return 2 * biperm_support(bs)
 
         monkeypatch.setitem(deformation._NAMED_SUPPORTS, "double", doubled_biperm)
         code, out, _ = run_cli(capsys, "nef-check", "--n", "3", "--support", "double")

@@ -18,6 +18,7 @@ from bipermutahedron.combinatorics import (
     EmptyPart,
     Multigraph,
     NoSingleOccurrence,
+    all_bisubsets,
     bipermutation_count,
     bisequence_of_configuration,
     bisequence_to_multigraph,
@@ -33,7 +34,6 @@ from bipermutahedron.combinatorics import (
     parse_bipermutation,
     parse_bisequence,
     splits_of,
-    _bisubset_order,
     _covering_pairs,
     Wall,
     _elements,
@@ -257,7 +257,7 @@ def test_covering_pairs_match_the_product_of_codes(n):
         for left, right in _covering_pairs(n)
     )
     assert decoded == pairs
-    assert _bisubset_order(n) == tuple(
+    assert all_bisubsets(n) == tuple(
         Bisubset(left, right, n) for left, right in pairs if left and right and left != right
     )
 
@@ -265,7 +265,7 @@ def test_covering_pairs_match_the_product_of_codes(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bisubset_order_hands_out_the_split_tables_objects(n):
     keys = [(s, t) for s, t in _covering_pairs(n) if s and t and s != t]
-    order = _bisubset_order(n)
+    order = all_bisubsets(n)
     assert len(order) == len(keys) == 3**n - 3
     assert all(bs is _split_table(n)[key] for bs, key in zip(order, keys))
 
@@ -298,7 +298,7 @@ def test_split_table_refuses_bit_e_minus_1_masks(n):
     # every such pair raises at the lookup and none is stored.
     table = _split_table(n)
     size = len(table)
-    for bs in _bisubset_order(n):
+    for bs in all_bisubsets(n):
         with pytest.raises(ValueError, match="name no bisubset"):
             table[_mask(bs.left) >> 1, _mask(bs.right) >> 1]
     assert len(table) == size
@@ -308,7 +308,7 @@ def test_split_table_refuses_bit_e_minus_1_masks(n):
 def test_split_table_shares_one_part_set_per_mask(n):
     # Every split whose S (or T) has a given mask holds the same set object.
     by_mask = {}
-    for bs in _bisubset_order(n):
+    for bs in all_bisubsets(n):
         for part in (bs.left, bs.right):
             assert by_mask.setdefault(_mask(part), part) is part
     assert len(by_mask) == 2**n - 1

@@ -219,6 +219,16 @@ class TestClosedFormInequalities:
         assert updown_ineq.evaluate(biperm) == 25
         assert updown_ineq.evaluate(harmonic) == 1
 
+    def test_evaluate_refuses_a_support_of_another_n(self):
+        ineq = wall_inequality(next(enumerate_walls(3)))
+        assert ineq.evaluate(named_support("biperm", 3)) == 4
+        for n in (2, 4):
+            message = f"^support function is for n = {n}, expected n = 3$"
+            with pytest.raises(ValueError, match=message):
+                ineq.evaluate(named_support("biperm", n))
+        empty = WallInequality(plus=(), minus=())
+        assert empty.evaluate(named_support("harmonic", 2)) == 0
+
     def test_positive_coefficients_enforced(self):
         bad = ((bisubset({1}, {1, 2}, 2), Fraction(0)),)
         with pytest.raises(ValueError, match="positive"):
@@ -761,7 +771,7 @@ def seeded_supports(n, seed):
         b = Fraction(rng.randint(0, 40), den)
         h = SupportFunction.combine([(a, biperm), (b, harmonic)])
         out.append(h)
-        values = dict(h.values)
+        values = {bs: h[bs] for bs in all_bisubsets(n)}
         for bs in rng.sample(all_bisubsets(n), 3):
             values[bs] += Fraction(rng.randint(-40, 40), den)
         out.append(SupportFunction(n, values))
@@ -991,8 +1001,7 @@ def by_both_routes(monkeypatch, supports, pairs):
 
 
 def takes_class_route(h):
-    steps, _ = deformation._scaled_walk(h)
-    return steps.__name__ == "_size_classes"
+    return deformation._walk(h).__name__ == "_size_classes"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -1041,7 +1050,8 @@ def test_one_value_off_symmetric_takes_the_table_route(monkeypatch, n):
     last = all_bisubsets(n)[-1]
     assert size_pair(last) in {size_pair(bs) for bs in all_bisubsets(n)[:-1]}
     for name in ("biperm", "harmonic"):
-        values = dict(named_support(name, n).values)
+        h = named_support(name, n)
+        values = {bs: h[bs] for bs in all_bisubsets(n)}
         values[last] -= 100
         supports.append(SupportFunction(n, values))
     assert not any(takes_class_route(h) for h in supports)

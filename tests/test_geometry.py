@@ -1,5 +1,6 @@
 """Vertices, facets, rays, support functions, and symmetries."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,11 @@ from bipermutahedron.geometry import (
     SupportFunction,
     SymmetryReport,
     biperm_support,
-    biperm_support_function,
     canonical_ray,
     classify_wall_normal,
     facet_check,
     facets_json,
     harmonic_support,
-    harmonic_support_function,
     hyperplane_face_counts,
     ray_vector,
     symmetry_checks,
@@ -102,7 +101,7 @@ def test_harmonic_support_values():
     assert harmonic_support(bisubset({1}, {2}, 2)) == Fraction(-1)
     # degenerate-adjacent sanity: f(n) + f(0) + 1 = 0 by the translation
     n = 4
-    h = harmonic_support_function(n)
+    h = deformation.named_support("harmonic", n)
     full = bisubset(range(1, n + 1), {1}, n)
     single = bisubset({1}, range(1, n + 1), n)
     assert h[full] == h[single]  # |S|,|T| swap symmetry
@@ -139,16 +138,52 @@ def test_support_function_keeps_a_read_only_copy_of_its_table():
     values = {bs: Fraction(k, 3) for k, bs in enumerate(all_bisubsets(3))}
     h = SupportFunction(3, values)
     bs = all_bisubsets(3)[5]
-    with pytest.raises(TypeError):
-        h.values[bs] = "x"
-    with pytest.raises(TypeError):
-        del h.values[bs]
+    assert type(h.row) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.row = (0,) * 24
     values[bs] = Fraction(-7)
     del values[all_bisubsets(3)[0]]
     assert h[bs] == Fraction(5, 3)
-    assert len(h.values) == 24
-    assert geometry.biperm_support_function(3) != h
+    assert len(h.row) == 24
+    assert deformation.named_support("biperm", 3) != h
     assert deformation.is_nef(h).passed is False
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_a_support_refuses_a_ground_set_below_one(n):
+    message = f"^ground set size must be positive, got {n}$"
+    with pytest.raises(ValueError, match=message):
+        SupportFunction(n, {})
+    with pytest.raises(ValueError, match=message):
+        deformation.named_support("biperm", n)
+
+
+def test_a_support_is_hashable_and_equals_the_support_of_its_values():
+    biperm = deformation.named_support("biperm", 3)
+    from_ints = SupportFunction(3, {bs: biperm_support(bs) for bs in all_bisubsets(3)})
+    assert type(biperm_support(all_bisubsets(3)[0])) is int
+    assert biperm == from_ints
+    assert hash(biperm) == hash(from_ints)
+    assert len({biperm, from_ints, deformation.named_support("harmonic", 3)}) == 2
+
+
+def test_equal_values_in_any_exact_form_give_one_support():
+    halves = {bs: Fraction(-6, 2) for bs in all_bisubsets(2)}
+    ints = dict.fromkeys(all_bisubsets(2), -3)
+    assert SupportFunction(2, halves) == SupportFunction(2, ints)
+    assert SupportFunction(2, halves).row == (-3,) * 6
+    assert SupportFunction(2, halves).scale == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1", None], ids=repr)
+def test_combine_refuses_a_coefficient_that_is_not_exact(bad):
+    biperm = deformation.named_support("biperm", 2)
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        SupportFunction.combine([(bad, biperm)])
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        SupportFunction.combine([(1, biperm), (bad, biperm)])
+    tenth = SupportFunction.combine([(Fraction(1, 10), biperm), (2, biperm)])
+    assert all(tenth[bs] == Fraction(21, 10) * biperm[bs] for bs in all_bisubsets(2))
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", True, None], ids=repr)
@@ -307,7 +342,7 @@ def test_hyperplane_face_counts_refuses_n1():
 def test_biperm_support_function_matches_vertex_minima():
     # the support value must be the minimum of the pairing over vertices
     n = 3
-    h = biperm_support_function(n)
+    h = deformation.named_support("biperm", n)
     vertices = [
         vertex_of_bipermutation(bp) for bp in enumerate_bipermutations(n)
     ]

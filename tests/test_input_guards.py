@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bipermutahedron.combinatorics import bisequence_of_configuration
-from bipermutahedron.geometry import SupportFunction, biperm_support_function
+from bipermutahedron.deformation import named_support
+from bipermutahedron.geometry import SupportFunction
 from bipermutahedron.polynomials import (
     IntPolynomial,
     count_distinct_real_roots,
@@ -20,7 +21,7 @@ from bipermutahedron.polynomials import (
         (lambda: SupportFunction.combine([]), ValueError),
         (
             lambda: SupportFunction.combine(
-                [(1, biperm_support_function(2)), (1, biperm_support_function(3))]
+                [(1, named_support("biperm", 2)), (1, named_support("biperm", 3))]
             ),
             ValueError,
         ),

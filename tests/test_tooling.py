@@ -250,10 +250,24 @@ def test_each_projection_and_decode_has_one_home():
     assert not {"left", "right"} & set(loops)
     # The cone queries' shared helper picks their walk: the size classes are
     # read only there, and the table there and by the walk that checks it.
-    assert call_sites(deformation_py, "_size_classes") == ["deformation._scaled_walk"]
+    assert call_sites(deformation_py, "_size_classes") == ["deformation._walk"]
     assert sorted(call_sites(deformation_py, "_inequality_table")) == [
-        "deformation._scaled_walk",
+        "deformation._walk",
         "deformation.inequality_table_check",
+    ]
+
+
+def test_a_support_is_scaled_once_where_it_is_built():
+    # A support holds its values as ints over one scale, so no query
+    # rescales it; location scales its own rational table.
+    sites = [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in call_sites(path, "_scaled_integers")
+    ]
+    assert sorted(sites) == [
+        "geometry.SupportFunction.__post_init__",
+        "triangulation.cover_locate",
     ]
 
 
@@ -494,7 +508,7 @@ def test_symmetric_supports_make_no_table_call(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(deformation, "_inequality_table", counted)
     for n in (3, 4):
-        text = deformation.format_support_csv(geometry.harmonic_support_function(n))
+        text = deformation.format_support_csv(deformation.named_support("harmonic", n))
         symmetric, off = tmp_path / f"harmonic-{n}.csv", tmp_path / f"off-{n}.csv"
         symmetric.write_text(text, encoding="utf-8")
         head, last = text.rstrip("\n").rsplit("\n", 1)
