@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import factorial
 from operator import or_
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -453,17 +453,28 @@ def descents(bp: Bipermutation) -> int:
     )
 
 
+class _MaskMemo(dict):
+    """The bitmask of each part set met so far, filled on lookup by
+    :func:`_mask`."""
+
+    def __missing__(self, part: frozenset[int]) -> int:
+        mask = self[part] = _mask(part)
+        return mask
+
+
 class _SplitTable(dict):
     """The bisubsets of {1..n} met so far, keyed by the bitmasks (bit e for
     element e) of S and of T; a pair not met before is built on lookup, from
     one shared part set per mask, and a pair that is no bisubset of {1..n}
-    raises ``ValueError`` and is not stored."""
+    raises ``ValueError`` and is not stored.  ``masks`` maps a part set back
+    to its mask."""
 
     def __init__(self, n: int) -> None:
         super().__init__()
         self.n = n
         self.full = (1 << n + 1) - 2
         self.parts: dict[int, frozenset[int]] = {}
+        self.masks = _MaskMemo()
 
     def __missing__(self, key: tuple[int, int]) -> Bisubset:
         left, right = key
@@ -496,6 +507,20 @@ def _split_keys(masks: Sequence[int]) -> list[tuple[int, int]]:
     return list(zip(itertools.accumulate(masks[:-1], or_), rights))
 
 
+def _word_keys(letters: Sequence[int]) -> list[tuple[int, int]]:
+    """The split keys of a word: each letter e is a part, of mask 1 << e."""
+    return _split_keys(tuple(map((1).__lshift__, letters)))
+
+
+def _bisequence_keys(seq: Bisequence) -> list[tuple[int, int]]:
+    """The split keys of a bisequence, each part's mask read off the split
+    table's memo."""
+    keys = _split_keys(list(map(_split_table(seq.n).masks.__getitem__, seq.parts)))
+    if any(left == right for left, right in keys):
+        raise AssertionError("a split of a bisequence cannot repeat a part set")
+    return keys
+
+
 def bisubsets_of(bp: Bipermutation) -> tuple[Bisubset, ...]:
     """The 2n-2 prefix/suffix bisubsets of a bipermutation, in word order.
 
@@ -504,9 +529,7 @@ def bisubsets_of(bp: Bipermutation) -> tuple[Bisubset, ...]:
     >>> [str(b) for b in bisubsets_of(parse_bipermutation("1|3|2|1|3"))]
     ['1|123', '13|123', '123|13', '123|3']
     """
-    # A part of a word is one letter e, whose mask is 1 << e.
-    keys = _split_keys(tuple(map((1).__lshift__, bp.letters)))
-    return tuple(map(_split_table(bp.n).__getitem__, keys))
+    return tuple(map(_split_table(bp.n).__getitem__, _word_keys(bp.letters)))
 
 
 def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
@@ -517,10 +540,7 @@ def splits_of(seq: Bisequence) -> tuple[Bisubset, ...]:
     >>> [str(b) for b in splits_of(parse_bisequence("2|13|1|3", 3))]
     ['2|13', '123|13', '123|3']
     """
-    keys = _split_keys(list(map(_mask, seq.parts)))
-    if any(left == right for left, right in keys):
-        raise AssertionError("a split of a bisequence cannot repeat a part set")
-    return tuple(map(_split_table(seq.n).__getitem__, keys))
+    return tuple(map(_split_table(seq.n).__getitem__, _bisequence_keys(seq)))
 
 
 def _kind_a_parts(seq: Bisequence) -> tuple[int, int, int, int, int, int]:
@@ -531,11 +551,13 @@ def _kind_a_parts(seq: Bisequence) -> tuple[int, int, int, int, int, int]:
     Every other element occurs twice, so the once-element is n(n + 1) minus
     the sum of the letters.
     """
-    pos = next(pos for pos, part in enumerate(seq.parts) if len(part) == 2)
-    i, j = sorted(seq.parts[pos])
-    s = _mask(frozenset().union(*seq.parts[:pos]))
-    t = _mask(frozenset().union(*seq.parts[pos + 1 :]))
-    once = seq.n * (seq.n + 1) - sum(map(sum, seq.parts))
+    parts = seq.parts
+    pos = next(pos for pos, part in enumerate(parts) if len(part) == 2)
+    i, j = sorted(parts[pos])
+    masks = _split_table(seq.n).masks
+    s = reduce(or_, map(masks.__getitem__, parts[:pos]), 0)
+    t = reduce(or_, map(masks.__getitem__, parts[pos + 1 :]), 0)
+    once = seq.n * (seq.n + 1) - sum(map(sum, parts))
     return pos, i, j, s, t, once
 
 

@@ -85,17 +85,17 @@ from .combinatorics import (
     Bisubset,
     KindMismatch,
     Wall,
+    _bisequence_keys,
     _bisubset_index,
     _elements,
     _mask,
     _split_keys,
     _split_table,
+    _word_keys,
     all_bisubsets,
     bisubset,
-    bisubsets_of,
     enumerate_wall_bisequences,
     parse_bisequence,
-    splits_of,
 )
 from .geometry import (
     SupportFunction,
@@ -396,17 +396,22 @@ def generic_wallcross_oracle(wall: Wall) -> WallInequality:
     independent oracle for the closed-form inequalities.
     """
     n = wall.n
-    wall_rays = splits_of(wall)
-    wall_set = set(wall_rays)
+    split_of = _split_table(n)
+    wall_keys = _bisequence_keys(wall)
+    wall_rays = tuple(map(split_of.__getitem__, wall_keys))
+    # A split is its key in the split table, so the chambers' extra rays
+    # are found by comparing keys.
+    known = set(wall_keys)
     extras = [
-        [bs for bs in bisubsets_of(chamber) if bs not in wall_set]
+        [key for key in _word_keys(chamber.letters) if key not in known]
         for chamber in wall_refinements(wall)
     ]
     if any(len(extra) != 1 for extra in extras):
         raise DependenceNotUnique(
             f"chambers of {wall} do not add exactly one ray each"
         )
-    (r,), (rp,) = extras
+    (r_key,), (rp_key,) = extras
+    r, rp = split_of[r_key], split_of[rp_key]
     table = _ray_rows(n)
     columns = [table[rp], *(table[w] for w in wall_rays), *_lineality_rows(n)]
     columns.append([-x for x in table[r]])

@@ -69,9 +69,11 @@ def _ray_rows(n: int) -> dict[Bisubset, tuple[int, ...]]:
     return {bs: tuple(ray_vector(bs)) for bs in all_bisubsets(n)}
 
 
-def _lineality_rows(n: int) -> list[list[int]]:
-    """The rows e_E and f_E spanning the fan's lineality space."""
-    return [[1] * n + [0] * n, [0] * n + [1] * n]
+@cache
+def _lineality_rows(n: int) -> tuple[Row, Row]:
+    """The rows e_E and f_E spanning the fan's lineality space, built once
+    per n as tuples."""
+    return (1,) * n + (0,) * n, (0,) * n + (1,) * n
 
 
 def canonical_ray(row: Sequence[int]) -> Row:
@@ -178,6 +180,10 @@ class SupportFunction:
         object.__setattr__(self, "scale", scale)
 
     def __getitem__(self, bs: Bisubset) -> Fraction:
+        if bs.n != self.n:
+            raise ValueError(
+                f"support function is for n = {self.n}, expected n = {bs.n}"
+            )
         return Fraction(self.row[_bisubset_index(self.n)[bs]], self.scale)
 
     @staticmethod
@@ -388,8 +394,8 @@ HYPERPLANE_TYPES = (1, 2, 3, 4)
 
 def _wall_normal(splits: Sequence[Bisubset]) -> tuple[int, ...]:
     n = splits[0].n
-    table = _ray_rows(n)
-    return tuple(nullspace_normal([table[bs] for bs in splits] + _lineality_rows(n)))
+    rows = [*map(_ray_rows(n).__getitem__, splits), *_lineality_rows(n)]
+    return tuple(nullspace_normal(rows))
 
 
 def classify_wall_normal(normal: Sequence[int]) -> tuple[int, tuple[int, ...]]:

@@ -10,8 +10,11 @@ One kernel does all the elimination: forward fraction-free elimination
 above it.  Every entry the kernel produces is an integer minor of its
 input up to sign, so no ``Fraction`` is built during elimination.  Each
 pivot is made positive by negating its row, and the kernel keeps the parity
-of those negations, so ``d`` keeps its sign.  Each job has one entry, and
-every entry takes integer rows:
+of those negations, so ``d`` keeps its sign.  When a pivot and the one
+before it are both 1, a row below takes a unit step, with no product and
+no division; with a multiplier of +1 or -1 the step is one ``map`` of
+``operator.sub`` or ``operator.add`` over the two rows, which runs in C.
+Each job has one entry, and every entry takes integer rows:
 
 - ``det_int`` needs only ``d``, the signed minor on the pivot rows and
   columns;
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 
@@ -78,7 +81,8 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     ``flip`` keeps the parity of those negations for ``d``.  A row with a
     zero in the pivot column is then rewritten only when the pivot differs
     from the one before, and a pivot of 1 after a pivot of 1 needs neither
-    the product nor the division.
+    the product nor the division; with a multiplier of +1 or -1 such a unit
+    step is one ``map`` of ``sub`` or ``add`` over the two rows.
     """
     rows = len(a)
     pivot_cols: list[int] = []
@@ -108,7 +112,12 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
             # Bareiss: every new entry is a minor up to sign, so the
             # division is exact.
             if f and unit:
-                a[i] = [x - f * y for x, y in zip(row, top)]
+                if f == 1:
+                    a[i] = list(map(sub, row, top))
+                elif f == -1:
+                    a[i] = list(map(add, row, top))
+                else:
+                    a[i] = [x - f * y for x, y in zip(row, top)]
             elif f:
                 a[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
             elif pv != prev:
@@ -126,11 +135,13 @@ def _back_substitute(a: list[list[int]], pivot_cols: list[int], vec: list[int]) 
     The other entries of ``vec`` are given; the pivot entries must start at
     0.  Each division is exact when the filled entries are integers, as
     they are when the given ones are ``d`` times a rational solution's.
+    Row ``r`` is zero before its pivot and ``vec`` is still zero at it, so
+    the pairing of the whole row is the sum over the later columns.
     """
     for r in range(len(pivot_cols) - 1, -1, -1):
         c = pivot_cols[r]
         row = a[r]
-        vec[c] = -sum(map(mul, row[c + 1 :], vec[c + 1 :])) // row[c]
+        vec[c] = -sum(map(mul, row, vec)) // row[c]
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:

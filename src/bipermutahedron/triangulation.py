@@ -123,7 +123,7 @@ def unimodularity_check(n: int) -> bool:
     """
     ray_rows, lineality_rows = _ray_rows(n), _lineality_rows(n)
     for bp in enumerate_bipermutations(n):
-        matrix = lineality_rows + [ray_rows[bs] for bs in bisubsets_of(bp)]
+        matrix = [*lineality_rows, *map(ray_rows.__getitem__, bisubsets_of(bp))]
         if det_int(matrix) not in (1, -1):
             return False
     return True

@@ -229,6 +229,14 @@ class TestClosedFormInequalities:
         empty = WallInequality(plus=(), minus=())
         assert empty.evaluate(named_support("harmonic", 2)) == 0
 
+    def test_lookup_refuses_a_bisubset_of_another_n(self):
+        h = named_support("biperm", 3)
+        assert h[bisubset({1}, {2, 3}, 3)] == -8
+        for n in (2, 4):
+            message = f"^support function is for n = 3, expected n = {n}$"
+            with pytest.raises(ValueError, match=message):
+                h[bisubset({1}, set(range(2, n + 1)), n)]
+
     def test_positive_coefficients_enforced(self):
         bad = ((bisubset({1}, {1, 2}, 2), Fraction(0)),)
         with pytest.raises(ValueError, match="positive"):

@@ -3,6 +3,7 @@ brought onto integer rows with ``_scaled_integers``, one row at a time."""
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations
 from math import gcd, prod
 
@@ -407,6 +408,63 @@ def test_unimodularity_determinants_match_the_reference(monkeypatch):
     assert len(matrices) == 90
     for matrix in matrices:
         assert det_int(matrix) == _reference_det(matrix) in (1, -1)
+
+
+# One case per way the kernel rewrites a row below a pivot, each as
+# (matrix, the second row after the first column's step).  The first pivot
+# of the unit cases is 1 after the initial 1, so their rows take unit steps,
+# and so do their second steps: multipliers +1 and -1 are the rows' plain
+# difference and sum, and 2 the product without a division.  A pivot of 2
+# takes the general step where the entry below is nonzero and rescales the
+# row where it is zero.
+BRANCH_CASES = {
+    "unit step, multiplier +1": ([[1, 2, 3], [1, 3, 5], [0, 1, 4]], [0, 1, 2]),
+    "unit step, multiplier -1": ([[1, 2, 3], [-1, -1, -1], [0, -1, 4]], [0, 1, 2]),
+    "unit step, multiplier 2": ([[1, 2, 3], [2, 5, 4], [0, 2, 1]], [0, 1, -2]),
+    "general step": ([[2, 1, 1], [3, 2, 1], [1, 0, 4]], [0, 1, -1]),
+    "rescale": ([[2, 1, 1], [0, 3, 1], [0, 1, 2]], [0, 6, 2]),
+}
+
+
+@pytest.mark.parametrize("case", BRANCH_CASES)
+def test_each_row_step_matches_the_reference(case):
+    matrix, stepped = BRANCH_CASES[case]
+    a = [list(row) for row in matrix]
+    assert _bareiss(a, 1) == ([0], matrix[0][0], 1)
+    assert a[1] == stepped
+    for sense in (1, -1):
+        rows = [[sense * x for x in (*row, k + 1)] for k, row in enumerate(matrix)]
+        square = [row[:-1] for row in rows]
+        _assert_kernel_matches_reference(square=square, solve=rows, null=rows)
+        _assert_kernel_matches_reference(null=square[:-1])
+
+
+# The sha256 of repr((solves, normals, dets)): the kernel's answers on every
+# system the n = 4 oracle, wall normals and unimodularity check build, in
+# the order they build them, as recorded from the kernel at commit 6db49f4,
+# before its unit steps took the map branches.
+N4_ROUTE_ANSWERS = "ba06259465a88b0ca6e6cb2b4dea5d516849413132e589b9202aa5391311698b"
+
+
+def test_n4_route_systems_replay_to_the_recorded_integers(monkeypatch):
+    answers = ([], [], [])
+
+    def answering(sink, real):
+        def answered(rows):
+            sink.append(real(rows))
+            return sink[-1]
+
+        return answered
+
+    monkeypatch.setattr(deformation, "solve_unique", answering(answers[0], solve_unique))
+    monkeypatch.setattr(geometry, "nullspace_normal", answering(answers[1], nullspace_normal))
+    monkeypatch.setattr(triangulation, "det_int", answering(answers[2], det_int))
+    for wall in deformation.enumerate_walls(4):
+        deformation.generic_wallcross_oracle(wall)
+    assert geometry.hyperplane_face_counts(4).passed
+    assert triangulation.unimodularity_check(4)
+    assert [len(sink) for sink in answers] == [7560, 7560, 2520]
+    assert sha256(repr(answers).encode()).hexdigest() == N4_ROUTE_ANSWERS
 
 
 def _augmented(a, b):

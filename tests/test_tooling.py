@@ -11,7 +11,9 @@ reads the inequality table from the CLI; every private function and class
 is referenced outside its own definition; pi1 and a kind-B wall's doubled
 word are each applied in one place, and a cone query's walk is chosen in
 one; a wall's kind is compared only where it is decoded or dispatched on;
-no query takes an n that its inputs already fix."""
+no query takes an n that its inputs already fix; a part's mask has one
+rule, which alone fills the split table's mask memo; the lineality rows are
+cached as tuples."""
 
 import ast
 import importlib
@@ -25,7 +27,7 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from bipermutahedron import cli, deformation, geometry, invariants
+from bipermutahedron import cli, combinatorics, deformation, geometry, invariants
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -175,9 +177,10 @@ def test_package_has_no_assert_statements():
     assert asserts == []
 
 
-def call_sites(path, callee):
+def call_sites(path, callee, where=lambda call: True):
     """The qualified name of the def around each call of ``callee`` in a
-    module, or "<module>" for a call outside every def."""
+    module for which ``where(call)`` holds, or "<module>" for a call outside
+    every def."""
     sites = []
 
     def visit(node, scope):
@@ -188,7 +191,7 @@ def call_sites(path, callee):
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
+                if name == callee and where(child):
                     sites.append(f"{path.stem}.{scope or '<module>'}")
             visit(child, inner)
 
@@ -346,6 +349,63 @@ def test_kernel_entries_check_their_entries_before_eliminating():
         else:
             raise AssertionError(f"linalg.{node.name} never calls _bareiss")
     assert guarded == entries
+
+
+def reads_element_bits(call):
+    """Whether a call reads ``(1).__lshift__``, the bit of an element."""
+    return any(
+        isinstance(node, ast.Attribute)
+        and node.attr == "__lshift__"
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 1
+        for node in ast.walk(call)
+    )
+
+
+def test_a_parts_mask_has_one_rule():
+    # _mask is the one sum of element bits; the split table's mask memo is
+    # filled by _mask on lookup and written nowhere else.
+    modules = sorted(PACKAGE.glob("*.py"))
+    sums = [site for path in modules for site in call_sites(path, "sum", reads_element_bits)]
+    assert sums == ["combinatorics._mask"]
+    combinatorics_py = PACKAGE / "combinatorics.py"
+    assert call_sites(combinatorics_py, "_MaskMemo") == ["combinatorics._SplitTable.__init__"]
+    assert "combinatorics._MaskMemo.__missing__" in call_sites(combinatorics_py, "_mask")
+
+    def names_masks(node):
+        return getattr(node, "attr", getattr(node, "id", None)) == "masks"
+
+    writes = [
+        f"{path.stem}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and names_masks(node.value)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in {"update", "setdefault", "__setitem__"}
+            and names_masks(node.value)
+        )
+    ]
+    assert writes == []
+    walls = list(deformation.enumerate_walls(3))
+    for wall in walls:
+        combinatorics.splits_of(wall)
+    masks = combinatorics._split_table(3).masks
+    assert {part for wall in walls for part in wall.parts} <= masks.keys()
+    assert all(mask == combinatorics._mask(part) for part, mask in masks.items())
+
+
+def test_lineality_rows_are_built_once_as_tuples():
+    # The oracle, the wall normals and the unimodularity check share the
+    # cached rows, so a caller must not be able to change them.
+    rows = geometry._lineality_rows(3)
+    assert rows is geometry._lineality_rows(3)
+    assert rows == ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))
+    assert type(rows) is tuple and {type(row) for row in rows} == {tuple}
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
