@@ -59,12 +59,18 @@ A support that reads S|T only through its size pair (|S - T|, |T - S|),
 as the bipermutahedron's, the harmonic polytope's and every aB + bH do,
 has one value on all the entries of one case whose terms have the same
 size pairs.  Such a size class is held as its first entry with the wall
-count of the whole class (40 classes at n = 4, 88 at n = 5).  The queries
-decide by one pass over a support's values whether it is of this kind; if
-every support they take is, they walk the classes, and otherwise the table.
-Either way each step is a table entry evaluated on the same scaled row, and
-both routes give the same witnesses, values and counters; the table stays
-the reference route.
+count of the whole class (40 classes at n = 4, 88 at n = 5, 203 at n = 6).
+The classes are generated in closed form, with no table behind them: kind
+A from the region counts and the sides of the pair, kind B from the size
+sequences of the chains of runs, each with its least wall and its wall
+count as a sum of products of factorials (see _kind_a_classes and
+_kind_b_classes).  The queries decide by one pass over a support's values
+whether it is of this kind; if every support they take is, they walk the
+classes, and otherwise the table.  Either way each step is a table entry
+evaluated on the same scaled row, and both routes give the same witnesses,
+values and counters.  The table stays the reference route, and grouping it
+by size (_group_by_size) the reference for the classes, which
+inequality_table_check compares with it.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
-from math import factorial, gcd
+from itertools import accumulate, combinations, pairwise, product
+from math import comb, factorial, gcd
 from typing import Callable, Iterator, Literal
 
 from .combinatorics import (
@@ -443,7 +449,7 @@ class _TableEntry:
     the sorted parts of the first wall, in :func:`enumerate_walls` order,
     with this inequality and kind-A case (None for kind B), and ``walls``
     counts the walls that share both.  A size class is its first entry with
-    ``walls`` summed over the class (see :func:`_group_by_size`).
+    ``walls`` summed over the class (see :func:`_size_classes`).
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -652,27 +658,41 @@ def _size_pair_ids(n: int) -> tuple[int, ...]:
 
 
 @cache
+def _size_digits(n: int) -> tuple[int, ...]:
+    """Each bisubset's size-pair id as a digit 1 << (width * id), in
+    all_bisubsets(n) order, so that a multiset of terms is keyed as one
+    int, the sum of their digits; no side has 2n terms, so digits never
+    carry."""
+    width = (2 * n).bit_length()
+    return tuple(1 << width * k for k in _size_pair_ids(n))
+
+
+def _size_key(
+    case: str | None, plus: tuple[int, ...], minus: tuple[int, ...], digit: tuple[int, ...]
+) -> tuple:
+    """The size class key of an inequality: its case and the multisets of
+    the plus and of the minus terms' size pairs."""
+    return case, sum(map(digit.__getitem__, plus)), sum(map(digit.__getitem__, minus))
+
+
+@cache
 def _group_by_size(
     kind_entries: Callable[[int], tuple[_TableEntry, ...]], n: int
 ) -> tuple[_TableEntry, ...]:
-    """The size classes of ``kind_entries(n)``, one kind's table entries:
-    one pass, keyed by the case and the multisets of the plus and of the
-    minus terms' size pairs, each class its first entry with the summed
-    wall count, in order of first entry.  A multiset is keyed as one int,
-    the sum of a digit 1 << (width * id) per term; no side has 2n terms, so
-    digits never carry.  At a support that reads S|T only through its size
-    pair, every entry of a class has the first entry's value.
+    """The size classes of ``kind_entries(n)``, one kind's table entries,
+    by grouping them: one pass, keyed by :func:`_size_key`, each class its
+    first entry with the summed wall count, in order of first entry.  At a
+    support that reads S|T only through its size pair, every entry of a
+    class has the first entry's value.
+
+    This is the reference for the closed-form classes that the queries
+    walk (:func:`_kind_a_classes`, :func:`_kind_b_classes`), which
+    :func:`inequality_table_check` compares with it.
     """
-    ids = _size_pair_ids(n)
-    width = (2 * n).bit_length()
-    digit = [1 << width * k for k in ids]
+    digit = _size_digits(n)
     found: dict[tuple, list] = {}
     for entry in kind_entries(n):
-        key = (
-            entry.case,
-            sum(map(digit.__getitem__, entry.plus)),
-            sum(map(digit.__getitem__, entry.minus)),
-        )
+        key = _size_key(entry.case, entry.plus, entry.minus, digit)
         seen = found.get(key)
         if seen is None:
             found[key] = [entry, entry.walls]
@@ -681,17 +701,163 @@ def _group_by_size(
     return tuple(replace(first, walls=walls) for first, walls in found.values())
 
 
+@cache
+def _kind_a_classes(n: int) -> tuple[_TableEntry, ...]:
+    """The kind-A size classes in closed form, in order of first wall.
+
+    A region map of :func:`_kind_a_entries` with its once-element o is,
+    up to relabelling, fixed by the region counts a = |S only|, b = |T
+    only| and c = |both| = n - 2 - a - b, the sides of i and j and where o
+    sits (the pair, S only or T only), and these fix the size pairs of the
+    terms.  There are C(n, 2) (n - 2)!/(a! b! c!) such region maps, o
+    takes 1, a or b elements, and each (map, o) has |pre|!/2^d *
+    |suf|!/2^d' walls.  The least wall gives labels in increasing order to
+    the doubled S-only elements (the prefix reads 1, 1, 2, 2, ...), the
+    S-side pair members (the pair part follows the prefix), the "both"
+    elements (they are in the suffix too), an S-only o, the other pair
+    members T side first, the doubled T-only elements and a T-only o.
+    Combinations with one :func:`_size_key` merge: their walls are summed,
+    and the least first wall is kept with its terms.
+    """
+    index, table = _bisubset_index(n), _split_table(n)
+    digit = _size_digits(n)
+    single = [(e,) for e in range(n + 1)]
+
+    def term(left: int, right: int) -> tuple[int, ...]:
+        return (index[table[left, right]],) if left and right and left != right else ()
+
+    found: dict[tuple, list] = {}
+    for a in range(n - 1):
+        for b in range(n - 1 - a):
+            c = n - 2 - a - b
+            maps = comb(n, 2) * factorial(n - 2)
+            maps //= factorial(a) * factorial(b) * factorial(c)
+            for sides in product("PST", repeat=2):
+                if sides == ("P", "P"):
+                    continue
+                in_s, in_t = sides.count("S"), sides.count("T")
+                if "P" in sides:
+                    case, places = "iii", "P"
+                else:
+                    case = "i" if sides[0] == sides[1] else "ii"
+                    places = "S" * (a > 0) + "T" * (b > 0)
+                for place in places:
+                    once_s, once_t = place == "S", place == "T"
+                    in_p = 2 - in_s - in_t
+                    sizes = (a - once_s, in_s, c, once_s, in_t, in_p, b - once_t, once_t)
+                    twice_s, pair_s, both, o_s, pair_t, pair_p, twice_t, o_t = (
+                        range(lo, hi) for lo, hi in pairwise(accumulate(sizes, initial=1))
+                    )
+                    s_side = [*twice_s, *pair_s, *both, *o_s]
+                    t_side = [*both, *pair_t, *twice_t, *o_t]
+                    head, tail = sorted(s_side + [*twice_s]), sorted(t_side + [*twice_t])
+                    i, j = *pair_s, *pair_t, *pair_p
+                    parts = tuple(map(single.__getitem__, head)) + ((i, j),)
+                    parts += tuple(map(single.__getitem__, tail))
+                    s, t, bit_i, bit_j = _mask(s_side), _mask(t_side), 1 << i, 1 << j
+                    plus = term(s, bit_i | bit_j | t) + term(s | bit_i | bit_j, t)
+                    minus = term(s | bit_i, t | bit_j) + term(s | bit_j, t | bit_i)
+                    walls = maps * {"P": 1, "S": a, "T": b}[place]
+                    walls *= (factorial(len(head)) >> len(twice_s)) * (
+                        factorial(len(tail)) >> len(twice_t)
+                    )
+                    key = _size_key(case, plus, minus, digit)
+                    seen = found.get(key)
+                    if seen is None:
+                        found[key] = [parts, case, plus, minus, walls]
+                    else:
+                        if parts < seen[0]:
+                            seen[:4] = parts, case, plus, minus
+                        seen[4] += walls
+    entries = [_TableEntry(*fields) for fields in found.values()]
+    entries.sort(key=lambda entry: entry.parts)
+    return tuple(entries)
+
+
+@cache
+def _kind_b_classes(n: int) -> tuple[_TableEntry, ...]:
+    """The kind-B size classes in closed form, in order of first wall.
+
+    The terms of a chain of runs (see :func:`_kind_b_entries`) have the
+    size pairs (|D_{k-1}|, n - |C_k|) (minus) and (|D_k|, n - |C_k|)
+    (plus), so a class is one size sequence (|C_k|, |D_k|), k = 1..r:
+    both sizes rise strictly to n, |D_k| <= |C_k|, and |C_k| < n before
+    the last run, so r >= 2.  With m_k = |C_k| - |D_{k-1}| elements open
+    to B_k and p_k = |C_k| - |D_k| left pending, the U_k can be chosen in
+    n!/prod |U_k|! ways and each B_k in C(m_k, |B_k|).  Summing a run's
+    factor over its B_k, the pinned one |U_k & B_k| (|U_k| - 1)! (|B_k| -
+    1)! by Vandermonde's identity, the chains' wall counts sum to n! times,
+    over the pairs of pinned runs, the product of (m_k - 1)!/p_k! at a
+    pinned run and m_k!/p_k! at any other.
+
+    The least wall takes U_k to be the next |U_k| labels and B_k the least
+    labels open to it, and it pins the last two runs, each at max(U_k),
+    which B_{r-1} then holds: a run's least letters are U_k ascending, and
+    pinning an earlier run would put the next run's first letter, larger
+    than every open label, where an unpinned run reads an open one.  Its
+    terms are read off the chain, minus (C_k | E - D_{k-1}) and plus (C_k |
+    E - D_k).
+    """
+    index, table = _bisubset_index(n), _split_table(n)
+    full = table.full
+    single = [(e,) for e in range(n + 1)]
+    entries: list[_TableEntry] = []
+
+    def emit(sizes: list[tuple[int, int]]) -> None:
+        r = len(sizes)
+        # The summed products with none, one and two runs pinned so far.
+        none, one, two = 1, 0, 0
+        letters: list[int] = []
+        plus: list[int] = []
+        minus: list[int] = []
+        pending: list[int] = []
+        c_last = d_last = done = 0
+        for k, (c, d) in enumerate(sizes, 1):
+            free = factorial(c - d_last) // factorial(c - d)
+            pinned = factorial(c - d_last - 1) // factorial(c - d)
+            none, one, two = none * free, one * free + none * pinned, two * free + one * pinned
+            u = list(range(c_last + 1, c + 1))
+            opened = pending + u
+            # The last two runs are pinned at max(U_k) = c, the last open label.
+            pin = k >= r - 1
+            cut = d - d_last - pin
+            letters += u + opened[:cut]
+            pending = opened[cut : len(opened) - pin]
+            minus.append(index[table[(2 << c) - 2, full & ~done]])
+            done |= _mask(opened[:cut]) | (1 << c if pin else 0)
+            if k < r:
+                plus.append(index[table[(2 << c) - 2, full & ~done]])
+            c_last, d_last = c, d
+        parts = tuple(map(single.__getitem__, letters))
+        entries.append(_TableEntry(parts, None, tuple(plus), tuple(minus), factorial(n) * two))
+
+    def extend(sizes: list[tuple[int, int]], c: int, d: int) -> None:
+        """Emit every size sequence that continues ``sizes``, which ends at
+        (c, d)."""
+        for c_next in range(c + 1, n):
+            for d_next in range(d + 1, c_next + 1):
+                sizes.append((c_next, d_next))
+                extend(sizes, c_next, d_next)
+                sizes.pop()
+        if sizes:
+            emit(sizes + [(n, n)])
+
+    extend([], 0, 0)
+    entries.sort(key=lambda entry: entry.parts)
+    return tuple(entries)
+
+
 def _size_classes(n: int) -> Iterator[_TableEntry]:
     """The size classes of the wall inequalities at n, in order of first
-    entry.
+    entry, generated in closed form with no table behind them.
 
     The case is part of the key, kind B's being None, so no class holds
-    entries of both kinds: grouping each kind's entries in turn is one pass
-    over the table in table order, and the kind-B classes, like the kind-B
-    entries, are built only when a query reads past the kind-A ones.
+    entries of both kinds; the kind-B classes are generated only when a
+    query reads past the kind-A ones.  Grouping the generated table
+    (:func:`_group_by_size`) is the reference route.
     """
-    yield from _group_by_size(_kind_a_entries, n)
-    yield from _group_by_size(_kind_b_entries, n)
+    yield from _kind_a_classes(n)
+    yield from _kind_b_classes(n)
 
 
 def inequality_table_check(n: int) -> Iterator[str]:
@@ -702,7 +868,8 @@ def inequality_table_check(n: int) -> Iterator[str]:
     have :func:`updown_value_by_segments` as its value at the
     bipermutahedron; after the first of these comparisons fails, neither
     runs again.  The distinct (case, plus, minus), in order of first wall
-    with their wall counts, must equal the generated table.
+    with their wall counts, must equal the generated table, and the
+    closed-form size classes the table's grouped by :func:`_group_by_size`.
     """
     index = _bisubset_index(n)
     biperm = named_support("biperm", n)
@@ -737,6 +904,9 @@ def inequality_table_check(n: int) -> Iterator[str]:
     ]
     if list(_inequality_table(n)) != walked:
         yield "the generated wall inequalities differ from the wall walk"
+    grouped = _group_by_size(_kind_a_entries, n) + _group_by_size(_kind_b_entries, n)
+    if _kind_a_classes(n) + _kind_b_classes(n) != grouped:
+        yield "the closed-form size classes differ from the table's"
 
 
 def _symmetric(v: tuple[int, ...], n: int) -> bool:
@@ -814,9 +984,14 @@ class WallValueTable:
     kind_b: Counter
 
     def kind_a_values(self, case: str) -> set[Fraction]:
+        if case not in self.kind_a:
+            cases = ", ".join(map(repr, self.kind_a))
+            raise ValueError(f"no kind-A case {case!r}: the cases are {cases}")
         return set(self.kind_a[case])
 
     def kind_b_min(self) -> Fraction:
+        if not self.kind_b:
+            raise ValueError(f"there are no kind-B walls at n = {self.n}")
         return min(self.kind_b)
 
 

@@ -589,6 +589,14 @@ def doubled_coefficients(real):
     return inequality
 
 
+def one_wall_more_in_the_first_class(real):
+    def classes(n):
+        first, *rest = real(n)
+        return (dataclasses.replace(first, walls=first.walls + 1), *rest)
+
+    return classes
+
+
 def with_case_ii(value):
     kind_a = {"i": Counter({2: 1}), "ii": Counter({value: 1}), "iii": Counter({4: 1})}
     return biperm_table(kind_a=kind_a)
@@ -793,6 +801,11 @@ PLANTED_DEFECTS = [
         "deformation", 3, deformation, "wall_inequality", doubled_coefficients,
         ["deformation: closed-form coefficients at A:1|1|2|23 must be 1"],
         id="deformation-unit-coefficients",
+    ),
+    pytest.param(
+        "deformation", 3, deformation, "_kind_b_classes", one_wall_more_in_the_first_class,
+        ["deformation: the closed-form size classes differ from the table's"],
+        id="deformation-size-classes",
     ),
 ]
 

@@ -448,6 +448,18 @@ class TestConeMembership:
                 assert values == EXPECTED_HARMONIC_CASES[case]
         assert set(table.kind_b.keys()) == {Fraction(1)}
 
+    def test_kind_b_min_names_the_missing_walls(self):
+        table = wall_value_table(named_support("biperm", 1))
+        with pytest.raises(ValueError, match="^there are no kind-B walls at n = 1$"):
+            table.kind_b_min()
+
+    def test_kind_a_values_names_the_cases(self):
+        table = wall_value_table(named_support("biperm", 3))
+        with pytest.raises(
+            ValueError, match="^no kind-A case 'iv': the cases are 'i', 'ii', 'iii'$"
+        ):
+            table.kind_a_values("iv")
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_biperm_is_ample(self, n):
         verdict = is_ample(named_support("biperm", n))
@@ -956,7 +968,7 @@ def test_table_queries_match_the_wall_walk(n):
 # per size class.  The table route, forced by making every support look
 # asymmetric, is the reference.
 
-CLASS_COUNTS = {2: 3, 3: 16, 4: 40, 5: 88}
+CLASS_COUNTS = {1: 0, 2: 3, 3: 16, 4: 40, 5: 88, 6: 203}
 
 
 def size_pair(bs):
@@ -1076,17 +1088,18 @@ def test_one_value_off_symmetric_takes_the_table_route(monkeypatch, n):
             assert (verdict.passed, verdict.witness_wall, verdict.witness_value) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_size_classes_partition_the_table(n):
-    # Grouped here by size pairs alone: the case in the class key adds no
-    # class, and every group is case-pure.
-    order = all_bisubsets(n)
+    # The closed-form classes against the table grouped here by size pairs
+    # alone: the case in the class key adds no class, and every group is
+    # case-pure.  At n = 6 the table is the one the n = 6 route test builds
+    # and caches.
+    pairs = [size_pair(bs) for bs in all_bisubsets(n)]
     table = list(_inequality_table(n))
     groups = {}
     for k, entry in enumerate(table):
         key = tuple(
-            tuple(sorted(size_pair(order[i]) for i in terms))
-            for terms in (entry.plus, entry.minus)
+            tuple(sorted(pairs[i] for i in terms)) for terms in (entry.plus, entry.minus)
         )
         groups.setdefault(key, []).append(k)
     # Each class is its group's first entry, terms and case included, with
@@ -1099,7 +1112,8 @@ def test_size_classes_partition_the_table(n):
     ]
     for cls, members in zip(classes, groups.values()):
         assert {table[k].case for k in members} == {cls.case}
-    assert sum(cls.walls for cls in classes) == f_vector_formula(n)[-2]
+    # n = 1 has no walls, and its f-vector no entry for them.
+    assert sum(cls.walls for cls in classes) == (f_vector_formula(n)[-2] if n > 1 else 0)
 
 
 def test_entries_of_two_cases_never_share_a_class():

@@ -557,16 +557,22 @@ def test_every_public_name_resolves():
 
 def test_symmetric_supports_make_no_table_call(capsys, monkeypatch, tmp_path):
     # A support that reads S|T only through its size pair is evaluated per
-    # size class, whether it is named or read from a CSV; one value off makes
-    # the queries read the inequality table.
+    # size class, whether it is named or read from a CSV, and the classes are
+    # generated in closed form, so no table entry is generated; one value off
+    # makes the queries read the inequality table.
     calls = []
-    real = deformation._inequality_table
 
-    def counted(n):
-        calls.append(n)
-        return real(n)
+    def counted(name):
+        real = getattr(deformation, name)
 
-    monkeypatch.setattr(deformation, "_inequality_table", counted)
+        def call(n):
+            calls.append(name)
+            return real(n)
+
+        return call
+
+    for name in ("_inequality_table", "_kind_a_entries", "_kind_b_entries"):
+        monkeypatch.setattr(deformation, name, counted(name))
     for n in (3, 4):
         text = deformation.format_support_csv(deformation.named_support("harmonic", n))
         symmetric, off = tmp_path / f"harmonic-{n}.csv", tmp_path / f"off-{n}.csv"
@@ -584,7 +590,10 @@ def test_symmetric_supports_make_no_table_call(capsys, monkeypatch, tmp_path):
                 calls.clear()
                 code = cli.main([*argv, "--n", str(n), "--format", "text"])
                 outputs.append((code, *capsys.readouterr()))
-                assert bool(calls) == (support == off), (support, argv)
+                if support == off:
+                    assert calls[:2] == ["_inequality_table", "_kind_a_entries"], argv
+                else:
+                    assert calls == [], (support, argv)
             if support == "harmonic":
                 named = outputs
             elif support == symmetric:
