@@ -41,16 +41,21 @@ combinatorics, never by visiting walls:
 
 * kind A from region maps: for a pair i < j, every other element lies in S
   only, T only or both, and i, j each lie in the pair only, also in S or
-  also in T, at most one in the pair only;
+  also in T, at most one in the pair only; the once-element's place (the
+  pair, S only or T only) makes one row, since every once-element on one
+  side has as many walls and the largest the least wall;
 * kind B from chains of runs U_1 B_1 ... U_r B_r of first and second
   occurrences in the doubled word, with the once-elements pinned to two
-  runs.
+  runs, the pins folded in as the chain grows.
 
 Both rules also give each entry's first wall and wall count in closed form
-(see _kind_a_entries and _kind_b_entries).  Kind A entries come first, and
-the kind-B ones are generated only when a query reads past them.  Entries
-keep the order of their first walls, so witnesses are the first walls that
-violate or attain, exactly as in a wall-by-wall scan.  The walk over every
+(see _kind_a_entries and _kind_b_entries).  One rule builds a kind-A row
+(_kind_a_row), for the table and the size classes below alike, and one
+merges rows (_merged: the least first wall with its terms, the summed
+wall count).  Kind A entries come first, and the kind-B ones are
+generated only when a query reads past them.  Entries keep the order of
+their first walls, so witnesses are the first walls that violate or
+attain, exactly as in a wall-by-wall scan.  The walk over every
 wall stays as the checked route: inequality_table_check, which
 ``check --suite deformation`` runs, walks once, comparing each wall's
 inequality with the oracle's and the walked table with the generated one.
@@ -68,9 +73,9 @@ _kind_b_classes).  The queries decide by one pass over a support's values
 whether it is of this kind; if every support they take is, they walk the
 classes, and otherwise the table.  Either way each step is a table entry
 evaluated on the same scaled row, and both routes give the same witnesses,
-values and counters.  The table stays the reference route, and grouping it
-by size (_group_by_size) the reference for the classes, which
-inequality_table_check compares with it.
+values and counters.  The table stays the reference route, and the walk's
+entries merged by size the reference for the classes, which
+inequality_table_check compares with them.
 """
 
 from __future__ import annotations
@@ -78,12 +83,13 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, pairwise, product
+from itertools import accumulate, combinations, product
 from math import comb, factorial, gcd
-from typing import Callable, Iterator, Literal
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Iterator, Literal
 
 from .combinatorics import (
     Bipermutation,
@@ -469,75 +475,129 @@ class _TableEntry:
 
 
 @cache
+def _singles(n: int) -> tuple[tuple[int], ...]:
+    """One shared tuple (e,) per element 0..n, the singleton parts of the
+    tables' first walls: the tables hold thousands of them."""
+    return tuple((e,) for e in range(n + 1))
+
+
+def _kind_a_places(a: int, b: int) -> Iterator[tuple[str, tuple[str, str], str, int]]:
+    """(case, sides of i and j, place of o, choices of o) for a pair whose
+    region map puts a elements in S only and b in T only.
+
+    i and j each lie in the pair only (P), also in S or also in T, at most
+    one in the pair only.  The once-element o is that one (case iii), or
+    else one of the a S-only or the b T-only elements (case i when i and j
+    are on the same side, ii otherwise).
+    """
+    for sides in product("PST", repeat=2):
+        if "P" in sides:
+            if sides != ("P", "P"):
+                yield "iii", sides, "P", 1
+        else:
+            case = "i" if sides[0] == sides[1] else "ii"
+            if a:
+                yield case, sides, "S", a
+            if b:
+                yield case, sides, "T", b
+
+
+def _kind_a_row(
+    n: int,
+    case: str,
+    pair: tuple[int, int],
+    s_side: list[int],
+    t_side: list[int],
+    twice_s: list[int],
+    twice_t: list[int],
+    multiplicity: int,
+) -> _TableEntry:
+    """One row of a kind-A generator: the region map with S = ``s_side``,
+    T = ``t_side``, the pair i < j and the elements of ``twice_s`` and
+    ``twice_t`` doubled, its walls counted ``multiplicity`` times (once per
+    choice of the once-element, and for a size class once per region map
+    of these counts).
+
+    The prefix holds the doubled elements of S twice and the rest of S
+    once, in any order, and the suffix likewise from T: the least wall is
+    the sorted prefix, ij, the sorted suffix, and there are |pre|!/2^d *
+    |suf|!/2^d' walls, d and d' counting the doubled elements.  The terms
+    are h(S|ijT), h(Sij|T) (plus) and h(Si|Tj), h(Sj|Ti) (minus), each
+    dropped when a side is empty or the sides are equal (lineality); a set
+    is its split table key, bit e for element e, and a term is its
+    bisubset's position in ``all_bisubsets(n)``.
+    """
+    index, table, single = _bisubset_index(n), _split_table(n), _singles(n)
+    head, tail = sorted(s_side + twice_s), sorted(t_side + twice_t)
+    i, j = pair
+    s, t, bit_i, bit_j = _mask(s_side), _mask(t_side), 1 << i, 1 << j
+    plus: list[int] = []
+    minus: list[int] = []
+    for terms, left, right in (
+        (plus, s, bit_i | bit_j | t),
+        (plus, s | bit_i | bit_j, t),
+        (minus, s | bit_i, t | bit_j),
+        (minus, s | bit_j, t | bit_i),
+    ):
+        if left and right and left != right:
+            terms.append(index[table[left, right]])
+    walls = multiplicity * (factorial(len(head)) >> len(twice_s))
+    walls *= factorial(len(tail)) >> len(twice_t)
+    parts = (*map(single.__getitem__, head), pair, *map(single.__getitem__, tail))
+    return _TableEntry(parts, case, tuple(plus), tuple(minus), walls)
+
+
+def _merged(
+    rows: Iterable[_TableEntry], key: Callable[[_TableEntry], Hashable]
+) -> tuple[_TableEntry, ...]:
+    """The rows merged by ``key``, in order of first wall: each entry keeps
+    the least first wall of its rows with that row's case and terms, and
+    sums their wall counts."""
+    found: dict[Hashable, list] = {}
+    for row in rows:
+        seen = found.setdefault(key(row), [row, 0])
+        if row.parts < seen[0].parts:
+            seen[0] = row
+        seen[1] += row.walls
+    entries = [
+        _TableEntry(first.parts, first.case, first.plus, first.minus, walls)
+        for first, walls in found.values()
+    ]
+    entries.sort(key=attrgetter("parts"))
+    return tuple(entries)
+
+
+@cache
 def _kind_a_entries(n: int) -> tuple[_TableEntry, ...]:
     """The distinct kind-A inequalities, generated from region maps.
 
     For a pair i < j, every other element lies in S only, T only or both,
-    and i and j each lie in the pair only, also in S or also in T, at most
-    one in the pair only.  The once-element o is that one (case iii), or
-    else any S-only or T-only element (case i when i and j are on the same
-    side, ii otherwise).  For each o the prefix holds the S-only elements
-    twice (o once) and the "both" elements and the members of i, j in S
-    once, in any order, and the suffix likewise from T: the first wall is
-    the sorted prefix, ij, the sorted suffix, and the walls number
-    |pre|!/2^d * |suf|!/2^d', d and d' counting the doubled elements.
-    Region maps whose inequalities agree, degenerate terms dropped, are
-    merged.  A set is its split table key, bit e for element e, and a term
-    is its bisubset's position in ``all_bisubsets(n)``.
+    and i and j each lie in the pair only, also in S or also in T (see
+    :func:`_kind_a_places`).  The S-only and T-only elements occur twice,
+    except the once-element o, and the "both" elements and the members of
+    i, j in S or T once.  The walls do not depend on which S-only (or
+    T-only) element is o, and the largest gives the least wall, so each
+    region map is one row per place of o (:func:`_kind_a_row`), counted
+    once per choice of o.  Rows whose inequalities agree, degenerate terms
+    dropped, are merged.
     """
-    index, table = _bisubset_index(n), _split_table(n)
-    # One shared tuple per singleton part: the table holds thousands.
-    single = [(e,) for e in range(n + 1)]
-
-    def term(left: int, right: int) -> tuple[int, ...]:
-        return (index[table[left, right]],) if left and right and left != right else ()
-
-    found: dict[tuple, list] = {}
+    rows = []
     for i, j in combinations(range(1, n + 1), 2):
-        bit_i, bit_j = 1 << i, 1 << j
         others = [e for e in range(1, n + 1) if e != i and e != j]
         for regions in product("STB", repeat=n - 2):
             s_only = [e for e, r in zip(others, regions) if r == "S"]
             t_only = [e for e, r in zip(others, regions) if r == "T"]
             both = [e for e, r in zip(others, regions) if r == "B"]
-            for side_i, side_j in product("PST", repeat=2):
-                if side_i == side_j == "P":
-                    continue
-                # The elements occurring once in the prefix and the suffix.
-                pre = both + [e for e, r in ((i, side_i), (j, side_j)) if r == "S"]
-                suf = both + [e for e, r in ((i, side_i), (j, side_j)) if r == "T"]
-                if "P" in (side_i, side_j):
-                    # o is i or j, so every S-only and T-only element is doubled.
-                    case, once = "iii", [None]
-                else:
-                    case = "i" if side_i == side_j else "ii"
-                    once = s_only + t_only
-                s, t, ij = _mask(pre + s_only), _mask(suf + t_only), bit_i | bit_j
-                key = (
-                    case,
-                    term(s, ij | t) + term(s | ij, t),
-                    term(s | bit_i, t | bit_j) + term(s | bit_j, t | bit_i),
+            for case, sides, place, choices in _kind_a_places(len(s_only), len(t_only)):
+                pair_s = [e for e, side in zip((i, j), sides) if side == "S"]
+                pair_t = [e for e, side in zip((i, j), sides) if side == "T"]
+                twice_s = s_only[:-1] if place == "S" else s_only
+                twice_t = t_only[:-1] if place == "T" else t_only
+                s_side, t_side = s_only + both + pair_s, both + pair_t + t_only
+                rows.append(
+                    _kind_a_row(n, case, (i, j), s_side, t_side, twice_s, twice_t, choices)
                 )
-                for o in once:
-                    head = sorted(pre + s_only + [e for e in s_only if e != o])
-                    tail = sorted(suf + t_only + [e for e in t_only if e != o])
-                    parts = tuple(map(single.__getitem__, head)) + ((i, j),)
-                    parts += tuple(map(single.__getitem__, tail))
-                    doubled_s = len(s_only) - (o in s_only)
-                    doubled_t = len(t_only) - (o in t_only)
-                    walls = (factorial(len(head)) >> doubled_s) * (
-                        factorial(len(tail)) >> doubled_t
-                    )
-                    seen = found.get(key)
-                    if seen is None:
-                        found[key] = [parts, walls]
-                    else:
-                        seen[0] = min(seen[0], parts)
-                        seen[1] += walls
-    ordered = sorted(found.items(), key=lambda item: item[1][0])
-    return tuple(
-        _TableEntry(parts, *key, walls) for key, (parts, walls) in ordered
-    )
+    return _merged(rows, attrgetter("case", "plus", "minus"))
 
 
 @cache
@@ -575,38 +635,25 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
     choices of the runs read U_k - p ascending, p, B_k - p ascending, and
     the walls number, summed over pin choices, the product over runs of
     (|U_k| - pinned)! (|B_k| - pinned)!.
+
+    Both are folded in as the chain grows: each run extends the least
+    letters and the summed walls with none, one and two runs pinned so
+    far.  Words with the same number of pins have the same length, so the
+    least prefix stays least.  The word (n + 1,), above every word of
+    letters, stands with 0 walls for a pin count no chain has yet; a run
+    without a pin only extends each state, so it never pins such a word.
     """
-    index, table = _bisubset_index(n), _split_table(n)
+    index, table, single = _bisubset_index(n), _split_table(n), _singles(n)
     full = table.full
-    single = [(e,) for e in range(n + 1)]
     entries: list[_TableEntry] = []
-    runs: list[tuple[int, int]] = []
     plus: list[int] = []
     minus: list[int] = []
 
-    def emit() -> None:
-        data = [_kind_b_run(u, b) for u, b in runs]
-        pinnable = [k for k, (_, pinned, _, _) in enumerate(data) if pinned is not None]
-        first = None
-        walls = 0
-        for k1, k2 in combinations(pinnable, 2):
-            letters: tuple[int, ...] = ()
-            count = 1
-            for k, (free, pinned, free_walls, pinned_walls) in enumerate(data):
-                if k == k1 or k == k2:
-                    letters += pinned
-                    count *= pinned_walls
-                else:
-                    letters += free
-                    count *= free_walls
-            walls += count
-            if first is None or letters < first:
-                first = letters
-        parts = tuple(map(single.__getitem__, first))
-        entries.append(_TableEntry(parts, None, tuple(plus), tuple(minus), walls))
-
-    def extend(seen: int, done: int) -> None:
-        """Append every run (U, B) to a chain with C = seen, D = done."""
+    def extend(seen: int, done: int, words: tuple, walls: tuple) -> None:
+        """Append every run (U, B) to a chain with C = seen, D = done, whose
+        least letters and summed walls with none, one and two runs pinned
+        are ``words`` and ``walls``."""
+        (none, one, two), (walls_none, walls_one, walls_two) = words, walls
         fresh = full & ~seen
         u = fresh
         while u:
@@ -618,20 +665,40 @@ def _kind_b_entries(n: int) -> tuple[_TableEntry, ...]:
                 b = pending
                 while b:
                     d = done | b
-                    runs.append((u, b))
+                    free, pinned, free_walls, pinned_walls = _kind_b_run(u, b)
                     if d == full:
-                        emit()
+                        # B_r holds U_r, so the last run takes a pin.
+                        parts = tuple(map(single.__getitem__, min(two + free, one + pinned)))
+                        count = walls_two * free_walls + walls_one * pinned_walls
+                        entries.append(_TableEntry(parts, None, tuple(plus), tuple(minus), count))
                     elif c != full:
                         plus.append(index[table[c, full & ~d]])
-                        extend(c, d)
+                        if pinned is None:
+                            grown = none + free, one + free, two + free
+                            counts = (
+                                walls_none * free_walls,
+                                walls_one * free_walls,
+                                walls_two * free_walls,
+                            )
+                        else:
+                            grown = (
+                                none + free,
+                                min(one + free, none + pinned),
+                                min(two + free, one + pinned),
+                            )
+                            counts = (
+                                walls_none * free_walls,
+                                walls_one * free_walls + walls_none * pinned_walls,
+                                walls_two * free_walls + walls_one * pinned_walls,
+                            )
+                        extend(c, d, grown, counts)
                         plus.pop()
-                    runs.pop()
                     b = (b - 1) & pending
                 minus.pop()
             u = (u - 1) & fresh
 
-    extend(0, 0)
-    entries.sort(key=lambda entry: entry.parts)
+    extend(0, 0, ((), (n + 1,), (n + 1,)), (1, 0, 0))
+    entries.sort(key=attrgetter("parts"))
     return tuple(entries)
 
 
@@ -658,120 +725,64 @@ def _size_pair_ids(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _size_digits(n: int) -> tuple[int, ...]:
-    """Each bisubset's size-pair id as a digit 1 << (width * id), in
-    all_bisubsets(n) order, so that a multiset of terms is keyed as one
-    int, the sum of their digits; no side has 2n terms, so digits never
-    carry."""
-    width = (2 * n).bit_length()
-    return tuple(1 << width * k for k in _size_pair_ids(n))
+def _size_key(n: int) -> Callable[[_TableEntry], tuple]:
+    """The size class key of an entry at n: its case and the multisets of
+    its plus and of its minus terms' size pairs.
 
-
-def _size_key(
-    case: str | None, plus: tuple[int, ...], minus: tuple[int, ...], digit: tuple[int, ...]
-) -> tuple:
-    """The size class key of an inequality: its case and the multisets of
-    the plus and of the minus terms' size pairs."""
-    return case, sum(map(digit.__getitem__, plus)), sum(map(digit.__getitem__, minus))
-
-
-@cache
-def _group_by_size(
-    kind_entries: Callable[[int], tuple[_TableEntry, ...]], n: int
-) -> tuple[_TableEntry, ...]:
-    """The size classes of ``kind_entries(n)``, one kind's table entries,
-    by grouping them: one pass, keyed by :func:`_size_key`, each class its
-    first entry with the summed wall count, in order of first entry.  At a
-    support that reads S|T only through its size pair, every entry of a
-    class has the first entry's value.
-
-    This is the reference for the closed-form classes that the queries
-    walk (:func:`_kind_a_classes`, :func:`_kind_b_classes`), which
-    :func:`inequality_table_check` compares with it.
+    A multiset is keyed as one int, the sum of a digit 1 << (width * id)
+    per term, id its term's size-pair id; no side has 2n terms, so digits
+    never carry.  At a support that reads S|T only through its size pair,
+    the entries of one class share their value.
     """
-    digit = _size_digits(n)
-    found: dict[tuple, list] = {}
-    for entry in kind_entries(n):
-        key = _size_key(entry.case, entry.plus, entry.minus, digit)
-        seen = found.get(key)
-        if seen is None:
-            found[key] = [entry, entry.walls]
-        else:
-            seen[1] += entry.walls
-    return tuple(replace(first, walls=walls) for first, walls in found.values())
+    width = (2 * n).bit_length()
+    digit = tuple(1 << width * k for k in _size_pair_ids(n))
+
+    def key(entry: _TableEntry) -> tuple:
+        plus, minus = entry.plus, entry.minus
+        return entry.case, sum(map(digit.__getitem__, plus)), sum(map(digit.__getitem__, minus))
+
+    return key
 
 
 @cache
 def _kind_a_classes(n: int) -> tuple[_TableEntry, ...]:
     """The kind-A size classes in closed form, in order of first wall.
 
-    A region map of :func:`_kind_a_entries` with its once-element o is,
-    up to relabelling, fixed by the region counts a = |S only|, b = |T
-    only| and c = |both| = n - 2 - a - b, the sides of i and j and where o
-    sits (the pair, S only or T only), and these fix the size pairs of the
-    terms.  There are C(n, 2) (n - 2)!/(a! b! c!) such region maps, o
-    takes 1, a or b elements, and each (map, o) has |pre|!/2^d *
-    |suf|!/2^d' walls.  The least wall gives labels in increasing order to
-    the doubled S-only elements (the prefix reads 1, 1, 2, 2, ...), the
-    S-side pair members (the pair part follows the prefix), the "both"
-    elements (they are in the suffix too), an S-only o, the other pair
-    members T side first, the doubled T-only elements and a T-only o.
-    Combinations with one :func:`_size_key` merge: their walls are summed,
-    and the least first wall is kept with its terms.
+    A region map of :func:`_kind_a_entries` with the place of its
+    once-element o is, up to relabelling, fixed by the region counts a =
+    |S only|, b = |T only| and c = |both| = n - 2 - a - b, the sides of i
+    and j and o's place (the pair, S only or T only), and these fix the
+    size pairs of the terms.  There are C(n, 2) (n - 2)!/(a! b! c!) such
+    region maps, and o takes 1, a or b elements.  The least wall gives
+    labels in increasing order to the doubled S-only elements (the prefix
+    reads 1, 1, 2, 2, ...), the S-side pair members (the pair part follows
+    the prefix), the "both" elements (they are in the suffix too), an
+    S-only o, the other pair members T side first, the doubled T-only
+    elements and a T-only o.  Each combination is one
+    :func:`_kind_a_row` on these labels, and rows with one
+    :func:`_size_key` merge.
     """
-    index, table = _bisubset_index(n), _split_table(n)
-    digit = _size_digits(n)
-    single = [(e,) for e in range(n + 1)]
-
-    def term(left: int, right: int) -> tuple[int, ...]:
-        return (index[table[left, right]],) if left and right and left != right else ()
-
-    found: dict[tuple, list] = {}
+    labels = [*range(1, n + 1)]
+    rows = []
     for a in range(n - 1):
         for b in range(n - 1 - a):
             c = n - 2 - a - b
             maps = comb(n, 2) * factorial(n - 2)
             maps //= factorial(a) * factorial(b) * factorial(c)
-            for sides in product("PST", repeat=2):
-                if sides == ("P", "P"):
-                    continue
+            for case, sides, place, choices in _kind_a_places(a, b):
                 in_s, in_t = sides.count("S"), sides.count("T")
-                if "P" in sides:
-                    case, places = "iii", "P"
-                else:
-                    case = "i" if sides[0] == sides[1] else "ii"
-                    places = "S" * (a > 0) + "T" * (b > 0)
-                for place in places:
-                    once_s, once_t = place == "S", place == "T"
-                    in_p = 2 - in_s - in_t
-                    sizes = (a - once_s, in_s, c, once_s, in_t, in_p, b - once_t, once_t)
-                    twice_s, pair_s, both, o_s, pair_t, pair_p, twice_t, o_t = (
-                        range(lo, hi) for lo, hi in pairwise(accumulate(sizes, initial=1))
-                    )
-                    s_side = [*twice_s, *pair_s, *both, *o_s]
-                    t_side = [*both, *pair_t, *twice_t, *o_t]
-                    head, tail = sorted(s_side + [*twice_s]), sorted(t_side + [*twice_t])
-                    i, j = *pair_s, *pair_t, *pair_p
-                    parts = tuple(map(single.__getitem__, head)) + ((i, j),)
-                    parts += tuple(map(single.__getitem__, tail))
-                    s, t, bit_i, bit_j = _mask(s_side), _mask(t_side), 1 << i, 1 << j
-                    plus = term(s, bit_i | bit_j | t) + term(s | bit_i | bit_j, t)
-                    minus = term(s | bit_i, t | bit_j) + term(s | bit_j, t | bit_i)
-                    walls = maps * {"P": 1, "S": a, "T": b}[place]
-                    walls *= (factorial(len(head)) >> len(twice_s)) * (
-                        factorial(len(tail)) >> len(twice_t)
-                    )
-                    key = _size_key(case, plus, minus, digit)
-                    seen = found.get(key)
-                    if seen is None:
-                        found[key] = [parts, case, plus, minus, walls]
-                    else:
-                        if parts < seen[0]:
-                            seen[:4] = parts, case, plus, minus
-                        seen[4] += walls
-    entries = [_TableEntry(*fields) for fields in found.values()]
-    entries.sort(key=lambda entry: entry.parts)
-    return tuple(entries)
+                once_s, once_t = place == "S", place == "T"
+                sizes = (a - once_s, in_s, c, once_s, in_t, 2 - in_s - in_t, b - once_t, once_t)
+                cuts = [*accumulate(sizes, initial=0)]
+                twice_s, pair_s, both, o_s, pair_t, pair_p, twice_t, o_t = map(
+                    labels.__getitem__, map(slice, cuts, cuts[1:])
+                )
+                s_side, t_side = twice_s + pair_s + both + o_s, both + pair_t + twice_t + o_t
+                pair = (*pair_s, *pair_t, *pair_p)
+                rows.append(
+                    _kind_a_row(n, case, pair, s_side, t_side, twice_s, twice_t, maps * choices)
+                )
+    return _merged(rows, _size_key(n))
 
 
 @cache
@@ -798,9 +809,8 @@ def _kind_b_classes(n: int) -> tuple[_TableEntry, ...]:
     terms are read off the chain, minus (C_k | E - D_{k-1}) and plus (C_k |
     E - D_k).
     """
-    index, table = _bisubset_index(n), _split_table(n)
+    index, table, single = _bisubset_index(n), _split_table(n), _singles(n)
     full = table.full
-    single = [(e,) for e in range(n + 1)]
     entries: list[_TableEntry] = []
 
     def emit(sizes: list[tuple[int, int]]) -> None:
@@ -853,8 +863,8 @@ def _size_classes(n: int) -> Iterator[_TableEntry]:
 
     The case is part of the key, kind B's being None, so no class holds
     entries of both kinds; the kind-B classes are generated only when a
-    query reads past the kind-A ones.  Grouping the generated table
-    (:func:`_group_by_size`) is the reference route.
+    query reads past the kind-A ones.  The walk's entries merged by size
+    (:func:`inequality_table_check`) are the reference route.
     """
     yield from _kind_a_classes(n)
     yield from _kind_b_classes(n)
@@ -869,7 +879,8 @@ def inequality_table_check(n: int) -> Iterator[str]:
     bipermutahedron; after the first of these comparisons fails, neither
     runs again.  The distinct (case, plus, minus), in order of first wall
     with their wall counts, must equal the generated table, and the
-    closed-form size classes the table's grouped by :func:`_group_by_size`.
+    closed-form size classes these entries merged per kind by
+    :func:`_size_key`.
     """
     index = _bisubset_index(n)
     biperm = named_support("biperm", n)
@@ -904,7 +915,9 @@ def inequality_table_check(n: int) -> Iterator[str]:
     ]
     if list(_inequality_table(n)) != walked:
         yield "the generated wall inequalities differ from the wall walk"
-    grouped = _group_by_size(_kind_a_entries, n) + _group_by_size(_kind_b_entries, n)
+    size = _size_key(n)
+    grouped = _merged([e for e in walked if e.case is not None], size)
+    grouped += _merged([e for e in walked if e.case is None], size)
     if _kind_a_classes(n) + _kind_b_classes(n) != grouped:
         yield "the closed-form size classes differ from the table's"
 
@@ -1063,9 +1076,11 @@ _NAMED_SUPPORTS = {
 }
 
 
+@cache
 def named_support(name: str, n: int) -> SupportFunction:
     """The built-in support functions, by CLI-facing name: the one builder
-    of each."""
+    of each, which builds each once; a support is immutable, so callers
+    share it."""
     if name not in _NAMED_SUPPORTS:
         raise ValueError(f"unknown support function {name!r}")
     order = all_bisubsets(n)

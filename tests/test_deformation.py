@@ -5,10 +5,10 @@ import hashlib
 import random
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -876,10 +876,98 @@ def test_a_runs_largest_pin_gives_its_least_letters(n):
         assert deformation._kind_b_run(u, b)[1] == least
 
 
+def pin_pair_reference(n):
+    """{(plus, minus): (first wall, walls)} of every chain of runs at n,
+    with every pair of pinnable runs building its whole word, and the
+    number of chains whose least pair is not their last two pinnable
+    runs."""
+    index, table = deformation._bisubset_index(n), _split_table(n)
+    full = table.full
+    found = {}
+    runs, plus, minus = [], [], []
+    not_last = 0
+
+    def emit():
+        nonlocal not_last
+        data = [deformation._kind_b_run(u, b) for u, b in runs]
+        pinnable = [k for k, run in enumerate(data) if run[1] is not None]
+        words, walls = {}, 0
+        for pair in combinations(pinnable, 2):
+            letters, count = (), 1
+            for k, (free, pinned, free_walls, pinned_walls) in enumerate(data):
+                letters += pinned if k in pair else free
+                count *= pinned_walls if k in pair else free_walls
+            words[pair] = letters
+            walls += count
+        least = min(words, key=words.get)
+        not_last += least != tuple(pinnable[-2:])
+        found[tuple(plus), tuple(minus)] = (tuple((e,) for e in words[least]), walls)
+
+    def extend(seen, done):
+        for u in range(2, full + 1, 2):
+            c = seen | u
+            if u & seen or (c == full and not done):
+                continue
+            minus.append(index[table[c, full & ~done]])
+            for b in range(2, full + 1, 2):
+                d = done | b
+                if b & ~c or b & done:
+                    continue
+                runs.append((u, b))
+                if d == full:
+                    emit()
+                elif c != full:
+                    plus.append(index[table[c, full & ~d]])
+                    extend(c, d)
+                    plus.pop()
+                runs.pop()
+            minus.pop()
+
+    extend(0, 0)
+    return found, not_last
+
+
+@pytest.mark.parametrize(("n", "not_last"), [(2, 0), (3, 3), (4, 74), (5, 1665)])
+def test_the_pin_fold_matches_every_pin_pair(n, not_last):
+    # The generator folds the pins in as the chain grows; the reference
+    # tries every pair of pinnable runs on the whole chain.  Many chains'
+    # least pair is not their last two pinnable runs.
+    reference, count = pin_pair_reference(n)
+    entries = deformation._kind_b_entries(n)
+    assert {(e.plus, e.minus): (e.parts, e.walls) for e in entries} == reference
+    assert len(entries) == len(reference)
+    assert count == not_last
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_once_elements_side_fixes_the_wall_count_and_its_largest_the_least_wall(n):
+    # The kind-A generator takes one row per side of the once-element o:
+    # on one side of a region map every o has as many walls, and the
+    # largest o has the least wall.  The walk is the reference, each kind-A
+    # wall filed under its pair, S, T and o in order, least first.
+    walls = defaultdict(list)
+    for wall in enumerate_walls(n):
+        if wall.kind == "A":
+            _, i, j, s, t, o = wall.kind_a_parts
+            walls[i, j, s, t, o].append(tuple(tuple(sorted(part)) for part in wall.parts))
+    sides = defaultdict(dict)
+    for (i, j, s, t, o), found in walls.items():
+        if o not in (i, j):
+            sides[i, j, s, t, bool(s >> o & 1)][o] = (len(found), found[0])
+    shared = 0
+    for by_once in sides.values():
+        assert len({count for count, _ in by_once.values()}) == 1
+        assert by_once[max(by_once)][1] == min(least for _, least in by_once.values())
+        shared += len(by_once) > 1
+    assert shared if n > 3 else not shared
+
+
 def clear_tables():
-    deformation._kind_a_entries.cache_clear()
-    deformation._kind_b_entries.cache_clear()
-    deformation._group_by_size.cache_clear()
+    for name in (
+        "_kind_a_entries", "_kind_b_entries", "_kind_a_classes", "_kind_b_classes",
+        "_kind_b_run", "_singles",
+    ):
+        getattr(deformation, name).cache_clear()
 
 
 def test_queries_never_walk(monkeypatch):
@@ -1119,8 +1207,12 @@ def test_size_classes_partition_the_table(n):
 def test_entries_of_two_cases_never_share_a_class():
     first = next(_inequality_table(3))
     twin = dataclasses.replace(first, case="i" if first.case != "i" else "ii")
-    classes = deformation._group_by_size(lambda n: (first, twin), 3)
+    classes = deformation._merged((first, twin), deformation._size_key(3))
     assert classes == (first, twin)
+
+
+def test_a_named_support_is_built_once():
+    assert named_support("biperm", 3) is named_support("biperm", 3)
 
 
 @pytest.mark.parametrize(

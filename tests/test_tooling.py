@@ -3,10 +3,11 @@ package still has, and the routes call the kernel under those names; the
 benchmark's workloads build and pass their own checks, and every package
 attribute they read resolves; the package imports nothing it does not use
 and has no ``assert`` statement; a ``Bisubset`` is built in two places
-only; each kernel entry checks that its entries are ints before it
-eliminates; every public function and method has a caller outside the
-tests; the README's command line tour prints what it shows, and its Python
-blocks run; a support that reads S|T only through its size pair never
+only, and a table entry only where a row is built, merged or walked;
+each kernel entry checks that its entries are ints before it eliminates;
+every public function and method has a caller outside the tests; the
+README's command line tour prints what it shows, and its Python blocks
+run; a support that reads S|T only through its size pair never
 reads the inequality table from the CLI; every private function and class
 is referenced outside its own definition; pi1 and a kind-B wall's doubled
 word are each applied in one place, and a cone query's walk is chosen in
@@ -209,6 +210,31 @@ def test_bisubsets_are_built_in_two_places():
     assert sorted(sites) == [
         "combinatorics._SplitTable.__missing__",
         "combinatorics.bisubset",
+    ]
+
+
+def test_table_rows_have_one_rule_each():
+    # A table entry is built where a row is (a kind-A row by one rule for
+    # the labelled table and the canonical classes alike, a kind-B chain or
+    # size sequence), where rows merge, and by the walk that checks them.
+    modules = sorted(PACKAGE.glob("*.py"))
+    sites = [site for path in modules for site in call_sites(path, "_TableEntry")]
+    assert sorted(sites) == [
+        "deformation._kind_a_row",
+        "deformation._kind_b_classes.emit",
+        "deformation._kind_b_entries.extend",
+        "deformation._merged",
+        "deformation.inequality_table_check",
+    ]
+    deformation_py = PACKAGE / "deformation.py"
+    assert sorted(call_sites(deformation_py, "_kind_a_row")) == [
+        "deformation._kind_a_classes",
+        "deformation._kind_a_entries",
+    ]
+    assert sorted(set(call_sites(deformation_py, "_merged"))) == [
+        "deformation._kind_a_classes",
+        "deformation._kind_a_entries",
+        "deformation.inequality_table_check",
     ]
 
 
