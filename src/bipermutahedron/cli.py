@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .combinatorics import (
+    all_bisubsets,
     bipermutation_count,
     bisequence_to_multigraph,
     count_bipermutations_recursively,
@@ -44,7 +45,6 @@ from .deformation import (
 from .geometry import (
     SupportFunction,
     facet_check,
-    facets_json,
     hyperplane_face_counts,
     symmetry_checks,
     vertices_json,
@@ -197,12 +197,20 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_facets(args) -> int:
-    # Each format builds only its own table: the csv and text lines are the
-    # bipermutahedron's support in the S;T;value form that --support reads.
+    # One table for every format, the bipermutahedron's cached support: the
+    # JSON entries are its S, T and exact right-hand sides, and the csv and
+    # text lines are the S;T;value form that --support reads.
+    h = named_support("biperm", args.n)
     if args.format == "json":
-        _emit(facets_json(args.n), args.format, None, ())
+        # Each of the 2**n - 1 part sets is sorted once, not once per split.
+        ordered = functools.cache(sorted)
+        rhs = (str(Fraction(v, h.scale)) for v in h.row)
+        facets = [
+            {"S": ordered(bs.left), "T": ordered(bs.right), "rhs": text}
+            for bs, text in zip(all_bisubsets(args.n), rhs)
+        ]
+        _emit({"n": args.n, "facets": facets}, args.format, None, ())
     else:
-        h = named_support("biperm", args.n)
         _emit({}, args.format, None, format_support_csv(h).splitlines())
     return 0
 

@@ -116,10 +116,7 @@ class Bisubset(NamedTuple):
     n: int
 
     def __str__(self) -> str:
-        return format_bisequence(self.to_bisequence())
-
-    def to_bisequence(self) -> Bisequence:
-        return Bisequence((self.left, self.right), self.n)
+        return format_bisequence(Bisequence((self.left, self.right), self.n))
 
 
 def validate_bisequence(parts: Sequence[Iterable[int]], n: int) -> Bisequence:
@@ -155,9 +152,13 @@ def validate_bisequence(parts: Sequence[Iterable[int]], n: int) -> Bisequence:
 
 
 def bisubset(left: Iterable[int], right: Iterable[int], n: int) -> Bisubset:
-    """Validate and build the bisubset S|T."""
+    """Validate S|T and return the split table's bisubset.
+
+    >>> bisubset({1}, {2}, 2) is all_bisubsets(2)[3]
+    True
+    """
     seq = validate_bisequence([left, right], n)
-    return Bisubset(seq.parts[0], seq.parts[1], n)
+    return _split_table(n)[_mask(seq.parts[0]), _mask(seq.parts[1])]
 
 
 @cache

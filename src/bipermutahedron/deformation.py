@@ -101,7 +101,6 @@ from .combinatorics import (
     _bisubset_index,
     _elements,
     _mask,
-    _split_keys,
     _split_table,
     _word_keys,
     all_bisubsets,
@@ -207,9 +206,8 @@ class WallInequality:
     def evaluate(self, h: SupportFunction) -> Fraction:
         """I(h), one int sum on h's row over its scale (0 with no terms)."""
         terms = self.plus + self.minus
-        if terms and terms[0][0].n != h.n:
-            n = terms[0][0].n
-            raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
+        if terms:
+            h.require_n(terms[0][0].n)
         index, row = _bisubset_index(h.n), h.row
         total = sum(c * row[index[bs]] for bs, c in self.plus) - sum(
             c * row[index[bs]] for bs, c in self.minus
@@ -324,7 +322,7 @@ def wall_tree(wall: Wall) -> WallTree:
     """Build the tree of a kind-B wall and verify its invariants."""
     n = wall.n
     ground = frozenset(range(1, n + 1))
-    keys = _split_keys([1 << e for e, _ in wall.kind_b_word])
+    keys = _word_keys([e for e, _ in wall.kind_b_word])
     edges = tuple(map(_split_table(n).__getitem__, keys))
     top = tuple(dict.fromkeys(edge.left for edge in edges))
     bottom = tuple(dict.fromkeys(edge.right for edge in edges))
@@ -940,8 +938,7 @@ def _walk(*supports: SupportFunction) -> Iterator[_TableEntry]:
     one n."""
     n = supports[0].n
     for h in supports:
-        if h.n != n:
-            raise ValueError(f"support function is for n = {h.n}, expected n = {n}")
+        h.require_n(n)
     symmetric = all(_symmetric(h.row, n) for h in supports)
     return _size_classes(n) if symmetric else _inequality_table(n)
 

@@ -179,11 +179,13 @@ class SupportFunction:
         object.__setattr__(self, "row", tuple(row))
         object.__setattr__(self, "scale", scale)
 
+    def require_n(self, n: int) -> None:
+        """Refuse a use of this support at another n."""
+        if n != self.n:
+            raise ValueError(f"support function is for n = {self.n}, expected n = {n}")
+
     def __getitem__(self, bs: Bisubset) -> Fraction:
-        if bs.n != self.n:
-            raise ValueError(
-                f"support function is for n = {self.n}, expected n = {bs.n}"
-            )
+        self.require_n(bs.n)
         return Fraction(self.row[_bisubset_index(self.n)[bs]], self.scale)
 
     @staticmethod
@@ -280,20 +282,6 @@ def vertices_json(n: int) -> dict:
         v = vertex_of_bipermutation(bp)
         entries.append({"biperm": str(bp), "top": list(v[:n]), "bottom": list(v[n:])})
     return {"n": n, "vertices": entries}
-
-
-def facets_json(n: int) -> dict:
-    """JSON-ready facet dump: S, T, and the exact right-hand side."""
-    entries = []
-    for bs in all_bisubsets(n):
-        entries.append(
-            {
-                "S": sorted(bs.left),
-                "T": sorted(bs.right),
-                "rhs": str(biperm_support(bs)),
-            }
-        )
-    return {"n": n, "facets": entries}
 
 
 def _relabeller(perm: Sequence[int]) -> Callable[[Row], Row]:

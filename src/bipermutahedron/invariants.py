@@ -40,7 +40,6 @@ __all__ = [
     "LengthMismatch",
     "TruncationResidue",
     "NonGenericSweep",
-    "TruncatedBiseries",
     "multigraph_count",
     "f_vector_formula",
     "f_vector_bruteforce",
@@ -124,28 +123,15 @@ def f_vector_bruteforce(n: int) -> list[int]:
     return [count(d) for d in range(2, 2 * n + 1)]
 
 
-@dataclass(frozen=True)
-class TruncatedBiseries:
-    """Scaled coefficients d! * n! * [x^d y^n] of a double series.
-
-    counts[d][n] must be a nonnegative integer for the series arising here.
-    """
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        for row in self.counts:
-            for value in row:
-                if value < 0:
-                    raise ValueError("biseries counts must be nonnegative")
-
-
-def _cone_count_biseries(max_n: int) -> TruncatedBiseries:
+def _cone_count_biseries(max_n: int) -> tuple[tuple[int, ...], ...]:
     """Expand F(x, e^y) / e^x where F(a, b) = sum_d a^d b^C(d,2) / d!,
     through y^max_n and x^(2 max_n): n edges cover at most 2n vertices.
 
     F(x, e^y) has coefficient C(d,2)^j / (d! j!) at x^d y^j; dividing by
-    e^x convolves with (-1)^i / i! along the x direction.
+    e^x convolves with (-1)^i / i! along the x direction.  Row d holds the
+    scaled coefficients d! j! [x^d y^j] for j = 0..max_n, each a count of
+    cones, so one that is not a nonnegative integer raises
+    ``TruncationResidue``.
     """
     inner = [
         [Fraction(comb(d, 2) ** j, factorial(d) * factorial(j)) for j in range(max_n + 1)]
@@ -163,28 +149,30 @@ def _cone_count_biseries(max_n: int) -> TruncatedBiseries:
                 Fraction(0),
             )
             scaled = value * factorial(d) * factorial(j)
-            if scaled.denominator != 1:
+            if scaled.denominator != 1 or scaled < 0:
                 raise TruncationResidue(
                     f"coefficient ({d},{j}) of the cone-count series "
-                    f"is not an integer: {scaled}"
+                    f"is not a nonnegative integer: {scaled}"
                 )
             row.append(int(scaled))
         table.append(tuple(row))
-    return TruncatedBiseries(tuple(table))
+    return tuple(table)
 
 
 def f_generating_check(max_n: int) -> bool:
     """Verify that d! n! [x^d y^n] (F(x, e^y)/e^x) counts the fan's cones.
 
     The reference values are the multigraph counts, so together with
-    :func:`f_vector_formula` this closes a three-way loop.
+    :func:`f_vector_formula` this closes a three-way loop.  Each row of
+    :func:`_cone_count_biseries` is compared entry by entry; a coefficient
+    that is no nonnegative integer raises ``TruncationResidue`` there.
 
     >>> f_generating_check(4)
     True
     """
     return all(
         count == multigraph_count(d, j)
-        for d, row in enumerate(_cone_count_biseries(max_n).counts)
+        for d, row in enumerate(_cone_count_biseries(max_n))
         for j, count in enumerate(row)
     )
 

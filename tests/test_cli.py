@@ -148,6 +148,13 @@ class TestTextAndCsvOutput:
             "2;1;-4",
         ]
 
+    def test_facets_json_frozen(self, capsys):
+        _, out, _ = run_cli(capsys, "facets", "--n", "2", "--format", "json")
+        data = json.loads(out)
+        assert data["n"] == 2 and len(data["facets"]) == 6
+        # right-hand sides are decimal strings, set members plain integers
+        assert data["facets"][0] == {"S": [1, 2], "T": [1], "rhs": "-3"}
+
 
 class TestCoefficientReports:
     """The full JSON reports, key order included, and the text line of the
@@ -564,12 +571,14 @@ def reversed_oracle(real):
     return oracle
 
 
-def repeated_first_key(real):
-    def keys(masks):
-        built = real(masks)
+def repeated_first_letter(real):
+    # The decode is a cached property: the stub replaces it by a property
+    # on the class, which wins over any value cached on an instance.
+    def word(wall):
+        built = real.func(wall)
         return built[:1] + built[:-1]
 
-    return keys
+    return property(word)
 
 
 class ForgetfulQueue(deque):
@@ -778,7 +787,7 @@ PLANTED_DEFECTS = [
         id="deformation-quotient",
     ),
     pytest.param(
-        "deformation", 3, deformation, "_split_keys", repeated_first_key,
+        "deformation", 3, combinatorics.Wall, "kind_b_word", repeated_first_letter,
         ["deformation: wall tree must have 2n vertices and 2n-1 edges"],
         id="deformation-tree-size",
     ),
@@ -1068,7 +1077,7 @@ class TestInfeasibleN:
         def refuse(*args, **kwargs):
             raise RuntimeError("a listing route ran")
 
-        monkeypatch.setattr(cli, "facets_json", refuse)
+        monkeypatch.setattr(cli, "named_support", refuse)
         monkeypatch.setattr(cli, "f_vector_formula", refuse)
         for name in cli._F_VECTOR_ROUTES:
             monkeypatch.setitem(cli._F_VECTOR_ROUTES, name, refuse)

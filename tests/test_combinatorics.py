@@ -22,6 +22,7 @@ from bipermutahedron.combinatorics import (
     bipermutation_count,
     bisequence_of_configuration,
     bisequence_to_multigraph,
+    bisubset,
     bisubsets_of,
     count_bipermutations_recursively,
     descents,
@@ -268,6 +269,13 @@ def test_bisubset_order_hands_out_the_split_tables_objects(n):
     order = all_bisubsets(n)
     assert len(order) == len(keys) == 3**n - 3
     assert all(bs is _split_table(n)[key] for bs, key in zip(order, keys))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_validated_bisubset_is_the_split_tables_object(n):
+    # bisubset() validates its input sets, then hands out the table's object.
+    for k, bs in enumerate(all_bisubsets(n)):
+        assert bisubset(set(bs.left), list(bs.right), n) is all_bisubsets(n)[k]
 
 
 # Mask pairs of n = 3 (bit e for element e, so {1, 2, 3} is 0b1110) that

@@ -237,6 +237,20 @@ class TestClosedFormInequalities:
             with pytest.raises(ValueError, match=message):
                 h[bisubset({1}, set(range(2, n + 1)), n)]
 
+    @pytest.mark.parametrize("use", ["lookup", "evaluate", "query"])
+    def test_every_use_refuses_another_n_with_one_message(self, use):
+        # h[bs], an inequality's evaluation and a query's walk of two
+        # supports share the support's one refusal.
+        h, other = named_support("biperm", 3), named_support("harmonic", 4)
+        uses = {
+            "lookup": lambda: h[bisubset({1}, {2, 3, 4}, 4)],
+            "evaluate": lambda: wall_inequality(next(enumerate_walls(4))).evaluate(h),
+            "query": lambda: minkowski_quotient(other, h),
+        }
+        message = "^support function is for n = 3, expected n = 4$"
+        with pytest.raises(ValueError, match=message):
+            uses[use]()
+
     def test_positive_coefficients_enforced(self):
         bad = ((bisubset({1}, {1, 2}, 2), Fraction(0)),)
         with pytest.raises(ValueError, match="positive"):

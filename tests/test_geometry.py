@@ -19,7 +19,6 @@ from bipermutahedron.geometry import (
     canonical_ray,
     classify_wall_normal,
     facet_check,
-    facets_json,
     harmonic_support,
     hyperplane_face_counts,
     ray_vector,
@@ -233,16 +232,12 @@ def test_facet_check_stops_at_the_first_failing_comparison(monkeypatch):
     assert report.comparisons == 2 * len(order) + order.index(target) + 1
 
 
-def test_facet_check_vertex_and_facet_json_schema():
+def test_vertex_json_schema():
     data = vertices_json(2)
     assert data["n"] == 2 and len(data["vertices"]) == 6
     entry = data["vertices"][0]
     assert set(entry) == {"biperm", "top", "bottom"}
     assert entry == {"biperm": "1|1|2", "top": [-3, 3], "bottom": [1, -1]}
-    fdata = facets_json(2)
-    assert len(fdata["facets"]) == 6
-    # right-hand sides are decimal strings, set members plain integers
-    assert fdata["facets"][0] == {"S": [1, 2], "T": [1], "rhs": "-3"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

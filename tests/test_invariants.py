@@ -18,7 +18,6 @@ from bipermutahedron.combinatorics import (
 from bipermutahedron.invariants import (
     LengthMismatch,
     NonGenericSweep,
-    TruncatedBiseries,
     TruncationResidue,
     bieulerian_by_descents,
     bieulerian_by_ehrhart,
@@ -75,9 +74,17 @@ def test_generating_function_reproduces_f_vectors():
     assert f_generating_check(4)
 
 
-def test_truncated_biseries_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        TruncatedBiseries(((1, 0), (0, -1)))
+def test_cone_count_series_refuses_a_negative_coefficient(monkeypatch):
+    # With C(3,2) = -3, one edge covers three vertices in -6 ways.
+    real = invariants.comb
+    monkeypatch.setattr(
+        invariants, "comb", lambda p, q: -real(p, q) if (p, q) == (3, 2) else real(p, q)
+    )
+    message = (
+        "coefficient (3,1) of the cone-count series is not a nonnegative integer: -6"
+    )
+    with pytest.raises(TruncationResidue, match=f"^{re.escape(message)}$"):
+        f_generating_check(2)
 
 
 def test_h_from_f_simplex():

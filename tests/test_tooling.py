@@ -2,8 +2,9 @@
 package still has, and the routes call the kernel under those names; the
 benchmark's workloads build and pass their own checks, and every package
 attribute they read resolves; the package imports nothing it does not use
-and has no ``assert`` statement; a ``Bisubset`` is built in two places
-only, and a table entry only where a row is built, merged or walked;
+and has no ``assert`` statement; a ``Bisubset`` is built in one place
+only, a support refuses another n in one, and a table entry only where a
+row is built, merged or walked;
 each kernel entry checks that its entries are ints before it eliminates;
 every public function and method has a caller outside the tests; the
 README's command line tour prints what it shows, and its Python blocks
@@ -200,16 +201,27 @@ def call_sites(path, callee, where=lambda call: True):
     return sites
 
 
-def test_bisubsets_are_built_in_two_places():
-    # Every split the package hands out is the split table's object; besides
-    # the table itself, only a validated bisubset from outside input builds
-    # one.  The CSV parser probes with a plain tuple, which a Bisubset
-    # equals and hashes as.
+def test_bisubsets_are_built_in_one_place():
+    # Every split the package hands out is the split table's object, a
+    # validated bisubset from outside input too.  The CSV parser probes with
+    # a plain tuple, which a Bisubset equals and hashes as.
     modules = sorted(PACKAGE.glob("*.py"))
     sites = [site for path in modules for site in call_sites(path, "Bisubset")]
+    assert sites == ["combinatorics._SplitTable.__missing__"]
+
+
+def test_a_support_refuses_another_n_in_one_place():
+    # A lookup h[bs], an inequality's evaluation and the cone queries' walk
+    # all ask the support itself, so its message is written once.
+    modules = sorted(PACKAGE.glob("*.py"))
+    text = "support function is for n ="
+    counts = {path.stem: path.read_text(encoding="utf-8").count(text) for path in modules}
+    assert {stem: count for stem, count in counts.items() if count} == {"geometry": 1}
+    sites = [site for path in modules for site in call_sites(path, "require_n")]
     assert sorted(sites) == [
-        "combinatorics._SplitTable.__missing__",
-        "combinatorics.bisubset",
+        "deformation.WallInequality.evaluate",
+        "deformation._walk",
+        "geometry.SupportFunction.__getitem__",
     ]
 
 
