@@ -47,7 +47,7 @@ from .geometry import (
     facet_check,
     hyperplane_face_counts,
     symmetry_checks,
-    vertices_json,
+    vertex_of_bipermutation,
 )
 from .invariants import (
     bieulerian_by_descents,
@@ -75,8 +75,8 @@ _FORMULA = (200, "is above 200, the largest n whose f-vector the formula route c
 _BRUTEFORCE = (7, "is above 7, the largest n whose f-vector the brute-force route computes")
 _DESCENTS = (8, "is above 8, the largest n whose B_n the descent route computes; "
                 "use --method hfromf or --method ehrhart")
-_INEQUALITIES = (6, "has more walls than the 37422000 at n = 6, the largest n "
-                    "whose wall inequalities can be generated")
+_SUPPORTS = (10, "has more facets than the 59046 at n = 10, the largest n whose "
+                 "support functions are built")
 _N_BOUNDS = {
     ("fvector", "formula"): _FORMULA,
     ("fvector", "bruteforce"): _BRUTEFORCE,
@@ -93,8 +93,8 @@ _N_BOUNDS = {
                            "largest n whose facets can be listed"),
     ("walls", None): (5, "has more walls than the 453600 at n = 5, the largest "
                          "n whose walls can be enumerated"),
-    ("nef-check", None): _INEQUALITIES,
-    ("quotient", None): _INEQUALITIES,
+    ("nef-check", None): _SUPPORTS,
+    ("quotient", None): _SUPPORTS,
     ("check", None): (5, "has more bipermutations than the 113400 at n = 5, the "
                          "largest n whose bipermutations and walls the check "
                          "suites enumerate"),
@@ -183,16 +183,18 @@ def _cmd_bieulerian(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    data = vertices_json(args.n)
-    body = [
-        "{} top={} bottom={}".format(
-            v["biperm"],
-            ",".join(map(str, v["top"])),
-            ",".join(map(str, v["bottom"])),
+    # Each vertex row is built once and rendered only in the format asked for.
+    n = args.n
+    rows = ((str(bp), vertex_of_bipermutation(bp)) for bp in enumerate_bipermutations(n))
+    if args.format == "json":
+        vertices = [{"biperm": w, "top": list(v[:n]), "bottom": list(v[n:])} for w, v in rows]
+        _emit({"n": n, "vertices": vertices}, args.format, None, ())
+    else:
+        body = (
+            f"{w} top={','.join(map(str, v[:n]))} bottom={','.join(map(str, v[n:]))}"
+            for w, v in rows
         )
-        for v in data["vertices"]
-    ]
-    _emit(data, args.format, None, body)
+        _emit({}, args.format, None, body)
     return 0
 
 
@@ -216,20 +218,18 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_walls(args) -> int:
+    # Each wall is formatted once, and only the format asked for is built.
     walls = [
-        w
+        (w.kind, format_bisequence(w))
         for w in enumerate_walls(args.n)
         if args.kind == "all" or w.kind == args.kind
     ]
-    data = {
-        "n": args.n,
-        "kind": args.kind,
-        "count": len(walls),
-        "walls": [
-            {"kind": w.kind, "bisequence": format_bisequence(w)} for w in walls
-        ],
-    }
-    _emit(data, args.format, None, (f"{w.kind} {format_bisequence(w)}" for w in walls))
+    if args.format == "json":
+        entries = [{"kind": kind, "bisequence": text} for kind, text in walls]
+        data = {"n": args.n, "kind": args.kind, "count": len(walls), "walls": entries}
+        _emit(data, args.format, None, ())
+    else:
+        _emit({}, args.format, None, (f"{kind} {text}" for kind, text in walls))
     return 0
 
 

@@ -75,7 +75,10 @@ classes, and otherwise the table.  Either way each step is a table entry
 evaluated on the same scaled row, and both routes give the same witnesses,
 values and counters.  The table stays the reference route, and the walk's
 entries merged by size the reference for the classes, which
-inequality_table_check compares with them.
+inequality_table_check compares with them.  The table is generated up to
+n = 6 (91,322 entries for its 37,422,000 walls); past it the queries
+refuse any other support before generating an entry, and answer the
+symmetric ones through the classes.
 """
 
 from __future__ import annotations
@@ -934,13 +937,20 @@ def _symmetric(v: tuple[int, ...], n: int) -> bool:
 
 def _walk(*supports: SupportFunction) -> Iterator[_TableEntry]:
     """The entries the queries walk: size classes if every support is
-    constant on size pairs, and else the table.  The supports must share
-    one n."""
+    constant on size pairs, and else the table, which is refused past
+    n = 6 before any entry is generated.  The supports must share one n."""
     n = supports[0].n
     for h in supports:
         h.require_n(n)
-    symmetric = all(_symmetric(h.row, n) for h in supports)
-    return _size_classes(n) if symmetric else _inequality_table(n)
+    if all(_symmetric(h.row, n) for h in supports):
+        return _size_classes(n)
+    if n > 6:
+        raise ValueError(
+            f"n = {n} has more walls than the 37422000 at n = 6, the largest n whose "
+            "wall inequalities can be generated; past it only supports constant on "
+            "size pairs (|S - T|, |T - S|) are answered"
+        )
+    return _inequality_table(n)
 
 
 @dataclass(frozen=True)

@@ -275,15 +275,6 @@ def facet_check(n: int) -> FacetReport:
     )
 
 
-def vertices_json(n: int) -> dict:
-    """JSON-ready vertex dump: one entry per bipermutation, in order."""
-    entries = []
-    for bp in enumerate_bipermutations(n):
-        v = vertex_of_bipermutation(bp)
-        entries.append({"biperm": str(bp), "top": list(v[:n]), "bottom": list(v[n:])})
-    return {"n": n, "vertices": entries}
-
-
 def _relabeller(perm: Sequence[int]) -> Callable[[Row], Row]:
     """The relabelling i -> perm[i-1] of the ground set acting on a row of
     2n entries (the top entries, then the bottom ones): entry i of each

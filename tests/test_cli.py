@@ -137,6 +137,13 @@ class TestTextAndCsvOutput:
         _, out, _ = run_cli(capsys, "vertices", "--n", "2", "--format", "text")
         assert out.splitlines()[1] == "1|1|2 top=-3,3 bottom=1,-1"
 
+    def test_vertices_json_frozen(self, capsys):
+        _, out, _ = run_cli(capsys, "vertices", "--n", "2", "--format", "json")
+        data = json.loads(out)
+        assert data["n"] == 2 and len(data["vertices"]) == 6
+        # vertex coordinates are plain integers, top entries then bottom ones
+        assert data["vertices"][0] == {"biperm": "1|1|2", "top": [-3, 3], "bottom": [1, -1]}
+
     def test_facets_csv_frozen(self, capsys):
         _, out, _ = run_cli(capsys, "facets", "--n", "2", "--format", "csv")
         assert out.splitlines()[1:] == [
@@ -889,11 +896,75 @@ class TestSuiteGuards:
         assert report["volumes"] == {"2": "6"}
 
 
+# The inequality table's refusal of a support that is not constant on size
+# pairs, after the prefix "n = <n> ".
+TABLE_TAIL = (
+    "has more walls than the 37422000 at n = 6, the largest n whose wall "
+    "inequalities can be generated; past it only supports constant on size "
+    "pairs (|S - T|, |T - S|) are answered"
+)
+
+
+class TestSymmetricSupportsPastTheTable:
+    """Supports constant on size pairs walk the closed-form size classes,
+    so the nef queries answer them up to the support bound n = 10."""
+
+    @pytest.mark.parametrize(
+        ("n", "witness"),
+        [
+            ("7", "A:1|1|2|2|3|3|4|4|5|6|56|7"),
+            ("10", "A:1|1|2|2|3|3|4|4|5|5|6|6|7|7|8|9|8,9|10"),
+        ],
+        ids=["n7", "n10"],
+    )
+    def test_the_quotient_is_two(self, capsys, n, witness):
+        code, out, err = run_cli(capsys, "quotient", "--n", n)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["status"], report["value"], report["witness"]) == ("ok", "2", witness)
+
+    def test_the_bipermutahedron_is_ample_at_n10(self, capsys):
+        code, out, err = run_cli(capsys, "nef-check", "--n", "10", "--support", "biperm", "--ample")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
+    def test_the_harmonic_polytope_is_not_ample_at_n10(self, capsys):
+        wall = "A:1|1|2|2|3|3|4|4|5|5|6|6|7|7|8|8,9|9|10"
+        code, out, err = run_cli(
+            capsys, "nef-check", "--n", "10", "--support", "harmonic", "--ample"
+        )
+        assert code == 1
+        assert json.loads(out)["witness"] == {"wall": wall, "value": "0"}
+        assert err.startswith(f"the wall-crossing inequality at wall {wall} evaluates to 0,")
+
+    def test_a_combination_read_from_csv_at_n10(self, capsys, tmp_path):
+        # aB + bH has the quotient 2a + b by H, since B's is 2.
+        biperm, harmonic = named_support("biperm", 10), named_support("harmonic", 10)
+        h = SupportFunction.combine([(3, biperm), (Fraction(1, 2), harmonic)])
+        path = tmp_path / "combination.csv"
+        path.write_text(format_support_csv(h), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "quotient", "--n", "10", "--p", str(path), "--format", "text"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "13/2"
+
+    def test_a_csv_off_size_pairs_at_n7_is_refused_after_it_is_read(self, capsys, tmp_path):
+        h = named_support("biperm", 7)
+        values = {bs: h[bs] for bs in combinatorics.all_bisubsets(7)}
+        values[combinatorics.all_bisubsets(7)[-1]] -= 1
+        path = tmp_path / "off.csv"
+        path.write_text(format_support_csv(SupportFunction(7, values)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "nef-check", "--n", "7", "--support", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: n = 7 {TABLE_TAIL}\n"
+
+
 class TestInfeasibleN:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
         # A missing guard then fails at once instead of hanging on 37.4M walls
-        # or generating the inequalities at n = 7.
+        # or walking the inequalities at n = 11.
         def refuse(*args, **kwargs):
             raise RuntimeError("walls were enumerated")
 
@@ -904,17 +975,28 @@ class TestInfeasibleN:
         monkeypatch.setattr(deformation, "_inequality_table", refuse)
         monkeypatch.setattr(deformation, "_size_classes", refuse)
 
+    @pytest.fixture
+    def no_support(self, monkeypatch):
+        # A missing guard then fails at once instead of building a support
+        # of 3**n - 3 values past n = 10.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a support was built")
+
+        monkeypatch.setattr(cli, "named_support", refuse)
+        monkeypatch.setattr(cli, "parse_support_csv", refuse)
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["walls", "--n", "6"],
-            ["nef-check", "--n", "7", "--support", "biperm"],
-            ["quotient", "--n", "7"],
+            ["nef-check", "--n", "11", "--support", "biperm"],
+            ["quotient", "--n", "11"],
             ["walls", "--n", "6", "--kind", "B", "--format", "text"],
             ["walls", "--n", "100000"],
+            ["nef-check", "--n", "11", "--support", "no-such-file.csv", "--ample"],
         ],
     )
-    def test_refused_before_any_enumeration(self, capsys, no_enumeration, argv):
+    def test_refused_before_any_enumeration(self, capsys, no_enumeration, no_support, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         if argv[0] == "walls":
@@ -924,8 +1006,8 @@ class TestInfeasibleN:
             )
         else:
             tail = (
-                "has more walls than the 37422000 at n = 6, the largest n whose "
-                "wall inequalities can be generated"
+                "has more facets than the 59046 at n = 10, the largest n whose "
+                "support functions are built"
             )
         assert err == f"error: n = {argv[2]} {tail}\n"
 
@@ -934,9 +1016,9 @@ class TestInfeasibleN:
             main(["walls", "--n", "5"])
 
     @pytest.mark.parametrize("command", ["nef-check", "quotient"])
-    def test_n6_inequalities_are_not_refused(self, no_enumeration, command):
-        argv = [command, "--n", "6"] + (["--support", "biperm"] if command == "nef-check" else [])
-        with pytest.raises(RuntimeError, match="enumerated"):
+    def test_n10_supports_are_not_refused(self, no_support, command):
+        argv = [command, "--n", "10"] + (["--support", "biperm"] if command == "nef-check" else [])
+        with pytest.raises(RuntimeError, match="a support was built"):
             main(argv)
 
     @pytest.fixture
@@ -946,6 +1028,7 @@ class TestInfeasibleN:
         def refuse(*args, **kwargs):
             raise RuntimeError("bipermutations were enumerated")
 
+        monkeypatch.setattr(cli, "enumerate_bipermutations", refuse)
         monkeypatch.setattr(geometry, "enumerate_bipermutations", refuse)
         monkeypatch.setattr(combinatorics, "enumerate_bipermutations", refuse)
 

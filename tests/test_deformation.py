@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import sys
 import time
 from collections import Counter, defaultdict
@@ -1188,6 +1189,31 @@ def test_one_value_off_symmetric_takes_the_table_route(monkeypatch, n):
             values = [(wall, ineq.evaluate(h)) for wall, _, ineq in walk]
             expected = reference_cone_check(values, strict=False)
             assert (verdict.passed, verdict.witness_wall, verdict.witness_value) == expected
+
+
+@pytest.mark.parametrize("query", [is_nef, is_ample, wall_value_table, minkowski_quotient])
+def test_the_table_refuses_past_n6_before_any_entry(monkeypatch, query):
+    # A support one value off constancy on size pairs needs the table,
+    # which has 37.4M walls behind it at n = 6; past n = 6 it is refused
+    # before any entry is generated.
+    def generate(n):
+        raise RuntimeError("a table entry was generated")
+
+    monkeypatch.setattr(deformation, "_kind_a_entries", generate)
+    monkeypatch.setattr(deformation, "_kind_b_entries", generate)
+    n = 7
+    biperm = named_support("biperm", n)
+    values = {bs: biperm[bs] for bs in all_bisubsets(n)}
+    values[all_bisubsets(n)[-1]] -= 1
+    off = SupportFunction(n, values)
+    message = (
+        "n = 7 has more walls than the 37422000 at n = 6, the largest n whose wall "
+        "inequalities can be generated; past it only supports constant on size "
+        "pairs (|S - T|, |T - S|) are answered"
+    )
+    supports = (biperm, off) if query is minkowski_quotient else (off,)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        query(*supports)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -24,7 +24,6 @@ from bipermutahedron.geometry import (
     ray_vector,
     symmetry_checks,
     vertex_of_bipermutation,
-    vertices_json,
 )
 
 
@@ -230,14 +229,6 @@ def test_facet_check_stops_at_the_first_failing_comparison(monkeypatch):
     assert not report.passed
     assert report.counterexample == "vertex 1|2|2, facet 12|2: -3 vs -2"
     assert report.comparisons == 2 * len(order) + order.index(target) + 1
-
-
-def test_vertex_json_schema():
-    data = vertices_json(2)
-    assert data["n"] == 2 and len(data["vertices"]) == 6
-    entry = data["vertices"][0]
-    assert set(entry) == {"biperm", "top", "bottom"}
-    assert entry == {"biperm": "1|1|2", "top": [-3, 3], "bottom": [1, -1]}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

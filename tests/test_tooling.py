@@ -225,6 +225,16 @@ def test_a_support_refuses_another_n_in_one_place():
     ]
 
 
+def test_the_inequality_table_is_refused_in_one_place():
+    # The queries reach the table only through _walk, which refuses it past
+    # n = 6; the CLI bounds nef-check and quotient by the support row alone.
+    modules = sorted(PACKAGE.glob("*.py"))
+    counts = {path.stem: path.read_text(encoding="utf-8").count("37422000") for path in modules}
+    assert {stem: count for stem, count in counts.items() if count} == {"deformation": 1}
+    sites = [site for path in modules for site in call_sites(path, "_inequality_table")]
+    assert sorted(sites) == ["deformation._walk", "deformation.inequality_table_check"]
+
+
 def test_table_rows_have_one_rule_each():
     # A table entry is built where a row is (a kind-A row by one rule for
     # the labelled table and the canonical classes alike, a kind-B chain or
